@@ -42,6 +42,7 @@ import pickle
 import subprocess
 import sys
 import threading
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from collections.abc import Sequence
@@ -270,6 +271,9 @@ class _FleetWorker:
             self.proc.stdin.close()
         except OSError:  # pragma: no cover
             pass
+        # Replies still owed for abandoned jobs must not block the
+        # worker on a full pipe: unread, they fail fast with EPIPE.
+        self.proc.stdout.close()
         self.proc.wait(timeout=10)
 
 
@@ -292,15 +296,28 @@ def decode_point(blob: str) -> SimPoint:
     return pickle.loads(base64.b64decode(blob))
 
 
+#: Jobs a fleet worker holds at once: the one it computes and one queued
+#: in its stdin pipe, so it never idles waiting for the parent's next send.
+IN_FLIGHT = 2
+
+
 class SubprocessBackend(ExecBackend):
     """Worker-fleet backend: N persistent subprocess workers.
 
-    Points are dealt round-robin across the fleet; each worker runs its
-    share in lock-step (send one job, read its result, send the next) so
-    the pipes can never fill up and deadlock, while the fleet as a whole
-    still computes ``jobs`` points concurrently.  A worker that dies
-    mid-batch surfaces as :class:`ExecBackendError` carrying every
-    record the rest of the fleet completed, so the executor requeues
+    Points are dealt from one shared queue, largest ``nprocs`` first so
+    the longest points start early and the batch does not end on one
+    worker finishing a big point alone.  Each worker's pipeline is first
+    filled round-robin to :data:`IN_FLIGHT` jobs; after that, a worker
+    pulls the next point from the queue as each reply arrives.  The
+    parent writes at most ``IN_FLIGHT`` small job lines ahead of the
+    reply it waits for, so the pipes cannot fill up and deadlock.  A
+    reply must carry the id of the worker's oldest in-flight job; a
+    mismatch is a transport failure like a dead worker.
+
+    When a worker fails, its oldest in-flight point is lost and the
+    points queued behind it go back to the shared queue for the rest of
+    the fleet.  The batch then surfaces as :class:`ExecBackendError`
+    carrying every record the fleet completed, so the executor requeues
     only the lost points.
     """
 
@@ -342,9 +359,8 @@ class SubprocessBackend(ExecBackend):
             # of a serial computation; short-circuit like ``pool`` does.
             return [compute_point(pt) for pt in points]
         fleet = self._ensure_fleet(n_workers)
-        shares: list[list[int]] = [[] for _ in range(n_workers)]
-        for i in range(len(points)):
-            shares[i % n_workers].append(i)
+        pending = deque(sorted(range(len(points)),
+                               key=lambda i: -points[i].nprocs))
 
         # Trace context captured on the dispatching thread: the pump
         # threads below have no open spans of their own (the recorder's
@@ -357,49 +373,88 @@ class SubprocessBackend(ExecBackend):
 
         done: dict[int, PointRecord] = {}
         failures: list[str] = []
-        crashes = 0
+        failed: list[_FleetWorker] = []
         lock = threading.Lock()
 
-        def pump(worker: _FleetWorker, share: list[int]) -> None:
-            nonlocal crashes
-            for i in share:
-                msg = {"op": "job", "id": i,
-                       "point": encode_point(points[i])}
-                if trace_ctx is not None:
-                    msg["trace"] = trace_ctx
-                try:
-                    worker.send(msg)
+        def send(worker: _FleetWorker, i: int) -> None:
+            msg = {"op": "job", "id": i, "point": encode_point(points[i])}
+            if trace_ctx is not None:
+                msg["trace"] = trace_ctx
+            worker.send(msg)
+
+        def lose(worker: _FleetWorker, inflight: deque, message: str) -> None:
+            """Drop a failed worker: its oldest job is lost with it, and
+            the jobs queued behind that one never started, so they go
+            back to the shared queue."""
+            with lock:
+                failures.append(message)
+                failed.append(worker)
+                if inflight:
+                    inflight.popleft()
+                    pending.extendleft(reversed(inflight))
+
+        def pump(worker: _FleetWorker, inflight: deque) -> None:
+            """Drive one worker until the shared queue drains."""
+            try:
+                for i in inflight:
+                    send(worker, i)
+                while inflight:
                     reply = worker.recv()
-                except (OSError, ValueError, json.JSONDecodeError) as exc:
+                    i = inflight[0]
+                    if reply is None:
+                        lose(worker, inflight,
+                             f"worker exited mid-batch (point {i})")
+                        return
+                    if not isinstance(reply, dict) or reply.get("id") != i:
+                        got = (reply.get("id") if isinstance(reply, dict)
+                               else reply)
+                        lose(worker, inflight,
+                             f"worker i/o failed: reply for job {got!r} "
+                             f"while job {i} was oldest in flight")
+                        return
+                    error = reply.get("op") == "error"
+                    record = None if error else decode_record(reply["record"])
+                    inflight.popleft()
                     with lock:
-                        failures.append(f"worker i/o failed: {exc}")
-                        crashes += 1
-                    return
-                if reply is None:
-                    with lock:
-                        failures.append(
-                            f"worker exited mid-batch (point {i})")
-                        crashes += 1
-                    return
-                if reply.get("op") == "error":
-                    with lock:
-                        failures.append(
-                            f"point {points[i]} failed in worker: "
-                            f"{reply.get('error')}")
-                    return
-                with lock:
-                    done[reply["id"]] = decode_record(reply["record"])
-                    self.health["requests"] += 1
-                if trace_ctx is not None:
-                    tel.adopt(reply.get("spans"))
+                        if error:
+                            # The point's own failure: the worker stays
+                            # healthy, and the executor's inline requeue
+                            # raises the real exception.
+                            failures.append(
+                                f"point {points[i]} failed in worker: "
+                                f"{reply.get('error')}")
+                        else:
+                            done[i] = record
+                            self.health["requests"] += 1
+                        nxt = pending.popleft() if pending else None
+                    if trace_ctx is not None and not error:
+                        tel.adopt(reply.get("spans"))
+                    if nxt is not None:
+                        inflight.append(nxt)
+                        send(worker, nxt)
+            except (OSError, ValueError, pickle.UnpicklingError) as exc:
+                lose(worker, inflight, f"worker i/o failed: {exc}")
 
-        threads = [threading.Thread(target=pump, args=(w, s), daemon=True)
-                   for w, s in zip(fleet, shares)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        live = fleet
+        while pending and live:
+            # Fill every pipeline round-robin, so a batch smaller than
+            # the fleet's depth still spreads over all workers; after
+            # that, whichever worker answers first pulls the next point.
+            queues: list[deque] = [deque() for _ in live]
+            for _ in range(IN_FLIGHT):
+                for q in queues:
+                    if pending:
+                        q.append(pending.popleft())
+            threads = [threading.Thread(target=pump, args=(w, q), daemon=True)
+                       for w, q in zip(live, queues) if q]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            # Survivors take over the points a failed worker handed back.
+            live = [w for w in live if w not in failed]
 
+        crashes = len(failed)
         if failures:
             self.health["crashes"] += crashes
             if crashes:

@@ -138,7 +138,10 @@ class Cluster:
             comm = Comm(self, r, world)
             gen = program(comm, *args, **kwargs)
             procs.append(self.engine.spawn(gen, name=f"rank{r}"))
-        elapsed = self.engine.run()
+        try:
+            elapsed = self.engine.run()
+        finally:
+            self.fabric.flush_observations()
         enrec = get_energy()
         if enrec.enabled and self.machine.power is not None:
             # Price the run's busy intervals: per-rank CPU seconds from

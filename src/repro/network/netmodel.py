@@ -120,6 +120,7 @@ class Fabric:
         # The NIC bus carries both directions; with duplex_factor < 2 it
         # becomes the bottleneck under simultaneous send+recv (e.g. the
         # Myrinet Lanai cards behind one PCI-X bus).
+        bus_m = None
         if params.duplex_factor < 2.0:
             bus_m = mk(registry, "nicbus")
             self._bus = [
@@ -145,6 +146,9 @@ class Fabric:
             BandwidthResource(f"shm[{i}]", params.shm_bw, shm_m)
             for i in range(n)
         ]
+        #: Per-kind reservation logs, folded by flush_observations().
+        self._observed = [m for m in (egress_m, ingress_m, bus_m, core_m,
+                                      shm_m) if m is not None]
         # Lazily filled per-(src, dst) route cache: zero-byte latency and
         # the joint resource list for inter-node transfers.  Topology
         # geometry is immutable for the life of a fabric, and fault
@@ -196,6 +200,16 @@ class Fabric:
         out["core"] = tally(self._core.values())
         out["shm"] = tally(self._shm)
         return out
+
+    def flush_observations(self) -> None:
+        """Fold every kind's pending reservation log into its instruments.
+
+        :meth:`repro.mpi.cluster.Cluster.run` calls this when a run ends;
+        code driving the fabric directly calls it before reading the
+        ``net.<kind>.*`` metrics or the timeline.
+        """
+        for m in self._observed:
+            m.flush()
 
     def reset(self) -> None:
         """Clear all contention state (used between benchmark repetitions)."""

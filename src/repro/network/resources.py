@@ -14,49 +14,76 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..core.errors import ConfigError
-from ..obs.metrics import MetricsRegistry
-from ..obs.timeline import get_timeline
+from ..obs.metrics import (Counter, Histogram, MetricsRegistry,
+                           fold_reservations)
+from ..obs.timeline import TimelineSeries, get_timeline
+
+
+#: Reservations a kind's log holds before it is folded into the
+#: instruments; bounds the log's memory on runs of any length.
+LOG_CAP = 1024
 
 
 @dataclass(frozen=True)
 class ResourceMetrics:
-    """Instruments shared by every resource instance of one kind.
+    """Observation log and instruments shared by every resource of one kind.
 
     Aggregating per *kind* (egress/ingress/core/shm/nicbus) rather than
     per instance keeps metric cardinality independent of node count;
     per-instance ``busy_time``/``bytes_served`` stay on the resource
     itself for the critical-path analyser and the utilisation report.
-    When a timeline recorder is installed, the kind's busy intervals
-    additionally stream into its time-bucketed occupancy series.
+
+    A reservation only appends ``(start, end, earliest, nbytes)`` to
+    ``log``; :meth:`flush` folds the log into the ``net.<kind>.*``
+    queue-wait histogram and bytes/busy counters and, when a timeline
+    recorder is installed, into the kind's occupancy series.  The fold
+    runs when the log reaches :data:`LOG_CAP` entries and at the end of
+    every :meth:`repro.mpi.cluster.Cluster.run`; code that drives a
+    :class:`~repro.network.netmodel.Fabric` directly calls
+    :meth:`~repro.network.netmodel.Fabric.flush_observations` before it
+    reads the instruments.
     """
 
-    queue_wait: object   # Histogram of seconds spent queued before service
-    bytes: object        # Counter of bytes served
-    busy_s: object       # Counter of busy (serving) virtual seconds
-    timeline: object | None = None  # TimelineSeries for this kind, or None
+    queue_wait: Histogram | None  # seconds queued before service
+    bytes: Counter | None         # bytes served
+    busy_s: Counter | None        # busy (serving) virtual seconds
+    timeline: TimelineSeries | None = None  # occupancy series, or None
+    log: list = field(default_factory=list, compare=False)
 
     @classmethod
     def for_kind(cls, registry: MetricsRegistry,
                  kind: str) -> "ResourceMetrics | None":
-        """Instruments under ``net.<kind>.*``, or None when disabled.
+        """Log and instruments for ``net.<kind>.*``, or None when disabled.
 
-        The registry hands out no-op instruments when it is disabled, so
-        a timeline-only configuration still records busy intervals while
-        the counter/histogram calls stay free.
+        With the registry disabled and a timeline recorder installed,
+        the instruments are None and only the series is folded.
         """
         recorder = get_timeline()
         series = recorder.series(kind) if recorder.enabled else None
-        if not registry.enabled and series is None:
-            return None
+        if not registry.enabled:
+            if series is None:
+                return None
+            return cls(None, None, None, series)
         return cls(
             queue_wait=registry.histogram(f"net.{kind}.queue_wait"),
             bytes=registry.counter(f"net.{kind}.bytes"),
             busy_s=registry.counter(f"net.{kind}.busy_s"),
             timeline=series,
         )
+
+    def flush(self) -> None:
+        """Fold the pending log into the instruments and clear it."""
+        log = self.log
+        if not log:
+            return
+        if self.queue_wait is not None:
+            fold_reservations(log, self.queue_wait, self.bytes, self.busy_s)
+        if self.timeline is not None:
+            self.timeline.fold(log)
+        log.clear()
 
 
 class BandwidthResource:
@@ -65,7 +92,7 @@ class BandwidthResource:
     ``bandwidth`` is in bytes/second and may be ``math.inf`` for a
     non-constraining resource.  Utilisation accounting is kept for the
     analysis layer; an optional :class:`ResourceMetrics` additionally
-    streams queue-wait/bytes/busy into the metrics registry.
+    logs each reservation for the metrics registry and timeline.
     """
 
     __slots__ = ("name", "bandwidth", "next_free", "busy_time",
@@ -99,11 +126,10 @@ class BandwidthResource:
         self.bytes_served += nbytes
         m = self.metrics
         if m is not None:
-            m.queue_wait.observe(start - earliest)
-            m.bytes.inc(nbytes)
-            m.busy_s.inc(end - start)
-            if m.timeline is not None:
-                m.timeline.add(start, end, nbytes)
+            log = m.log
+            log.append((start, end, earliest, nbytes))
+            if len(log) >= LOG_CAP:
+                m.flush()
         return start, end
 
     def reset(self) -> None:

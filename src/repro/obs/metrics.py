@@ -17,7 +17,9 @@ registry is installed — the default everywhere outside the harness —
 the shared disabled registry hands out no-op instruments, so the steady
 state cost is at most one attribute access per already-infrequent call
 site, and hot loops can skip instrumentation entirely by checking
-``registry.enabled`` once.
+``registry.enabled`` once.  The network's bandwidth resources go one
+step further: a reservation only appends a tuple to its kind's log, and
+:func:`fold_reservations` folds the log into the instruments in batches.
 
 Snapshots (:meth:`MetricsRegistry.snapshot`) are plain JSON-able dicts
 with deterministically sorted keys; :func:`merge_snapshots` /
@@ -236,6 +238,44 @@ class MetricsRegistry:
             for k, n in d["buckets"].items():
                 k = int(k)
                 h.buckets[k] = h.buckets.get(k, 0) + n
+
+
+def fold_reservations(log: list, queue_wait: Histogram, nbytes: Counter,
+                      busy_s: Counter) -> None:
+    """Fold a reservation log into one resource kind's instruments.
+
+    ``log`` holds ``(start, end, earliest, nbytes)`` tuples in the order
+    the reservations were made.  Each instrument sees the operations the
+    per-reservation calls ``queue_wait.observe(start - earliest)``,
+    ``nbytes.inc(nbytes)`` and ``busy_s.inc(end - start)`` would make,
+    in the same order: explicit sequential ``+=`` (never ``sum()``,
+    whose float result is compensated on Python 3.12), so snapshots stay
+    bit-identical and an all-int byte counter stays ``int``.
+    """
+    buckets = queue_wait.buckets
+    get = buckets.get
+    total = queue_wait.sum
+    lo = queue_wait.min
+    hi = queue_wait.max
+    served = nbytes.value
+    busy = busy_s.value
+    for start, end, earliest, n in log:
+        wait = start - earliest
+        b = log2_bucket(wait)
+        buckets[b] = get(b, 0) + 1
+        total += wait
+        if wait < lo:
+            lo = wait
+        if wait > hi:
+            hi = wait
+        served += n
+        busy += end - start
+    queue_wait.count += len(log)
+    queue_wait.sum = total
+    queue_wait.min = lo
+    queue_wait.max = hi
+    nbytes.value = served
+    busy_s.value = busy
 
 
 def merge_snapshots(snaps: list[dict]) -> dict:

@@ -62,32 +62,76 @@ class TimelineSeries:
         return 2.0 ** self.exp
 
     def _rescale(self) -> None:
-        """Double the bucket width, folding bucket pairs exactly."""
+        """Double the bucket width, folding bucket pairs exactly.
+
+        A folded cell sums at most two positive cells, and IEEE addition
+        commutes, so the cells need not be visited in index order.
+        """
         self.exp += 1
         folded: dict[int, float] = {}
-        for i, v in sorted(self.buckets.items()):
+        get = folded.get
+        for i, v in self.buckets.items():
             j = i >> 1
-            folded[j] = folded.get(j, 0.0) + v
+            folded[j] = get(j, 0.0) + v
         self.buckets = folded
 
     def add(self, start: float, end: float, nbytes: float = 0.0) -> None:
         """Record one busy interval ``[start, end)``."""
-        self.count += 1
-        self.bytes += nbytes
-        dur = end - start
-        if dur <= 0:
-            return
-        self.busy_s += dur
-        while end >= RESOLUTION * 2.0 ** self.exp:
-            self._rescale()
+        self.fold(((start, end, start, nbytes),))
+
+    def fold(self, log) -> None:
+        """Record a batch of busy intervals, in order.
+
+        ``log`` holds ``(start, end, earliest, nbytes)`` reservation
+        tuples in non-negative virtual time (``earliest`` is not used
+        here).  Every accumulator is updated with explicit sequential
+        ``+=`` in log order, and the width doubles exactly where it
+        would between single adds, so a batch is bit-identical to the
+        same intervals added one by one.
+        """
+        count = self.count
+        total_bytes = self.bytes
+        busy = self.busy_s
+        buckets = self.buckets
+        get = buckets.get
         w = 2.0 ** self.exp
-        i0 = int(start / w)
-        i1 = int(end / w)
-        for i in range(i0, i1 + 1):
-            lo = start if start > i * w else i * w
-            hi = end if end < (i + 1) * w else (i + 1) * w
-            if hi > lo:
-                self.buckets[i] = self.buckets.get(i, 0.0) + (hi - lo)
+        limit = RESOLUTION * w
+        for start, end, _earliest, nbytes in log:
+            count += 1
+            total_bytes += nbytes
+            dur = end - start
+            if dur <= 0:
+                continue
+            busy += dur
+            if end >= limit:
+                while end >= limit:
+                    self._rescale()
+                    w = 2.0 ** self.exp
+                    limit = RESOLUTION * w
+                buckets = self.buckets
+                get = buckets.get
+            # Cell ``i`` covers [i*w, (i+1)*w) and gains the overlap
+            # ``min(end, (i+1)*w) - max(start, i*w)``.  Multiples of the
+            # power-of-two width are exact, so the overlap is ``dur``
+            # inside one cell, exactly ``w`` for an interior cell, and
+            # nothing for a last cell that ``end`` only touches.
+            i0 = int(start / w)
+            i1 = int(end / w)
+            if i0 == i1:
+                buckets[i0] = get(i0, 0.0) + dur
+                continue
+            lo = i0 * w
+            if start > lo:
+                lo = start
+            buckets[i0] = get(i0, 0.0) + ((i0 + 1) * w - lo)
+            for i in range(i0 + 1, i1):
+                buckets[i] = get(i, 0.0) + w
+            lo = i1 * w
+            if end > lo:
+                buckets[i1] = get(i1, 0.0) + (end - lo)
+        self.count = count
+        self.bytes = total_bytes
+        self.busy_s = busy
 
     # -- views ---------------------------------------------------------------
 
@@ -160,8 +204,8 @@ class TimelineRecorder:
     def series(self, kind: str) -> TimelineSeries:
         """Create-or-get the series for ``kind`` in the current phase.
 
-        Fetched once per fabric construction; the per-reserve cost is a
-        single ``add`` on the returned series.
+        Fetched once per fabric construction; reservations reach the
+        returned series in batches through :meth:`TimelineSeries.fold`.
         """
         phase = self._phases.get(self._phase_name)
         if phase is None:

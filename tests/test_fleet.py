@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import io
 import json
+from collections import deque
 
 import pytest
 
@@ -138,10 +139,12 @@ def test_serve_traced_job_ships_spans_home():
 class _FakeWorker:
     """In-process stand-in for one fleet subprocess.
 
-    Behaviours (assigned per spawn index from ``plan``):
-    ``ok`` answers every job; ``die-after-1`` answers one job then
-    simulates worker death (EOF on its stdout); ``garbage`` simulates a
-    worker writing a non-JSON line.
+    Jobs queue up as they are sent and are answered in FIFO order, as
+    the real worker answers its stdin pipe.  Behaviours (assigned per
+    spawn index from ``plan``): ``ok`` answers every job; ``die-after-1``
+    answers one job then simulates worker death (EOF on its stdout);
+    ``garbage`` simulates a worker writing a non-JSON line;
+    ``wrong-id`` answers each job under another job's id.
     """
 
     plan: dict[int, str] = {}
@@ -152,21 +155,24 @@ class _FakeWorker:
         type(self).spawned.append(self)
         self.answered = 0
         self.closed = False
-        self._last: dict | None = None
+        self.sent: list[int] = []          # job ids, in send order
+        self._queue: deque[dict] = deque()
 
     def send(self, msg: dict) -> None:
-        self._last = msg
+        assert msg["op"] == "job"
+        self.sent.append(msg["id"])
+        self._queue.append(msg)
 
     def recv(self) -> dict | None:
-        msg = self._last
-        assert msg is not None and msg["op"] == "job"
+        msg = self._queue.popleft()
         if self.behavior == "die-after-1" and self.answered >= 1:
             return None  # EOF: the process is gone
         if self.behavior == "garbage":
             raise json.JSONDecodeError("Expecting value", "<<<garbage>>>", 0)
         self.answered += 1
         record = compute_point(decode_point(msg["point"]))
-        return {"op": "result", "id": msg["id"],
+        reply_id = msg["id"] + 1 if self.behavior == "wrong-id" else msg["id"]
+        return {"op": "result", "id": reply_id,
                 "record": encode_record(record)}
 
     def alive(self) -> bool:
@@ -192,12 +198,45 @@ def test_worker_death_surfaces_partials_and_counts_one_crash(fake_fleet):
         backend.compute(pts)
     err = ei.value
     assert "exited mid-batch" in str(err)
-    # Worker 0 finished its share (points 0, 2); worker 1 answered one
-    # job (point 1) before dying, losing point 3.
-    assert set(err.done) == {0, 1, 2}
+    # Whatever the dealing: exactly one point is lost, and it is one the
+    # dying worker held; points queued behind it went to the survivor.
+    lost = set(range(len(pts))) - set(err.done)
+    assert len(lost) == 1
+    assert lost <= set(fake_fleet.spawned[1].sent)
     assert backend.health["crashes"] == 1
-    assert backend.health["requests"] == 3
+    assert backend.health["requests"] == len(err.done)
     assert all(w.closed for w in fake_fleet.spawned)  # fleet dropped
+
+
+def test_reply_for_wrong_job_is_an_io_failure(fake_fleet):
+    fake_fleet.plan = {1: "wrong-id"}
+    backend = SubprocessBackend(jobs=2)
+    pts = [_point(p) for p in (2, 4, 8, 16)]
+    with pytest.raises(ExecBackendError,
+                       match="worker i/o failed: reply for job") as ei:
+        backend.compute(pts)
+    err = ei.value
+    lost = set(range(len(pts))) - set(err.done)
+    assert len(lost) == 1
+    assert lost <= set(fake_fleet.spawned[1].sent)
+    for i, rec in err.done.items():  # no record filed under a wrong id
+        assert rec.value == compute_point(pts[i]).value
+    assert backend.health["crashes"] == 1
+    assert backend.health["requests"] == len(err.done)
+
+
+def test_fleet_deals_largest_points_first_to_every_worker(fake_fleet):
+    backend = SubprocessBackend(jobs=2)
+    pts = [_point(p) for p in (2, 16, 4, 8)]
+    records = backend.compute(pts)
+    assert [r.value for r in records] == [compute_point(pt).value
+                                          for pt in pts]
+    first = [w.sent[0] for w in fake_fleet.spawned]
+    assert first == [1, 3]  # the 16- and 8-rank points start first
+    assert sorted(i for w in fake_fleet.spawned for i in w.sent) == \
+        [0, 1, 2, 3]
+    assert backend.health["requests"] == len(pts)
+    backend.close()
 
 
 def test_garbage_from_worker_counts_as_crash(fake_fleet):
@@ -237,3 +276,4 @@ def test_executor_requeues_lost_points_exactly_once(fake_fleet):
     assert st["cache_misses"] == len(pts)
     assert st["requeued"] == 1            # only the lost point recomputed
     assert backend.health["crashes"] == 1
+    assert backend.health["requests"] == len(pts) - 1

@@ -457,3 +457,108 @@ def test_timeline_bucket_count_stays_bounded(ivals):
     s = _build_series(ivals)
     assert len(s.buckets) <= RESOLUTION + 1
     assert s.busy_s == pytest.approx(sum(dur for _, dur, _ in ivals))
+
+
+# -- batched observation folds -------------------------------------------------------
+
+from repro.obs.metrics import (  # noqa: E402
+    Counter,
+    Histogram,
+    fold_reservations,
+)
+
+
+def _reference_add(s, start, end, nbytes):
+    """The one-interval-at-a-time algorithm the batched fold must match."""
+    s.count += 1
+    s.bytes += nbytes
+    dur = end - start
+    if dur <= 0:
+        return
+    s.busy_s += dur
+    while end >= RESOLUTION * 2.0 ** s.exp:
+        s._rescale()
+    w = 2.0 ** s.exp
+    for i in range(int(start / w), int(end / w) + 1):
+        lo = start if start > i * w else i * w
+        hi = end if end < (i + 1) * w else (i + 1) * w
+        if hi > lo:
+            s.buckets[i] = s.buckets.get(i, 0.0) + (hi - lo)
+
+
+def _bits(series):
+    """repr keeps every float bit (and the sign of zero) visible."""
+    return repr(series.to_dict())
+
+
+#: Intervals whose ends sit exactly on bucket edges of the starting width.
+_aligned = st.lists(
+    st.tuples(st.integers(0, 4 * RESOLUTION), st.integers(0, 8),
+              st.integers(0, 1 << 20)).map(
+        lambda t: (t[0] * 2.0 ** -20, t[1] * 2.0 ** -20, t[2])),
+    max_size=40,
+)
+#: Zero-length intervals mixed with ordinary ones.
+_with_zero = st.lists(
+    st.one_of(st.tuples(st.floats(0, 1e3), st.just(0.0), st.floats(0, 1e6)),
+              st.tuples(st.floats(0, 1e3), st.floats(0, 10),
+                        st.floats(0, 1e6))),
+    max_size=40,
+)
+#: Short intervals, one far-out interval that forces rescales midway
+#: through the batch, then more short intervals at the new width.
+_rescale_midway = st.tuples(
+    st.lists(st.tuples(st.floats(0, 1e-4), st.floats(0, 1e-5),
+                       st.integers(0, 1 << 20)), min_size=1, max_size=15),
+    st.tuples(st.floats(1e-3, 1e3), st.floats(0, 10), st.integers(0, 1 << 20)),
+    st.lists(st.tuples(st.floats(0, 1e-3), st.floats(0, 1e-4),
+                       st.integers(0, 1 << 20)), max_size=15),
+).map(lambda t: t[0] + [t[1]] + t[2])
+
+_any_intervals = st.one_of(_intervals, _aligned, _with_zero, _rescale_midway)
+
+
+def _log(ivals):
+    return [(start, start + dur, start, nbytes)
+            for start, dur, nbytes in ivals]
+
+
+@given(_any_intervals, st.integers(1, 8))
+def test_timeline_fold_equals_scalar_adds_bit_for_bit(ivals, chunk):
+    """Folding a batch (in log-sized chunks, as flushes do) gives exactly
+    the series one-by-one adds give, rescales included."""
+    ref = TimelineSeries()
+    for start, dur, nbytes in ivals:
+        _reference_add(ref, start, start + dur, nbytes)
+    log = _log(ivals)
+    batched = TimelineSeries()
+    for k in range(0, len(log), chunk):
+        batched.fold(log[k:k + chunk])
+    single = _build_series(ivals)
+    assert _bits(batched) == _bits(ref)
+    assert _bits(single) == _bits(ref)
+
+
+@given(_any_intervals,
+       st.lists(st.floats(0, 1e-3), min_size=40, max_size=40),
+       st.booleans())
+def test_reservation_fold_equals_per_call_instruments(ivals, waits, int_bytes):
+    """fold_reservations == observe/inc per reservation, bit for bit, and
+    an all-int byte counter stays int."""
+    log = [(start, start + dur, start - wait,
+            int(nbytes) if int_bytes else nbytes)
+           for (start, dur, nbytes), wait in zip(ivals, waits)]
+    hist, nbytes_c, busy_c = Histogram("w"), Counter("b"), Counter("s")
+    for start, end, earliest, n in log:
+        hist.observe(start - earliest)
+        nbytes_c.inc(n)
+        busy_c.inc(end - start)
+    f_hist, f_bytes, f_busy = Histogram("w"), Counter("b"), Counter("s")
+    fold_reservations(log[:len(log) // 2], f_hist, f_bytes, f_busy)
+    fold_reservations(log[len(log) // 2:], f_hist, f_bytes, f_busy)
+    assert repr(f_hist.to_dict()) == repr(hist.to_dict())
+    assert repr(f_bytes.value) == repr(nbytes_c.value)
+    assert repr(f_busy.value) == repr(busy_c.value)
+    assert type(f_bytes.value) is type(nbytes_c.value)
+    if int_bytes:
+        assert type(f_bytes.value) is int
