@@ -10,8 +10,8 @@ from .ratios import (
     ratio_row,
     table3_maxima,
 )
-# Chrome-trace export lives in repro.obs.exporters now; re-exported here
-# (bypassing the deprecated .chrome_trace shim) for backward compatibility.
+# Chrome-trace export lives in repro.obs.exporters; re-exported here
+# for backward compatibility.
 from ..obs.exporters import chrome_trace_events, write_chrome_trace
 from .energy import (
     RANKED_MACHINES,

@@ -30,7 +30,7 @@ from __future__ import annotations
 from collections.abc import Callable, Generator, Iterable
 from typing import Any
 
-from ..obs.metrics import get_metrics
+from ..obs.context import current
 from .errors import DeadlockError, SimulationError
 from .sched import SchedulerBackend, make_backend
 
@@ -228,12 +228,13 @@ class Engine:
         #: Events executed by this engine across all run() calls.
         self.events_processed = 0
         #: Largest pending-queue size seen while running (only tracked when
-        #: the process-global metrics registry is enabled at construction).
+        #: the ambient metrics registry is enabled at construction).
         #: Sampled once per dispatched batch — at the moment the batch is
         #: taken, matching what a per-event loop would see at its first
         #: pop of that timestamp.
         self.heap_high_water = 0
-        self._metrics = get_metrics() if get_metrics().enabled else None
+        registry = current("metrics")
+        self._metrics = registry if registry.enabled else None
 
     @property
     def now(self) -> float:
@@ -283,69 +284,36 @@ class Engine:
         n_events = 0
         hw = self.heap_high_water
         track = self._metrics is not None
+        peek = sched.peek_time
         try:
-            if until is None:
-                if track:
-                    # Instrumented twin of the fast loop below: the
-                    # high-water check must not tax metrics-off runs.
-                    while True:
-                        pending = len(sched)
-                        if pending > hw:
-                            hw = pending
-                        nxt = pop_batch()
-                        if nxt is None:
-                            break
-                        t, batch = nxt
-                        self._now = t
-                        it = iter(batch)
-                        try:
-                            for fn, args in it:
-                                fn(*args)
-                        except BaseException:
-                            self._requeue(t, it)
-                            raise
-                        n_events += len(batch)
-                else:
-                    # The hot loop: the same-time batch runs inline with
-                    # no per-event bookkeeping at all — the executed
-                    # count is the batch length, added once per batch.
-                    while True:
-                        nxt = pop_batch()
-                        if nxt is None:
-                            break
-                        t, batch = nxt
-                        self._now = t
-                        it = iter(batch)
-                        try:
-                            for fn, args in it:
-                                fn(*args)
-                        except BaseException:
-                            self._requeue(t, it)
-                            raise
-                        n_events += len(batch)
-            else:
-                peek = sched.peek_time
-                while True:
+            # One loop for every mode: ``until`` adds a peek per batch
+            # and ``track`` a high-water sample per batch; with neither,
+            # each batch runs inline and its length is added once.
+            while True:
+                if until is not None:
                     t = peek()
                     if t is None:
                         break
                     if t > until:
                         self._now = until
-                        return self._now
-                    if track:
-                        pending = len(sched)
-                        if pending > hw:
-                            hw = pending
-                    _t, batch = pop_batch()
-                    self._now = t
-                    it = iter(batch)
-                    try:
-                        for fn, args in it:
-                            fn(*args)
-                    except BaseException:
-                        self._requeue(t, it)
-                        raise
-                    n_events += len(batch)
+                        return until
+                if track:
+                    pending = len(sched)
+                    if pending > hw:
+                        hw = pending
+                nxt = pop_batch()
+                if nxt is None:
+                    break
+                t, batch = nxt
+                self._now = t
+                it = iter(batch)
+                try:
+                    for fn, args in it:
+                        fn(*args)
+                except BaseException:
+                    self._requeue(t, it)
+                    raise
+                n_events += len(batch)
             if self._live_processes:
                 stuck = sorted(p.name for p in self._live_processes)
                 raise DeadlockError(

@@ -53,11 +53,7 @@ from typing import Callable
 from ..config import EXEC_BACKEND_ENV
 from ..core import sched
 from ..core.errors import ConfigError
-from ..obs.commviz import CommRecorder, get_commviz, set_commviz
-from ..obs.energy import EnergyRecorder, get_energy, set_energy
-from ..obs.metrics import MetricsRegistry, get_metrics, set_metrics
-from ..obs.telemetry import get_telemetry
-from ..obs.timeline import TimelineRecorder, get_timeline, set_timeline
+from ..obs.context import RECORDERS, current, install
 from .points import SimPoint
 from .worker import PointRecord, compute_point
 
@@ -86,42 +82,41 @@ class WorkerContext:
     """Everything a worker process must mirror from its parent.
 
     One picklable/JSON-able object replaces the positional initargs
-    tuple that used to be threaded into the pool initializer: the
-    observability switches plus the scheduler-backend choice (with the
-    ``spawn`` start method a child would otherwise re-resolve its own
-    environment).
+    tuple that used to be threaded into the pool initializer: the names
+    of the enabled per-point recorders plus the scheduler-backend choice
+    (with the ``spawn`` start method a child would otherwise re-resolve
+    its own environment).
     """
 
-    metrics: bool = False
-    comm: bool = False
-    timeline: bool = False
-    energy: bool = False
-    telemetry: bool = False
+    recorders: tuple[str, ...] = ()
     engine_backend: str | None = None
 
     @classmethod
     def capture(cls) -> "WorkerContext":
         """Snapshot the ambient switches of the calling (parent) process."""
-        return cls(metrics=get_metrics().enabled,
-                   comm=get_commviz().enabled,
-                   timeline=get_timeline().enabled,
-                   energy=get_energy().enabled,
-                   telemetry=get_telemetry().enabled,
+        return cls(recorders=tuple(name for name in RECORDERS
+                                   if current(name).enabled),
                    engine_backend=sched.default_backend_name())
 
     def to_dict(self) -> dict:
-        return {"metrics": self.metrics, "comm": self.comm,
-                "timeline": self.timeline, "energy": self.energy,
-                "telemetry": self.telemetry,
+        return {"recorders": list(self.recorders),
                 "engine_backend": self.engine_backend}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "WorkerContext":
-        return cls(metrics=bool(doc.get("metrics")),
-                   comm=bool(doc.get("comm")),
-                   timeline=bool(doc.get("timeline")),
-                   energy=bool(doc.get("energy")),
-                   telemetry=bool(doc.get("telemetry")),
+        """Rebuild a context read off the fleet pipe.
+
+        An unknown recorder name is a :class:`ConfigError`: a worker
+        that silently skipped it would return records missing that
+        recorder's snapshots.
+        """
+        recorders = tuple(doc.get("recorders", ()))
+        unknown = [name for name in recorders if name not in RECORDERS]
+        if unknown:
+            raise ConfigError(
+                f"unknown recorder {unknown[0]!r} in worker context "
+                f"(registered: {', '.join(RECORDERS)})")
+        return cls(recorders=recorders,
                    engine_backend=doc.get("engine_backend"))
 
 
@@ -129,25 +124,19 @@ def init_worker(ctx: WorkerContext) -> None:
     """Initialise a worker process from its parent's :class:`WorkerContext`.
 
     Used as the process-pool initializer and by the subprocess fleet's
-    ``init`` message.  Workers start with the shared disabled
-    registry/recorders; when the parent runs with them on, each worker
-    gets its own enabled instances so :func:`compute_point` collects
-    per-point snapshots for the deterministic fan-in merge.
+    ``init`` message.  Workers start with the shared disabled recorders;
+    each recorder the parent runs with is installed process-globally as
+    a fresh enabled instance, so :func:`compute_point` collects
+    per-point snapshots for the deterministic fan-in merge.  Telemetry
+    is not installed: a process-global recorder in a pool worker would
+    accumulate spans nobody drains, so the fleet worker scopes one per
+    job message instead and ships the spans back in the protocol reply
+    (see :mod:`repro.exec.fleet`).
     """
     if ctx.engine_backend is not None:
         sched.set_default_backend(ctx.engine_backend)
-    if ctx.metrics:
-        set_metrics(MetricsRegistry(enabled=True))
-    if ctx.comm:
-        set_commviz(CommRecorder(enabled=True))
-    if ctx.timeline:
-        set_timeline(TimelineRecorder(enabled=True))
-    if ctx.energy:
-        set_energy(EnergyRecorder(enabled=True))
-    # ctx.telemetry is deliberately NOT installed here: a process-global
-    # recorder in a pool worker would accumulate spans nobody drains.
-    # The fleet worker scopes a recorder per job message instead, and
-    # ships the spans back in the protocol reply (see repro.exec.fleet).
+    for name in ctx.recorders:
+        install(RECORDERS[name]())
 
 
 class ExecBackend:
@@ -368,7 +357,7 @@ class SubprocessBackend(ExecBackend):
         # the recorder object into the protocol explicitly.  This dict
         # in the job message IS the cross-process propagation seam a
         # remote (HTTP) worker would inherit.
-        tel = get_telemetry()
+        tel = current("telemetry")
         trace_ctx = tel.inject() if tel.enabled else None
 
         done: dict[int, PointRecord] = {}

@@ -26,33 +26,17 @@ from __future__ import annotations
 import contextlib
 import threading
 import time
-import warnings
 from collections.abc import Sequence
 from time import perf_counter
 from typing import Any
 
-from ..config import default_jobs as _default_jobs
+from ..config import default_jobs
 from ..core import sched
-from ..obs.commviz import get_commviz
-from ..obs.energy import get_energy
-from ..obs.metrics import get_metrics
-from ..obs.telemetry import get_telemetry
-from ..obs.timeline import get_timeline
+from ..obs.context import RECORDERS, current
 from .backends import ExecBackend, ExecBackendError, make_exec_backend
 from .cache import ResultCache
 from .points import SimPoint
 from .worker import PointRecord, compute_point
-
-
-def default_jobs() -> int:
-    """Deprecated: moved to :func:`repro.config.default_jobs`."""
-    warnings.warn(
-        "repro.exec.executor.default_jobs is deprecated; use "
-        "repro.config.default_jobs (re-exported as repro.exec.default_jobs)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _default_jobs()
 
 
 class SweepExecutor:
@@ -62,7 +46,7 @@ class SweepExecutor:
                  cache: ResultCache | None = None,
                  backend: str | ExecBackend | None = None,
                  coalescer=None) -> None:
-        self.jobs = _default_jobs() if jobs is None else max(1, int(jobs))
+        self.jobs = default_jobs() if jobs is None else max(1, int(jobs))
         self.cache = cache
         self.backend = make_exec_backend(backend, self.jobs)
         self.coalescer = coalescer
@@ -96,7 +80,7 @@ class SweepExecutor:
 
     def run_points(self, points: Sequence[SimPoint]) -> list[Any]:
         """Compute every point; values returned in input order."""
-        tel = get_telemetry()
+        tel = current("telemetry")
         if not tel.enabled:
             return self._run_points(points, None)
         with tel.span("sweep.batch", "exec", points=len(points),
@@ -157,14 +141,12 @@ class SweepExecutor:
 
     def _cache_get(self, pt: SimPoint) -> PointRecord | None:
         rec = self.cache.get(pt) if self.cache is not None else None
-        if rec is not None and ((get_commviz().enabled and rec.comm is None)
-                                or (get_timeline().enabled
-                                    and rec.timeline is None)
-                                or (get_energy().enabled
-                                    and getattr(rec, "energy", None)
-                                    is None)):
-            # Cached before comm/timeline/energy collection was switched
-            # on: recompute so the report never shows an empty matrix or
+        if rec is not None and any(
+                cls.replay_cached and current(name).enabled
+                and name not in rec.obs
+                for name, cls in RECORDERS.items()):
+            # Cached before a replayed recorder was switched on:
+            # recompute so the report never shows an empty matrix or
             # zero joules for work that did run.  The refreshed record
             # replaces it.
             return None
@@ -194,7 +176,7 @@ class SweepExecutor:
                 self._cache_put(pt, rec)
             return records, [True] * len(pts)
 
-        tel = get_telemetry()
+        tel = current("telemetry")
         tag = sched.backend_result_tag()
         claims = [self.coalescer.claim(
             pt.key() if tag is None else f"{pt.key()}\n{tag}")
@@ -264,7 +246,7 @@ class SweepExecutor:
         try:
             return list(self.backend.compute(pts))
         except ExecBackendError as exc:
-            tel = get_telemetry()
+            tel = current("telemetry")
             out: list[PointRecord] = []
             for i, pt in enumerate(pts):
                 rec = exc.done.get(i)
@@ -286,25 +268,22 @@ class SweepExecutor:
                  records: Sequence[PointRecord],
                  fresh_idx: set[int],
                  coalesced_idx: set[int] = frozenset()) -> None:
-        """Provenance log + metrics/comm/timeline fan-in for one batch.
+        """Provenance log + per-point recorder fan-in for one batch.
 
-        Only freshly computed points merge their simulation metrics into
-        the ambient registry — a cached (or coalesced: computed by a
+        Each enabled ambient recorder merges the points' snapshots in
+        input order, which is what makes serial, parallel, and
+        cache-warm sweeps byte-identical.  A ``replay_cached`` recorder
+        (comm matrices, timelines, energy: pure virtual-time facts,
+        identical whether the point was recomputed or replayed from the
+        cache) merges *every* point.  The metrics registry merges only
+        freshly computed points — a cached (or coalesced: computed by a
         sibling executor) point's engine events were *not* executed by
         this executor, and counting them would make ``engine.events``
-        disagree with reality.  Cached points are visible instead through
-        ``cache.hits`` and their ``provenance`` tag.
-
-        Comm matrices, timelines and energy are the opposite case: they
-        are pure virtual-time facts of the simulated run, identical
-        whether the point was recomputed or replayed from the cache, so
-        *every* point's snapshot merges — in input order, which is what
-        makes serial, parallel, and cache-warm sweeps byte-identical.
+        disagree with reality.  Cached points are visible instead
+        through ``cache.hits`` and their ``provenance`` tag.
         """
-        registry = get_metrics()
-        commrec = get_commviz()
-        tlrec = get_timeline()
-        enrec = get_energy()
+        registry = current("metrics")
+        recorders = [rec for rec in map(current, RECORDERS) if rec.enabled]
         for i, pt in enumerate(points):
             rec = records[i]
             fresh = i in fresh_idx
@@ -319,15 +298,10 @@ class SweepExecutor:
             })
             if registry.enabled and fresh:
                 registry.histogram("exec.point_wall_s").observe(rec.wall_s)
-                if rec.metrics is not None:
-                    registry.merge(rec.metrics)
-            if commrec.enabled and rec.comm is not None:
-                commrec.merge(rec.comm)
-            if tlrec.enabled and rec.timeline is not None:
-                tlrec.merge(rec.timeline)
-            rec_energy = getattr(rec, "energy", None)
-            if enrec.enabled and rec_energy is not None:
-                enrec.merge(rec_energy)
+            for recorder in recorders:
+                snap = rec.obs.get(recorder.name)
+                if snap is not None and (fresh or recorder.replay_cached):
+                    recorder.merge(snap)
         if registry.enabled:
             n_fresh = len(fresh_idx)
             registry.counter("exec.points").inc(len(points))

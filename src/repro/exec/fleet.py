@@ -36,7 +36,8 @@ def serve(stdin, stdout) -> int:
     # Imports deferred so ``init`` can set the scheduler backend before
     # any engine state is touched — and so a protocol error in the very
     # first line doesn't pay the full model import.
-    from ..obs.telemetry import TelemetryRecorder, using_telemetry
+    from ..obs.context import using
+    from ..obs.telemetry import TelemetryRecorder
     from .backends import (WorkerContext, decode_point, encode_record,
                            init_worker)
     from .worker import compute_point
@@ -72,7 +73,7 @@ def serve(stdin, stdout) -> int:
                     # or not the run was traced.
                     recorder = TelemetryRecorder(enabled=True,
                                                  context=trace)
-                    with using_telemetry(recorder):
+                    with using(recorder):
                         record = compute_point(point)
                     spans = recorder.drain()
                 else:

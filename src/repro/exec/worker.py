@@ -13,17 +13,12 @@ re-running anything.
 
 from __future__ import annotations
 
-import contextlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any
 
 from ..core.engine import EVENT_STATS
-from ..obs.commviz import CommRecorder, get_commviz, using_commviz
-from ..obs.energy import EnergyRecorder, get_energy, using_energy
-from ..obs.metrics import MetricsRegistry, get_metrics, using_metrics
-from ..obs.telemetry import get_telemetry
-from ..obs.timeline import TimelineRecorder, get_timeline, using_timeline
+from ..obs.context import RECORDERS, current, using
 from ..hpcc import RingConfig, hpl_model_time, run_hpcc, run_ring, run_stream
 from ..hpcc.suite import scaled_config
 from ..imb.framework import PAPER_MSG_BYTES
@@ -38,47 +33,19 @@ class PointRecord:
 
     ``wall_s`` and ``events`` describe the original computation; they are
     stored in the cache with the value so cached runs can still report a
-    meaningful perf trajectory.  ``metrics`` is a per-point registry
-    snapshot (see :mod:`repro.obs.metrics`), captured only when metrics
-    were enabled at computation time; the executor merges fresh points'
-    snapshots into the ambient registry in input order.  ``comm``,
-    ``timeline`` and ``energy`` are commviz/timeline/energy snapshots of
-    the same point — pure virtual-time facts, so unlike host-side
-    metrics they are merged for cached points too (a cache hit replays
-    the same traffic, occupancy and joules the original simulation
-    produced).
+    meaningful perf trajectory.  ``obs`` maps the name of every
+    per-point recorder that was enabled at computation time (see
+    :data:`repro.obs.context.RECORDERS`) to its snapshot of this point;
+    the executor merges them into the ambient recorders in input order —
+    fresh points only for the metrics registry, every point for the
+    ``replay_cached`` recorders (a cache hit replays the same traffic,
+    occupancy and joules the original simulation produced).
     """
 
     value: Any
     wall_s: float
     events: int
-    metrics: dict | None = None
-    comm: dict | None = None
-    timeline: dict | None = None
-    energy: dict | None = None
-
-
-def init_worker_metrics(enabled: bool, comm: bool = False,
-                        timeline: bool = False,
-                        engine_backend: str | None = None) -> None:
-    """Deprecated: use :func:`repro.exec.backends.init_worker`.
-
-    The positional initargs tuple was collapsed into one
-    :class:`~repro.exec.backends.WorkerContext`; this shim forwards for
-    backward compatibility and will be removed in a future release.
-    """
-    import warnings
-
-    warnings.warn(
-        "repro.exec.worker.init_worker_metrics is deprecated; use "
-        "repro.exec.backends.init_worker(WorkerContext(...))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from .backends import WorkerContext, init_worker
-
-    init_worker(WorkerContext(metrics=enabled, comm=comm, timeline=timeline,
-                              engine_backend=engine_backend))
+    obs: dict[str, dict] = field(default_factory=dict)
 
 
 def point_machine(point: SimPoint):
@@ -199,7 +166,7 @@ _COMPUTE = {
 
 
 def point_phase(point: SimPoint) -> str:
-    """Commviz/timeline phase name for one point.
+    """Phase of one point's per-point recorders.
 
     ``imb`` points carry the benchmark name (``imb:xeon:Alltoall``) so
     every IMB figure reads back as its own traffic pattern; everything
@@ -213,62 +180,33 @@ def point_phase(point: SimPoint) -> str:
 def compute_point(point: SimPoint) -> PointRecord:
     """Compute one simulation point; safe to call in any process.
 
-    When the ambient metrics registry (or commviz/timeline recorder) is
-    enabled, the point runs under fresh child instances whose snapshots
-    travel back in the record — per-point isolation is what makes the
-    parallel fan-in merge equal to a serial run, and lets cached points
-    carry their original observations.
+    Every enabled ambient recorder gets a fresh child for the point,
+    routed to :func:`point_phase`, and the children's snapshots travel
+    back in the record — per-point isolation is what makes the parallel
+    fan-in merge equal to a serial run, and lets cached points carry
+    their original observations.
     """
     try:
         fn = _COMPUTE[point.kind]
     except KeyError:
         raise ValueError(f"unknown simulation point kind {point.kind!r}") from None
-    collect = get_metrics().enabled
-    comm_on = get_commviz().enabled
-    tl_on = get_timeline().enabled
-    en_on = get_energy().enabled
+    phase = point_phase(point)
+    children = [rec.child(phase) for rec in map(current, RECORDERS)
+                if rec.enabled]
     # Telemetry traces the *host-side* act of computing — the span rides
     # on the ambient recorder (or, in a fleet worker, travels back in
     # the protocol reply), never on the record: records are pickled into
     # the content-addressed cache and per-run trace ids there would
     # break traced==untraced byte-identity.
-    tel = get_telemetry()
+    tel = current("telemetry")
     tspan = tel.begin("point.compute", "point",
                       point=point.key(), kind=point.kind,
                       machine=point.machine, nprocs=point.nprocs) \
         if tel.enabled else None
     ev0 = EVENT_STATS["processed"]
     t0 = perf_counter()
-    snapshot = comm_snap = tl_snap = en_snap = None
     try:
-        if collect or comm_on or tl_on or en_on:
-            child = commrec = tlrec = enrec = None
-            with contextlib.ExitStack() as stack:
-                if collect:
-                    child = MetricsRegistry(enabled=True)
-                    stack.enter_context(using_metrics(child))
-                if comm_on:
-                    commrec = CommRecorder(enabled=True)
-                    commrec.set_phase(point_phase(point))
-                    stack.enter_context(using_commviz(commrec))
-                if tl_on:
-                    tlrec = TimelineRecorder(enabled=True)
-                    tlrec.set_phase(point_phase(point))
-                    stack.enter_context(using_timeline(tlrec))
-                if en_on:
-                    enrec = EnergyRecorder(enabled=True)
-                    enrec.set_phase(point_phase(point))
-                    stack.enter_context(using_energy(enrec))
-                value = fn(point)
-            if child is not None:
-                snapshot = child.snapshot()
-            if commrec is not None:
-                comm_snap = commrec.snapshot()
-            if tlrec is not None:
-                tl_snap = tlrec.snapshot()
-            if enrec is not None:
-                en_snap = enrec.snapshot()
-        else:
+        with using(*children):
             value = fn(point)
     except BaseException:
         tel.end(tspan, status="error")
@@ -277,5 +215,4 @@ def compute_point(point: SimPoint) -> PointRecord:
     tel.end(tspan)
     return PointRecord(value=value, wall_s=wall,
                        events=EVENT_STATS["processed"] - ev0,
-                       metrics=snapshot, comm=comm_snap, timeline=tl_snap,
-                       energy=en_snap)
+                       obs={c.name: c.snapshot() for c in children})

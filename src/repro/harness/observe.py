@@ -16,12 +16,13 @@ and (with ``--trace-dir``) a Chrome ``traceEvents`` JSON viewable in
 Perfetto.  When commviz/timeline recorders are installed (``--report``),
 the traced replay runs under the ``"<fig>:<machine>"`` phase, so the
 dashboard can show each figure's traffic matrix and utilisation
-timeline next to its verdict.
+timeline next to its verdict.  The replays are diagnostics, not part of
+the sweep: they run with energy accounting scoped off, so asking for a
+report never changes the run's energy-to-solution.
 """
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,10 +31,11 @@ from ..imb.framework import PAPER_MSG_BYTES, get_benchmark
 from ..imb import suite as _imb_suite  # noqa: F401 - benchmark registration
 from ..machine import get_machine
 from ..mpi.cluster import Cluster
-from ..obs.commviz import get_commviz
+from ..obs.context import current, using
 from ..obs.critical_path import CriticalPathReport, critical_path_report
+from ..obs.energy import EnergyRecorder
 from ..obs.exporters import write_chrome_trace
-from ..obs.timeline import get_timeline, straggler_profile
+from ..obs.timeline import straggler_profile
 from .figures import HPCC_SWEEP_MACHINES, IMB_FIGURES, IMB_MACHINES
 
 #: Rank count for representative traced runs — large enough to exercise
@@ -64,17 +66,16 @@ def _observe_cluster(fig_id: str, machine_name: str,
 
     The run executes under the ``"<fig>:<machine>"`` commviz/timeline
     phase when those recorders are installed, so its traffic and busy
-    intervals land in a phase the dashboard can name.
+    intervals land in a phase the dashboard can name; its joules are
+    not charged to the ambient energy recorder.
     """
     machine = get_machine(machine_name)
     cap = machine.max_cpus if max_cpus is None else min(max_cpus,
                                                        machine.max_cpus)
     nprocs = max(2, min(OBSERVE_RANKS, cap))
     tag = f"{fig_id}:{machine_name}"
-    commrec, tlrec = get_commviz(), get_timeline()
-    comm_ctx = commrec.phase(tag) if commrec.enabled else contextlib.nullcontext()
-    tl_ctx = tlrec.phase(tag) if tlrec.enabled else contextlib.nullcontext()
-    with comm_ctx, tl_ctx:
+    with current("comm").phase(tag), current("timeline").phase(tag), \
+            using(EnergyRecorder(enabled=False)):
         if fig_id in IMB_FIGURES:
             bench_name, _fld, _ylabel = IMB_FIGURES[fig_id]
             bench = get_benchmark(bench_name)

@@ -35,7 +35,6 @@ fingerprint, with trailing-median regression flagging.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
 import sys
@@ -54,23 +53,16 @@ from ..exec import (
     using_executor,
 )
 from ..obs import (
+    AMBIENT,
     TRACE_SCHEMA_VERSION,
-    CommRecorder,
-    EnergyRecorder,
-    MetricsRegistry,
     RunLedger,
     SpanRecorder,
-    TelemetryRecorder,
-    TimelineRecorder,
+    current,
     format_critical_path,
     git_sha,
     run_key,
     trace_summary,
-    using_commviz,
-    using_energy,
-    using_metrics,
-    using_telemetry,
-    using_timeline,
+    using,
     write_spans_chrome_trace,
     write_trace_chrome_trace,
 )
@@ -371,11 +363,12 @@ def main(argv: list[str] | None = None) -> int:
         return report.exit_code()
     want_obs = (args.metrics is not None or args.trace_dir is not None
                 or args.report is not None)
-    registry = MetricsRegistry(enabled=True) if want_obs else None
-    commrec = CommRecorder(enabled=True) if want_obs else None
-    tlrec = TimelineRecorder(enabled=True) if want_obs else None
-    enrec = EnergyRecorder(enabled=True) if config.energy else None
-    telrec = TelemetryRecorder(enabled=True) if config.telemetry else None
+    # The run's recorders by name: metrics, comm and timeline with any
+    # observation output, energy with --energy, telemetry with
+    # --telemetry.
+    wanted = {"metrics": want_obs, "comm": want_obs, "timeline": want_obs,
+              "energy": config.energy, "telemetry": config.telemetry}
+    obs = {name: AMBIENT[name]() for name, on in wanted.items() if on}
     spans = SpanRecorder()
     bench_items = []
     cp_reports: dict[str, dict] = {}
@@ -402,26 +395,13 @@ def main(argv: list[str] | None = None) -> int:
             "spans": span.to_dict(),
         })
 
-    obs_scope = contextlib.ExitStack()
-    if registry is not None:
-        obs_scope.enter_context(using_metrics(registry))
-    if commrec is not None:
-        obs_scope.enter_context(using_commviz(commrec))
-    if tlrec is not None:
-        obs_scope.enter_context(using_timeline(tlrec))
-    if enrec is not None:
-        obs_scope.enter_context(using_energy(enrec))
-    if telrec is not None:
-        # One root span covers the whole run; executor/worker spans
-        # nest under it (ExitStack closes it LIFO, before the scope
-        # that made the recorder ambient is torn down).
-        obs_scope.enter_context(using_telemetry(telrec))
-        _tel_root = telrec.begin(
-            "harness.run", "service",
-            items=len(tables) + len(figures) + len(scenarios))
-        obs_scope.callback(telrec.end, _tel_root)
     try:
-        with obs_scope, using_executor(executor):
+        # One root span covers the whole run; executor/worker spans nest
+        # under it (a no-op on the disabled recorder without telemetry).
+        with using(*obs.values()), using_executor(executor), \
+                current("telemetry").span(
+                    "harness.run", "service",
+                    items=len(tables) + len(figures) + len(scenarios)):
             for t in tables:
                 fn = ALL_TABLES[t]
                 before = _snapshot()
@@ -515,8 +495,8 @@ def main(argv: list[str] | None = None) -> int:
 
     telemetry_doc = None
     tel_spans: list[dict] = []
-    if telrec is not None:
-        tel_spans = telrec.drain()
+    if "telemetry" in obs:
+        tel_spans = obs["telemetry"].drain()
         telemetry_doc = {"schema_version": TRACE_SCHEMA_VERSION,
                          **trace_summary(tel_spans)}
         n_traces = len(telemetry_doc.get("traces", {}))
@@ -533,6 +513,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"[traces -> {trace_dir}]")
 
     if args.metrics is not None:
+        registry = obs["metrics"]
         snap = registry.snapshot()
         metrics_doc = {
             "harness": {
@@ -544,8 +525,8 @@ def main(argv: list[str] | None = None) -> int:
             "histograms": snap["histograms"],
             "points": executor.point_log,
             "critical_path": cp_reports,
-            "comm": commrec.snapshot(),
-            "timeline": tlrec.snapshot(),
+            "comm": obs["comm"].snapshot(),
+            "timeline": obs["timeline"].snapshot(),
             "spans": spans.to_dicts(),
         }
         metrics_path = Path(args.metrics)
@@ -555,9 +536,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"[metrics -> {metrics_path}]")
 
     energy_doc = None
-    if enrec is not None:
-        energy_doc = {"totals": enrec.totals(),
-                      "phases": enrec.snapshot()["phases"]}
+    if "energy" in obs:
+        energy_doc = {"totals": obs["energy"].totals(),
+                      "phases": obs["energy"].snapshot()["phases"]}
         tot = energy_doc["totals"]
         print(f"[energy: {tot['total_j']:.1f} J total, "
               f"{tot['avg_power_w']:.1f} W avg, "
@@ -655,8 +636,8 @@ def main(argv: list[str] | None = None) -> int:
             harness=harness_doc,
             totals=totals_doc,
             items=bench_items,
-            comm=commrec.snapshot(),
-            timeline=tlrec.snapshot(),
+            comm=obs["comm"].snapshot(),
+            timeline=obs["timeline"].snapshot(),
             observed=observed_doc,
             spans=spans.to_dicts(),
             ledger=ledger_info,

@@ -30,7 +30,7 @@ from ..core.errors import ConfigError
 from ..core.rng import DEFAULT_SEED, make_rng
 from ..core.trace import Tracer
 from ..machine.system import MachineSpec
-from ..obs.energy import get_energy
+from ..obs.context import current
 from .comm import Comm
 from .pt2pt import Transport
 
@@ -142,7 +142,7 @@ class Cluster:
             elapsed = self.engine.run()
         finally:
             self.fabric.flush_observations()
-        enrec = get_energy()
+        enrec = current("energy")
         if enrec.enabled and self.machine.power is not None:
             # Price the run's busy intervals: per-rank CPU seconds from
             # the transport clocks, per-kind network busy seconds from

@@ -26,9 +26,7 @@ from ..core.engine import Engine, Event
 from ..core.errors import MPIError
 from ..core.trace import MessageRecord, Tracer
 from ..network.netmodel import Fabric
-from ..obs.commviz import get_commviz
-from ..obs.energy import get_energy
-from ..obs.metrics import get_metrics
+from ..obs.context import current
 from .datatypes import ANY_SOURCE, ANY_TAG, RecvResult, copy_payload
 
 #: Logical size of rendezvous control messages (RTS/CTS).
@@ -101,7 +99,7 @@ class Transport:
         # is enforced on this order, not on arrival order (an eager
         # payload can physically land after a later message's RTS).
         self._send_seq: dict[tuple[int, int, Any], int] = {}
-        registry = get_metrics()
+        registry = current("metrics")
         if registry.enabled:
             # (intra, inter) instrument pairs, indexed by bool(inter).
             self._m_msgs = (registry.counter("mpi.messages.intra"),
@@ -111,7 +109,7 @@ class Transport:
         else:
             self._m_msgs = None
             self._m_bytes = None
-        commrec = get_commviz()
+        commrec = current("comm")
         self._commrec = commrec if commrec.enabled else None
         # Single per-send instrumentation gate: one attribute test on the
         # hot path instead of three when everything is disabled.
@@ -120,7 +118,7 @@ class Transport:
         # Energy accounting: cumulative CPU-busy virtual seconds across
         # all ranks, fed to the energy recorder at end of run.  Gated by
         # one flag fetched here (twin-path: zero cost when off).
-        self._energy_on = get_energy().enabled
+        self._energy_on = current("energy").enabled
         self.cpu_busy_s = 0.0
 
     # -- CPU bookkeeping -----------------------------------------------------

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core.errors import ConfigError
-from ..obs.metrics import get_metrics
+from ..obs.context import current
 from .resources import BandwidthResource, ResourceMetrics, reserve_joint
 from .topology import Topology
 
@@ -105,7 +105,7 @@ class Fabric:
         self.params = params
         n = topology.n_nodes
         nic_bw = params.effective_nic_bw
-        registry = get_metrics()
+        registry = current("metrics")
         mk = ResourceMetrics.for_kind  # None per kind when metrics are off
         egress_m = mk(registry, "egress")
         ingress_m = mk(registry, "ingress")

@@ -17,9 +17,10 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from ..core.errors import ConfigError
+from ..obs.context import current
 from ..obs.metrics import (Counter, Histogram, MetricsRegistry,
                            fold_reservations)
-from ..obs.timeline import TimelineSeries, get_timeline
+from ..obs.timeline import TimelineSeries
 
 
 #: Reservations a kind's log holds before it is folded into the
@@ -61,7 +62,7 @@ class ResourceMetrics:
         With the registry disabled and a timeline recorder installed,
         the instruments are None and only the series is folded.
         """
-        recorder = get_timeline()
+        recorder = current("timeline")
         series = recorder.series(kind) if recorder.enabled else None
         if not registry.enabled:
             if series is None:

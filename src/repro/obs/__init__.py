@@ -22,33 +22,31 @@ the time it did:
 * :mod:`repro.obs.ledger` — append-only JSONL run history with trend
   queries and trailing-median regression flagging.
 
+One observation protocol ties the per-point recorders together:
+
+* :mod:`repro.obs.recorder` — the :class:`Recorder` base of metrics,
+  commviz, timeline and energy: ``child(phase)``, ``snapshot()``,
+  ``merge(snap)``, the ``replay_cached`` flag, one phase cursor and one
+  snapshot-merge helper.
+* :mod:`repro.obs.context` — the :data:`RECORDERS` name→class registry
+  and one ambient context for all five recorders, telemetry included:
+  :func:`current` looks in this thread's slot (scoped by :func:`using`),
+  then the process-global slot (set by :func:`install`), then falls back
+  to a shared disabled instance.
+
 Nothing in this package imports the model layers at module level, so the
-core engine can import :mod:`repro.obs.metrics` without cycles.
+core engine can import :mod:`repro.obs.context` without cycles.
 """
 
-from .commviz import (
-    CommRecorder,
-    PhaseMatrix,
-    get_commviz,
-    merge_comm_snapshots,
-    set_commviz,
-    using_commviz,
-)
+from .commviz import CommRecorder, PhaseMatrix
+from .context import AMBIENT, RECORDERS, current, install, using
 from .critical_path import (
     CriticalPathReport,
     PathSegment,
     critical_path_report,
     format_critical_path,
 )
-from .energy import (
-    EnergyRecorder,
-    PowerModel,
-    get_energy,
-    integrate_energy,
-    merge_energy_snapshots,
-    set_energy,
-    using_energy,
-)
+from .energy import EnergyRecorder, PowerModel, integrate_energy
 from .exporters import (
     chrome_trace_events,
     spans_to_chrome_events,
@@ -64,36 +62,21 @@ from .telemetry import (
     TelemetryRecorder,
     TraceSpan,
     assemble_traces,
-    get_telemetry,
     mint_span_id,
     mint_trace_id,
-    set_telemetry,
     trace_summary,
     traces_to_spans,
-    using_telemetry,
 )
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    get_metrics,
-    merge_snapshots,
-    set_metrics,
-    using_metrics,
-)
+from .metrics import Counter, Gauge, Histogram, MetricsRegistry
+from .recorder import Recorder
 from .spans import Span, SpanRecorder, spans_from_tracer
-from .timeline import (
-    TimelineRecorder,
-    TimelineSeries,
-    get_timeline,
-    merge_timeline_snapshots,
-    set_timeline,
-    straggler_profile,
-    using_timeline,
-)
+from .timeline import TimelineRecorder, TimelineSeries, straggler_profile
+
+# perfbench imports these four names; they are the one ``using``.
+using_commviz = using_energy = using_metrics = using_timeline = using
 
 __all__ = [
+    "AMBIENT",
     "CommRecorder",
     "Counter",
     "CriticalPathReport",
@@ -105,6 +88,8 @@ __all__ = [
     "PathSegment",
     "PhaseMatrix",
     "PowerModel",
+    "RECORDERS",
+    "Recorder",
     "RunLedger",
     "Span",
     "SpanRecorder",
@@ -116,37 +101,21 @@ __all__ = [
     "assemble_traces",
     "chrome_trace_events",
     "critical_path_report",
+    "current",
     "format_critical_path",
-    "get_commviz",
-    "get_energy",
-    "get_metrics",
-    "get_telemetry",
-    "get_timeline",
     "git_sha",
     "mint_span_id",
     "mint_trace_id",
+    "install",
     "integrate_energy",
-    "merge_comm_snapshots",
-    "merge_energy_snapshots",
-    "merge_snapshots",
-    "merge_timeline_snapshots",
     "run_key",
-    "set_commviz",
-    "set_energy",
-    "set_metrics",
-    "set_telemetry",
-    "set_timeline",
     "spans_from_tracer",
     "spans_to_chrome_events",
     "straggler_profile",
     "summary_table",
     "trace_summary",
     "traces_to_spans",
-    "using_commviz",
-    "using_energy",
-    "using_metrics",
-    "using_telemetry",
-    "using_timeline",
+    "using",
     "write_chrome_trace",
     "write_ndjson",
     "write_spans_chrome_trace",

@@ -7,21 +7,18 @@ bytes, and whether the pair shared a node.  Matrices are grouped by
 figure (``"fig12:xeon"``, ``"imb:altix_nl4:Alltoall"``), so each paper
 figure can be explained as a traffic pattern.
 
-Cost model mirrors :mod:`repro.obs.metrics`: instrumented code fetches
-the recorder **once** at transport construction and keeps ``None`` when
-it is disabled — the metrics-off hot path pays nothing.  Snapshots are
-plain JSON-able dicts with deterministically sorted keys; merges add
-integer cells and are commutative, so serial, ``--jobs N``, and
-cache-warm sweeps produce byte-identical matrices.
+The recorder is the ``"comm"`` recorder of the observation protocol
+(:mod:`repro.obs.recorder`).  Cost model mirrors :mod:`repro.obs.metrics`:
+instrumented code fetches the recorder **once** at transport construction
+and keeps ``None`` when it is disabled — the metrics-off hot path pays
+nothing.  Snapshots are plain JSON-able dicts with deterministically
+sorted keys; merges add integer cells and are commutative, so serial,
+``--jobs N``, and cache-warm sweeps produce byte-identical matrices.
 """
 
 from __future__ import annotations
 
-import contextlib
-from typing import Iterator
-
-#: Phase used when nothing more specific has been set.
-DEFAULT_PHASE = "default"
+from .recorder import DEFAULT_PHASE, Recorder
 
 
 class PhaseMatrix:
@@ -110,35 +107,23 @@ class PhaseMatrix:
             cell[1] += nbytes
 
 
-class CommRecorder:
-    """Per-phase communication matrices with a current-phase cursor."""
+class CommRecorder(Recorder):
+    """Per-phase communication matrices with a current-phase cursor.
+
+    Virtual-time facts, replayed for cached points.
+    """
+
+    name = "comm"
+    replay_cached = True
 
     def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+        super().__init__(enabled)
         self._phases: dict[str, PhaseMatrix] = {}
-        self._phase_name = DEFAULT_PHASE
         self._phase_matrix: PhaseMatrix | None = None
 
-    # -- phase management ----------------------------------------------------
-
     def set_phase(self, name: str) -> str:
-        """Route subsequent records to ``name``; returns the old phase."""
-        previous, self._phase_name = self._phase_name, name
-        self._phase_matrix = None
-        return previous
-
-    @contextlib.contextmanager
-    def phase(self, name: str) -> Iterator[None]:
-        """Scope a phase for a ``with`` block."""
-        previous = self.set_phase(name)
-        try:
-            yield
-        finally:
-            self.set_phase(previous)
-
-    @property
-    def current_phase(self) -> str:
-        return self._phase_name
+        self._phase_matrix = None  # cached for the old phase
+        return super().set_phase(name)
 
     # -- recording -----------------------------------------------------------
 
@@ -179,41 +164,3 @@ class CommRecorder:
             if pm is None:
                 pm = self._phases[name] = PhaseMatrix()
             pm.merge(pdict)
-
-
-def merge_comm_snapshots(snaps: list[dict]) -> dict:
-    """Merge several snapshots into one (for worker fan-in)."""
-    rec = CommRecorder(enabled=True)
-    for s in snaps:
-        rec.merge(s)
-    return rec.snapshot()
-
-
-# -- process-global recorder ---------------------------------------------------
-
-#: Shared disabled recorder: the default when nothing is installed.
-_NULL_RECORDER = CommRecorder(enabled=False)
-
-_current: CommRecorder | None = None
-
-
-def get_commviz() -> CommRecorder:
-    """The active recorder (a shared disabled one if none installed)."""
-    return _current if _current is not None else _NULL_RECORDER
-
-
-def set_commviz(recorder: CommRecorder | None) -> CommRecorder | None:
-    """Install ``recorder`` as the process-global one; returns the old."""
-    global _current
-    previous, _current = _current, recorder
-    return previous
-
-
-@contextlib.contextmanager
-def using_commviz(recorder: CommRecorder) -> Iterator[CommRecorder]:
-    """Scope ``recorder`` as the active one for a ``with`` block."""
-    previous = set_commviz(recorder)
-    try:
-        yield recorder
-    finally:
-        set_commviz(previous)

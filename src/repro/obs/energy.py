@@ -19,8 +19,9 @@ over a run's virtual time:
   shared-memory traffic energy is considered part of the CPU busy
   delta, as the same cores drive the copies.
 
-The recorder follows the twin-path discipline of
-:mod:`repro.obs.metrics`: a shared *disabled* recorder is installed by
+The recorder is the ``"energy"`` recorder of the observation protocol
+(:mod:`repro.obs.recorder`) and follows the twin-path discipline of
+:mod:`repro.obs.metrics`: a shared *disabled* recorder is ambient by
 default, model code tests one pre-fetched flag on the hot path, and the
 harness swaps in an enabled instance under ``--energy``.  Accounting is
 merged exactly like comm matrices and timelines — per-point child
@@ -36,13 +37,9 @@ at the end of each simulated run.
 
 from __future__ import annotations
 
-import contextlib
-import threading
 from dataclasses import dataclass
-from typing import Iterator
 
-#: Phase used when nothing more specific has been set.
-DEFAULT_PHASE = "default"
+from .recorder import Recorder
 
 #: Per-component joule keys, in the fixed order they are summed and
 #: serialised (fixed order = byte-identical float totals).
@@ -165,38 +162,21 @@ def _empty_phase() -> dict:
     return doc
 
 
-class EnergyRecorder:
+class EnergyRecorder(Recorder):
     """Per-phase joule accounting with deterministic merge.
 
     Mirrors :class:`~repro.obs.timeline.TimelineRecorder`: phases are
     created on first touch, snapshots are plain JSON-able dicts, and
     merging adds the numeric fields of each phase in a fixed key order.
+    Virtual-time facts, replayed for cached points.
     """
 
+    name = "energy"
+    replay_cached = True
+
     def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+        super().__init__(enabled)
         self._phases: dict[str, dict] = {}
-        self._phase_name = DEFAULT_PHASE
-
-    # -- phase management ----------------------------------------------------
-
-    def set_phase(self, name: str) -> str:
-        """Route subsequent runs to ``name``; returns the old phase."""
-        previous, self._phase_name = self._phase_name, name
-        return previous
-
-    @contextlib.contextmanager
-    def phase(self, name: str) -> Iterator[None]:
-        """Scope a phase for a ``with`` block."""
-        previous = self.set_phase(name)
-        try:
-            yield
-        finally:
-            self.set_phase(previous)
-
-    @property
-    def current_phase(self) -> str:
-        return self._phase_name
 
     # -- recording -----------------------------------------------------------
 
@@ -267,56 +247,3 @@ class EnergyRecorder:
         out["avg_power_w"] = out["total_j"] / elapsed if elapsed > 0 else 0.0
         out["edp_js"] = out["total_j"] * elapsed
         return out
-
-
-def merge_energy_snapshots(snaps: list[dict]) -> dict:
-    """Merge several snapshots into one (for worker fan-in)."""
-    rec = EnergyRecorder(enabled=True)
-    for s in snaps:
-        rec.merge(s)
-    return rec.snapshot()
-
-
-# -- ambient recorder ----------------------------------------------------------
-#
-# Unlike metrics/commviz/timeline (process-global, enabled by exactly one
-# harness run at a time), energy accounting is also switched on per *job*
-# by the sweep service, whose worker threads run concurrently in one
-# process.  The ambient lookup therefore checks a thread-local slot
-# first and falls back to the process-global one: ``using_energy`` (the
-# harness main thread, per-point child recorders, service jobs) scopes
-# the thread-local slot, while ``set_energy`` installs the process-global
-# fallback (worker-process initialisation, where every task thread must
-# see it).
-
-#: Shared disabled recorder: the default when nothing is installed.
-_NULL_RECORDER = EnergyRecorder(enabled=False)
-
-_tls = threading.local()
-_global: EnergyRecorder | None = None
-
-
-def get_energy() -> EnergyRecorder:
-    """The active recorder (a shared disabled one if none installed)."""
-    current = getattr(_tls, "current", None)
-    if current is not None:
-        return current
-    return _global if _global is not None else _NULL_RECORDER
-
-
-def set_energy(recorder: EnergyRecorder | None) -> EnergyRecorder | None:
-    """Install ``recorder`` process-globally; returns the old one."""
-    global _global
-    previous, _global = _global, recorder
-    return previous
-
-
-@contextlib.contextmanager
-def using_energy(recorder: EnergyRecorder) -> Iterator[EnergyRecorder]:
-    """Scope ``recorder`` as this thread's active one for a ``with`` block."""
-    previous = getattr(_tls, "current", None)
-    _tls.current = recorder
-    try:
-        yield recorder
-    finally:
-        _tls.current = previous

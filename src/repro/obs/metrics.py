@@ -12,27 +12,29 @@ Metric names are hierarchical dotted strings (``engine.events``,
   and byte sizes equally representable without configuration.
 
 Cost model: instrumented code fetches its instruments **once** (at
-engine/fabric/transport construction) via :func:`get_metrics`.  When no
-registry is installed — the default everywhere outside the harness —
-the shared disabled registry hands out no-op instruments, so the steady
+engine/fabric/transport construction) via
+``repro.obs.context.current("metrics")``.  When no registry is
+installed — the default everywhere outside the harness — the shared
+disabled registry hands out no-op instruments, so the steady
 state cost is at most one attribute access per already-infrequent call
 site, and hot loops can skip instrumentation entirely by checking
 ``registry.enabled`` once.  The network's bandwidth resources go one
 step further: a reservation only appends a tuple to its kind's log, and
 :func:`fold_reservations` folds the log into the instruments in batches.
 
-Snapshots (:meth:`MetricsRegistry.snapshot`) are plain JSON-able dicts
-with deterministically sorted keys; :func:`merge_snapshots` /
-:meth:`MetricsRegistry.merge` combine worker-process snapshots into a
+The registry is the ``"metrics"`` recorder of the observation protocol
+(:mod:`repro.obs.recorder`).  Snapshots (:meth:`MetricsRegistry.snapshot`)
+are plain JSON-able dicts with deterministically sorted keys;
+:meth:`MetricsRegistry.merge` combines worker-process snapshots into a
 parent registry.  All merge operations are commutative, so serial and
 parallel sweeps produce identical merged metrics.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
-from typing import Iterator
+
+from .recorder import Recorder
 
 
 class Counter:
@@ -151,11 +153,17 @@ _NULL_GAUGE = _NullGauge()
 _NULL_HISTOGRAM = _NullHistogram()
 
 
-class MetricsRegistry:
-    """Create-or-get instrument store with hierarchical dotted names."""
+class MetricsRegistry(Recorder):
+    """Create-or-get instrument store with hierarchical dotted names.
+
+    Host-side counts of work this process executed, so a cached point's
+    snapshot is not replayed (``replay_cached`` is false).
+    """
+
+    name = "metrics"
 
     def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+        super().__init__(enabled)
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
@@ -276,41 +284,3 @@ def fold_reservations(log: list, queue_wait: Histogram, nbytes: Counter,
     queue_wait.max = hi
     nbytes.value = served
     busy_s.value = busy
-
-
-def merge_snapshots(snaps: list[dict]) -> dict:
-    """Merge several snapshots into one (for worker fan-in)."""
-    reg = MetricsRegistry(enabled=True)
-    for s in snaps:
-        reg.merge(s)
-    return reg.snapshot()
-
-
-# -- process-global registry --------------------------------------------------
-
-#: Shared disabled registry: the default when nothing is installed.
-_NULL_REGISTRY = MetricsRegistry(enabled=False)
-
-_current: MetricsRegistry | None = None
-
-
-def get_metrics() -> MetricsRegistry:
-    """The active registry (a shared disabled one if none installed)."""
-    return _current if _current is not None else _NULL_REGISTRY
-
-
-def set_metrics(registry: MetricsRegistry | None) -> MetricsRegistry | None:
-    """Install ``registry`` as the process-global one; returns the old."""
-    global _current
-    previous, _current = _current, registry
-    return previous
-
-
-@contextlib.contextmanager
-def using_metrics(registry: MetricsRegistry) -> Iterator[MetricsRegistry]:
-    """Scope ``registry`` as the active one for a ``with`` block."""
-    previous = set_metrics(registry)
-    try:
-        yield registry
-    finally:
-        set_metrics(previous)

@@ -31,9 +31,10 @@ through the existing :mod:`repro.obs.exporters` machinery
 
 The module follows the ``repro.obs`` no-op discipline: a shared
 *disabled* recorder is ambient by default, every recording entry point
-checks ``enabled`` first, and :func:`get_telemetry` mirrors the
-thread-local-then-global lookup of :mod:`repro.obs.energy` so
-concurrent service jobs scope their spans without interfering.
+checks ``enabled`` first, and the recorder lives in the ambient context
+of :mod:`repro.obs.context` under ``"telemetry"``, whose thread-local
+slot lets concurrent service jobs scope their spans without
+interfering.
 Telemetry never touches simulation state or results — traced and
 untraced runs are byte-identical by construction (and by test).
 """
@@ -166,6 +167,9 @@ class TelemetryRecorder:
     context found in the job message, so its root-level spans are
     children of the dispatching span in the parent process.
     """
+
+    #: Ambient-context name (see :mod:`repro.obs.context`).
+    name = "telemetry"
 
     def __init__(self, enabled: bool = True,
                  context: dict | None = None) -> None:
@@ -417,45 +421,3 @@ def traces_to_spans(span_dicts: list[dict]) -> list[Span]:
         return []
     t0 = min(r.t_start for r in all_roots)
     return [r.to_span(t0) for r in all_roots]
-
-
-# -- ambient recorder ---------------------------------------------------------
-#
-# Same two-level lookup as repro.obs.energy: a thread-local slot first
-# (service job threads, harness main thread), then a process-global
-# fallback (worker-process initialisation), then the shared disabled
-# recorder.
-
-#: Shared disabled recorder: the default when nothing is installed.
-_NULL_RECORDER = TelemetryRecorder(enabled=False)
-
-_tls = threading.local()
-_global: TelemetryRecorder | None = None
-
-
-def get_telemetry() -> TelemetryRecorder:
-    """The active recorder (a shared disabled one if none installed)."""
-    current = getattr(_tls, "current", None)
-    if current is not None:
-        return current
-    return _global if _global is not None else _NULL_RECORDER
-
-
-def set_telemetry(recorder: TelemetryRecorder | None,
-                  ) -> TelemetryRecorder | None:
-    """Install ``recorder`` process-globally; returns the old one."""
-    global _global
-    previous, _global = _global, recorder
-    return previous
-
-
-@contextlib.contextmanager
-def using_telemetry(recorder: TelemetryRecorder,
-                    ) -> Iterator[TelemetryRecorder]:
-    """Scope ``recorder`` as this thread's active one for a ``with`` block."""
-    previous = getattr(_tls, "current", None)
-    _tls.current = recorder
-    try:
-        yield recorder
-    finally:
-        _tls.current = previous

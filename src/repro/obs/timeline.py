@@ -16,21 +16,21 @@ side: group a traced run's messages by collective call (the transport
 tag encodes the collective sequence number) and compare per-rank exit
 times — the max/mean skew per collective and which rank straggled.
 
-Like every module in :mod:`repro.obs`, nothing here imports the model
-layers; the recorder is wired in by :mod:`repro.network.resources`
-fetching the active series once per fabric construction.
+:class:`TimelineRecorder` is the ``"timeline"`` recorder of the
+observation protocol (:mod:`repro.obs.recorder`).  Like every module in
+:mod:`repro.obs`, nothing here imports the model layers; the recorder is
+wired in by :mod:`repro.network.resources` fetching the active series
+once per fabric construction.
 """
 
 from __future__ import annotations
 
-import contextlib
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
+
+from .recorder import DEFAULT_PHASE, Recorder
 
 if TYPE_CHECKING:  # avoid importing the model layers at module level
     from ..core.trace import Tracer
-
-#: Phase used when nothing more specific has been set.
-DEFAULT_PHASE = "default"
 
 #: Maximum buckets a series holds before its width doubles.
 RESOLUTION = 256
@@ -171,33 +171,18 @@ class TimelineSeries:
             self.buckets[j] = self.buckets.get(j, 0.0) + v
 
 
-class TimelineRecorder:
-    """Per-phase, per-resource-kind timeline series."""
+class TimelineRecorder(Recorder):
+    """Per-phase, per-resource-kind timeline series.
+
+    Virtual-time facts, replayed for cached points.
+    """
+
+    name = "timeline"
+    replay_cached = True
 
     def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+        super().__init__(enabled)
         self._phases: dict[str, dict[str, TimelineSeries]] = {}
-        self._phase_name = DEFAULT_PHASE
-
-    # -- phase management ----------------------------------------------------
-
-    def set_phase(self, name: str) -> str:
-        """Route subsequent series lookups to ``name``; returns the old."""
-        previous, self._phase_name = self._phase_name, name
-        return previous
-
-    @contextlib.contextmanager
-    def phase(self, name: str) -> Iterator[None]:
-        """Scope a phase for a ``with`` block."""
-        previous = self.set_phase(name)
-        try:
-            yield
-        finally:
-            self.set_phase(previous)
-
-    @property
-    def current_phase(self) -> str:
-        return self._phase_name
 
     # -- recording -----------------------------------------------------------
 
@@ -248,14 +233,6 @@ class TimelineRecorder:
                 if s is None:
                     s = phase[kind] = TimelineSeries()
                 s.merge(sdict)
-
-
-def merge_timeline_snapshots(snaps: list[dict]) -> dict:
-    """Merge several snapshots into one (for worker fan-in)."""
-    rec = TimelineRecorder(enabled=True)
-    for s in snaps:
-        rec.merge(s)
-    return rec.snapshot()
 
 
 # -- straggler / imbalance profiles -------------------------------------------
@@ -323,33 +300,3 @@ def straggler_profile(tracer: "Tracer", nprocs: int) -> dict:
         "max_skew_s": max_skew,
         "mean_skew_s": mean_skew,
     }
-
-
-# -- process-global recorder ---------------------------------------------------
-
-#: Shared disabled recorder: the default when nothing is installed.
-_NULL_RECORDER = TimelineRecorder(enabled=False)
-
-_current: TimelineRecorder | None = None
-
-
-def get_timeline() -> TimelineRecorder:
-    """The active recorder (a shared disabled one if none installed)."""
-    return _current if _current is not None else _NULL_RECORDER
-
-
-def set_timeline(recorder: TimelineRecorder | None) -> TimelineRecorder | None:
-    """Install ``recorder`` as the process-global one; returns the old."""
-    global _current
-    previous, _current = _current, recorder
-    return previous
-
-
-@contextlib.contextmanager
-def using_timeline(recorder: TimelineRecorder) -> Iterator[TimelineRecorder]:
-    """Scope ``recorder`` as the active one for a ``with`` block."""
-    previous = set_timeline(recorder)
-    try:
-        yield recorder
-    finally:
-        set_timeline(previous)

@@ -30,7 +30,6 @@ import itertools
 import queue as _queue
 import threading
 import time
-from contextlib import nullcontext as _nullcontext
 from pathlib import Path
 from time import perf_counter
 
@@ -38,9 +37,10 @@ from ..api import normalize_figure_id, normalize_item_id, \
     normalize_table_id, run_item
 from ..config import ReproConfig
 from ..exec.executor import SweepExecutor, using_executor
-from ..obs.energy import EnergyRecorder, using_energy
+from ..obs.context import using
+from ..obs.energy import EnergyRecorder
 from ..obs.telemetry import (TelemetryRecorder, mint_span_id, mint_trace_id,
-                             trace_summary, using_telemetry)
+                             trace_summary)
 from .coalesce import PointCoalescer
 from .health import ServiceEventLog, ServiceMetrics
 
@@ -339,12 +339,10 @@ class JobQueue:
                                  backend=self.config.exec_backend,
                                  coalescer=self.coalescer)
         # Per-job energy accounting: the recorder is scoped to this
-        # worker *thread* (see repro.obs.energy), so concurrent jobs
+        # worker *thread* (see repro.obs.context), so concurrent jobs
         # never mix joules.
         enrec = (EnergyRecorder(enabled=True) if self.config.energy
                  else None)
-        en_scope = (using_energy(enrec) if enrec is not None
-                    else _nullcontext())
         with job.cond:
             job.state = "running"
             job.started_at = time.time()
@@ -370,12 +368,11 @@ class JobQueue:
                 "started", job=job.id, trace_id=job.trace_id,
                 queue_wait_s=round(job.started_at - job.submitted_at, 6))
         self._observe_queue()
-        tel_scope = (using_telemetry(tel) if tel is not None
-                     else _nullcontext())
         t0 = perf_counter()
         outcome = "failed"
         try:
-            with tel_scope, en_scope, using_executor(executor):
+            scoped = [r for r in (tel, enrec) if r is not None]
+            with using(*scoped), using_executor(executor):
                 for ident in job.items:
                     before = executor.stats()
                     it0 = perf_counter()
@@ -430,7 +427,7 @@ class JobQueue:
                 backend_health = executor.backend_health()
                 executor.close()
                 if tel is not None:
-                    with using_telemetry(tel), \
+                    with using(tel), \
                             tel.span("job.ledger_append", "service",
                                      parent=root_ctx, job=job.id):
                         self._append_ledger(job, state=outcome)

@@ -36,7 +36,8 @@ from ..machine.processor import ProcessorSpec
 from ..machine.system import MachineSpec, NetworkSpec
 from ..imb.suite import run_benchmark
 from ..mpi.cluster import Cluster
-from ..obs.metrics import MetricsRegistry, using_metrics
+from ..obs.context import using
+from ..obs.metrics import MetricsRegistry
 
 # ---------------------------------------------------------------------------
 # The perturbation space
@@ -257,7 +258,7 @@ def default_checks(machine: MachineSpec, case: FuzzCase) -> list[str]:
 
     # 1. Traced + metered collective run: times, causality, conservation.
     registry = MetricsRegistry(enabled=True)
-    with using_metrics(registry):
+    with using(registry):
         cluster = Cluster(machine, p, trace=True)
         out = cluster.run(_collective_prog, fabric_setup=setup)
     if not (math.isfinite(out.elapsed) and out.elapsed > 0):

@@ -9,24 +9,15 @@ same values in the same order.
 
 from __future__ import annotations
 
-import contextlib
-
 import pytest
 
 from repro.exec import compute_point
-from repro.obs import (
-    MetricsRegistry,
-    TimelineRecorder,
-    using_metrics,
-    using_timeline,
-)
+from repro.obs import MetricsRegistry, TimelineRecorder, using
 from repro.scenarios import get_scenario
 
 
 def _observe(point):
-    with contextlib.ExitStack() as stack:
-        stack.enter_context(using_metrics(MetricsRegistry()))
-        stack.enter_context(using_timeline(TimelineRecorder()))
+    with using(MetricsRegistry(), TimelineRecorder()):
         return compute_point(point)
 
 
@@ -35,9 +26,9 @@ def test_metrics_and_timeline_conserve_busy_bytes_and_count(figure):
     checked = 0
     for point in get_scenario(figure).plan(max_cpus=32):
         rec = _observe(point)
-        counters = rec.metrics["counters"]
-        waits = rec.metrics["histograms"]
-        (phase,) = rec.timeline["phases"].values()
+        counters = rec.obs["metrics"]["counters"]
+        waits = rec.obs["metrics"]["histograms"]
+        (phase,) = rec.obs["timeline"]["phases"].values()
         kinds = {name.split(".")[1] for name in counters
                  if name.startswith("net.")}
         assert kinds == set(phase), point

@@ -16,15 +16,8 @@ from repro.exec import ResultCache, SimPoint, SweepExecutor, using_executor
 from repro.harness.figures import imb_figure
 from repro.machine import ALL_MACHINES, get_machine
 from repro.machine.future import FUTURE_MACHINES
-from repro.obs.energy import (
-    EnergyRecorder,
-    PowerModel,
-    get_energy,
-    integrate_energy,
-    merge_energy_snapshots,
-    set_energy,
-    using_energy,
-)
+from repro.obs.context import current, install, using
+from repro.obs.energy import EnergyRecorder, PowerModel, integrate_energy
 
 CAP = 8  # tiny sweeps keep this fast
 
@@ -116,7 +109,7 @@ def test_recorder_per_run_fan_in_equals_direct():
         child.record_run(PM, **r)
         snaps.append(child.snapshot())
     merged = EnergyRecorder()
-    merged.merge(merge_energy_snapshots(snaps))
+    merged.merge(EnergyRecorder.merge_snapshots(snaps))
     assert _energy_blob(merged) == _energy_blob(direct)
 
 
@@ -134,20 +127,20 @@ def test_totals_add_average_power_and_edp():
 # ---------------------------------------------------------------------------
 
 def test_ambient_default_is_shared_disabled_recorder():
-    assert get_energy() is get_energy()
-    assert not get_energy().enabled
+    assert current("energy") is current("energy")
+    assert not current("energy").enabled
 
 
 def test_thread_local_scope_shadows_global():
     g, t = EnergyRecorder(), EnergyRecorder()
-    previous = set_energy(g)
+    previous = install(g)
     try:
-        assert get_energy() is g
-        with using_energy(t):
-            assert get_energy() is t
-        assert get_energy() is g
+        assert current("energy") is g
+        with using(t):
+            assert current("energy") is t
+        assert current("energy") is g
     finally:
-        set_energy(previous)
+        install(previous)
 
 
 def test_concurrent_threads_see_their_own_recorder():
@@ -156,9 +149,9 @@ def test_concurrent_threads_see_their_own_recorder():
     seen = {}
 
     def worker(name, rec, gate):
-        with using_energy(rec):
+        with using(rec):
             gate.wait(5.0)
-            seen[name] = get_energy()
+            seen[name] = current("energy")
 
     gate = threading.Barrier(2)
     ra, rb = EnergyRecorder(), EnergyRecorder()
@@ -177,7 +170,7 @@ def test_concurrent_threads_see_their_own_recorder():
 
 def _sweep_energy(*, jobs, backend, cache=None):
     rec = EnergyRecorder()
-    with using_energy(rec), \
+    with using(rec), \
             SweepExecutor(jobs=jobs, cache=cache, backend=backend) as ex, \
             using_executor(ex):
         imb_figure("fig13", max_cpus=CAP)
@@ -203,23 +196,6 @@ def test_energy_byte_identical_cache_warm(tmp_path, serial_energy):
     assert warm == serial_energy
 
 
-def test_cached_energyless_record_upgrades_to_miss(tmp_path):
-    """Records cached before ``--energy`` existed (or with it off) must
-    not silently zero the joules of an energy-accounted sweep."""
-    pts = _points((2, 4))
-    with SweepExecutor(jobs=1, cache=ResultCache(tmp_path / "c")) as ex, \
-            using_executor(ex):
-        ex.run_points(pts)  # energy off: cached records carry no snapshot
-
-    rec = EnergyRecorder()
-    with using_energy(rec), \
-            SweepExecutor(jobs=1, cache=ResultCache(tmp_path / "c")) as ex, \
-            using_executor(ex):
-        ex.run_points(pts)
-        assert ex.cache_misses == 2  # energyless hits degrade to misses
-    assert rec.totals()["runs"] == 2
-
-
 def test_transport_skips_cpu_accounting_when_off():
     """Zero-overhead discipline: with energy off the transport's
     pre-fetched flag is False and its CPU clock accumulator never moves,
@@ -242,7 +218,7 @@ def test_transport_skips_cpu_accounting_when_off():
     assert cl.transport._energy_on is False
     assert cl.transport.cpu_busy_s == 0.0
 
-    with using_energy(EnergyRecorder()):
+    with using(EnergyRecorder()):
         cl_on = Cluster(m, 2)
         cl_on.run(pingpong)
         assert cl_on.transport._energy_on is True
@@ -251,11 +227,26 @@ def test_transport_skips_cpu_accounting_when_off():
 
 def test_energy_off_leaves_no_trace():
     """With energy off the sweep records nothing anywhere (twin-path)."""
-    assert not get_energy().enabled
+    assert not current("energy").enabled
     with SweepExecutor(jobs=1, cache=None) as ex, using_executor(ex):
         recs = ex.run_points(_points((2,)))
-    assert get_energy().snapshot() == {"phases": {}}
+    assert current("energy").snapshot() == {"phases": {}}
     assert getattr(recs[0], "energy", None) is None
+
+
+def test_observation_flags_leave_energy_unchanged(tmp_path):
+    """The traced representative runs behind --metrics are diagnostics:
+    their joules are not charged to the sweep's energy-to-solution."""
+    from repro.harness.runner import main as runner_main
+
+    base = ["--figure", "6", "--max-cpus", "16", "--energy", "--jobs", "1",
+            "--no-cache", "--no-ledger"]
+    docs = []
+    for extra in ([], ["--metrics", str(tmp_path / "m.json")]):
+        bench = tmp_path / f"bench{len(docs)}.json"
+        assert runner_main(base + ["--bench-json", str(bench)] + extra) == 0
+        docs.append(json.loads(bench.read_text())["energy"])
+    assert docs[1] == docs[0]
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +256,7 @@ def test_energy_off_leaves_no_trace():
 def test_sweep_energy_is_physically_plausible():
     m = get_machine("xeon")
     rec = EnergyRecorder()
-    with using_energy(rec), \
+    with using(rec), \
             SweepExecutor(jobs=1, cache=None) as ex, using_executor(ex):
         imb_figure("fig13", max_cpus=CAP)
     tot = rec.totals()

@@ -24,7 +24,7 @@ from repro.exec.backends import (
 )
 from repro.harness.figures import imb_figure
 from repro.harness.report import figure_to_csv
-from repro.obs.metrics import MetricsRegistry, get_metrics, set_metrics
+from repro.obs import MetricsRegistry, current, install
 
 CAP = 8  # tiny sweeps keep this fast
 
@@ -73,15 +73,15 @@ def test_backend_metrics_merge_matches_inline(backend):
     """The fan-in metrics merge is commutative: engine counters are the
     same whether points ran serially in-process or fanned out."""
     def run(backend_name):
-        previous = get_metrics()
-        set_metrics(MetricsRegistry(enabled=True))
+        previous = current("metrics")
+        install(MetricsRegistry(enabled=True))
         try:
             with SweepExecutor(jobs=2, cache=None,
                                backend=backend_name) as ex:
                 ex.run_points(_points())
-            return get_metrics().snapshot()
+            return current("metrics").snapshot()
         finally:
-            set_metrics(previous)
+            install(previous)
 
     reference = run("inline")
     snap = run(backend)
@@ -234,12 +234,19 @@ def test_point_and_record_encode_roundtrip():
 
 
 def test_worker_context_roundtrip():
-    ctx = WorkerContext(metrics=True, comm=False, timeline=True,
+    ctx = WorkerContext(recorders=("metrics", "timeline"),
                         engine_backend="heap")
     assert WorkerContext.from_dict(ctx.to_dict()) == ctx
 
 
+def test_worker_context_rejects_unknown_recorder():
+    doc = WorkerContext(recorders=("metrics",)).to_dict()
+    doc["recorders"].append("telemetry")  # ambient, but not per-point
+    with pytest.raises(ConfigError, match="unknown recorder 'telemetry'"):
+        WorkerContext.from_dict(doc)
+
+
 def test_worker_context_capture_defaults():
     ctx = WorkerContext.capture()
-    assert ctx.metrics is False  # ambient registry is disabled in tests
+    assert ctx.recorders == ()  # every ambient recorder is off in tests
     assert ctx.engine_backend is not None

@@ -3,13 +3,12 @@
 Covers the metrics registry semantics, span nesting and Chrome-trace
 round-trips, the critical-path analyser on a hand-built 4-rank scenario
 with a known bottleneck, serial-vs-parallel metrics-merge determinism,
-and the deprecation shim / Tracer consistency satellites.
+and Tracer consistency.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 
 import pytest
 
@@ -20,13 +19,12 @@ from repro.obs import (
     MetricsRegistry,
     SpanRecorder,
     critical_path_report,
+    current,
     format_critical_path,
-    get_metrics,
-    merge_snapshots,
     spans_from_tracer,
     spans_to_chrome_events,
     summary_table,
-    using_metrics,
+    using,
     write_chrome_trace,
     write_ndjson,
     write_spans_chrome_trace,
@@ -82,10 +80,10 @@ def test_disabled_registry_is_noop():
 
 
 def test_global_registry_default_disabled():
-    assert not get_metrics().enabled
-    with using_metrics(MetricsRegistry()) as reg:
-        assert get_metrics() is reg
-    assert not get_metrics().enabled
+    assert not current("metrics").enabled
+    with using(MetricsRegistry()) as reg:
+        assert current("metrics") is reg
+    assert not current("metrics").enabled
 
 
 def test_snapshot_merge_commutative():
@@ -97,8 +95,8 @@ def test_snapshot_merge_commutative():
         return r.snapshot()
 
     snaps = [make(1), make(2), make(3)]
-    fwd = merge_snapshots(snaps)
-    rev = merge_snapshots(list(reversed(snaps)))
+    fwd = MetricsRegistry.merge_snapshots(snaps)
+    rev = MetricsRegistry.merge_snapshots(list(reversed(snaps)))
     assert fwd == rev
     assert fwd["counters"]["c"] == 6
     assert fwd["gauges"]["hw"] == 30
@@ -259,7 +257,7 @@ def test_critical_path_covers_most_of_elapsed():
 # -- engine / fabric instrumentation -----------------------------------------
 
 def test_engine_metrics_and_heap_high_water():
-    with using_metrics(MetricsRegistry()) as reg:
+    with using(MetricsRegistry()) as reg:
         machine = make_test_machine()
         cluster = Cluster(machine, 4)
 
@@ -296,7 +294,7 @@ def test_engine_untracked_without_registry():
 def _sweep_metrics(jobs):
     points = [SimPoint.make("imb", "xeon", p, benchmark="Sendrecv",
                             msg_bytes=1 << 16) for p in (2, 4, 8, 16)]
-    with using_metrics(MetricsRegistry()) as reg:
+    with using(MetricsRegistry()) as reg:
         with SweepExecutor(jobs=jobs, cache=None) as ex:
             ex.run_points(points)
             log = list(ex.point_log)
@@ -348,16 +346,6 @@ def test_null_tracer_cannot_be_enabled():
     with pytest.raises(ValueError):
         NULL_TRACER.enabled = True
     assert not NULL_TRACER.enabled
-
-
-def test_chrome_trace_shim_warns_and_forwards():
-    import importlib
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        import repro.analysis.chrome_trace as shim_mod
-        shim = importlib.reload(shim_mod)
-    assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-    assert shim.write_chrome_trace is write_chrome_trace
 
 
 def test_analysis_reexports_obs_exporters():

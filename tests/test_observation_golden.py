@@ -20,7 +20,6 @@ Regenerate (only from a tree whose observations are known to be right)::
 
 from __future__ import annotations
 
-import contextlib
 import json
 from pathlib import Path
 
@@ -32,10 +31,7 @@ from repro.obs import (
     EnergyRecorder,
     MetricsRegistry,
     TimelineRecorder,
-    using_commviz,
-    using_energy,
-    using_metrics,
-    using_timeline,
+    using,
 )
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "observation_golden.json"
@@ -54,17 +50,14 @@ POINTS = (
 
 def observe(point: SimPoint) -> dict:
     """Recorders-on snapshots of one point, host-wall data removed."""
-    with contextlib.ExitStack() as stack:
-        stack.enter_context(using_metrics(MetricsRegistry()))
-        stack.enter_context(using_commviz(CommRecorder()))
-        stack.enter_context(using_timeline(TimelineRecorder()))
-        stack.enter_context(using_energy(EnergyRecorder()))
+    with using(MetricsRegistry(), CommRecorder(), TimelineRecorder(),
+               EnergyRecorder()):
         rec = compute_point(point)
-    metrics = dict(rec.metrics)
+    metrics = dict(rec.obs["metrics"])
     metrics["histograms"] = {k: v for k, v in metrics["histograms"].items()
                              if k != "exec.point_wall_s"}
-    return {"metrics": metrics, "timeline": rec.timeline, "comm": rec.comm,
-            "energy": rec.energy}
+    return {"metrics": metrics, "timeline": rec.obs["timeline"],
+            "comm": rec.obs["comm"], "energy": rec.obs["energy"]}
 
 
 def dump(doc: object) -> str:

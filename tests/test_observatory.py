@@ -36,14 +36,11 @@ from repro.obs import (
     TimelineRecorder,
     TimelineSeries,
     critical_path_report,
-    get_commviz,
-    get_timeline,
-    merge_comm_snapshots,
-    merge_timeline_snapshots,
+    RECORDERS,
+    current,
     run_key,
     straggler_profile,
-    using_commviz,
-    using_timeline,
+    using,
 )
 from repro.obs.ledger import git_sha
 from repro.obs.timeline import COLL_TAGSPAN, RESOLUTION
@@ -95,13 +92,13 @@ def test_comm_recorder_phases_and_cursor():
 
 
 def test_comm_recorder_disabled_and_global_default():
-    assert not get_commviz().enabled
+    assert not current("comm").enabled
     rec = CommRecorder(enabled=False)
     rec.record(0, 1, 10, inter=True)
     assert rec.snapshot() == {"phases": {}}
-    with using_commviz(CommRecorder()) as live:
-        assert get_commviz() is live
-    assert not get_commviz().enabled
+    with using(CommRecorder()) as live:
+        assert current("comm") is live
+    assert not current("comm").enabled
 
 
 def test_merge_comm_snapshots_order_independent():
@@ -112,8 +109,8 @@ def test_merge_comm_snapshots_order_independent():
         return r.snapshot()
 
     snaps = [snap(0, 1, 10), snap(1, 0, 20), snap(0, 1, 5)]
-    fwd = merge_comm_snapshots(snaps)
-    rev = merge_comm_snapshots(list(reversed(snaps)))
+    fwd = CommRecorder.merge_snapshots(snaps)
+    rev = CommRecorder.merge_snapshots(list(reversed(snaps)))
     assert json.dumps(fwd, sort_keys=True) == json.dumps(rev, sort_keys=True)
     assert fwd["phases"]["p"]["cells"]["0,1"] == [2, 15]
 
@@ -166,15 +163,15 @@ def test_merge_timeline_snapshots_deterministic():
         return r.snapshot()
 
     snaps = [snap(0.0, 1e-6), snap(1e-6, 4e-6)]
-    fwd = merge_timeline_snapshots(snaps)
-    rev = merge_timeline_snapshots(list(reversed(snaps)))
+    fwd = TimelineRecorder.merge_snapshots(snaps)
+    rev = TimelineRecorder.merge_snapshots(list(reversed(snaps)))
     assert json.dumps(fwd, sort_keys=True) == json.dumps(rev, sort_keys=True)
     egress = fwd["phases"]["p"]["egress"]
     assert egress["count"] == 2 and egress["bytes"] == 16
 
 
 def test_timeline_recorder_phase_scoping_and_global():
-    assert not get_timeline().enabled
+    assert not current("timeline").enabled
     rec = TimelineRecorder()
     rec.series("egress").add(0.0, 1e-6)
     with rec.phase("fig6:sx8"):
@@ -182,9 +179,9 @@ def test_timeline_recorder_phase_scoping_and_global():
     assert rec.phases() == ["default", "fig6:sx8"]
     assert rec.kinds("fig6:sx8") == ["core"]
     assert rec.get("fig6:sx8", "core").busy_s == pytest.approx(2e-6)
-    with using_timeline(rec) as live:
-        assert get_timeline() is live
-    assert not get_timeline().enabled
+    with using(rec) as live:
+        assert current("timeline") is live
+    assert not current("timeline").enabled
 
 
 def test_coll_tagspan_matches_collectives():
@@ -224,8 +221,8 @@ def test_straggler_profile_empty_tracer():
 # -- transport / fabric wiring -------------------------------------------------
 
 def _run_observed(machine, nprocs, program, *args):
-    with using_commviz(CommRecorder()) as comm, \
-            using_timeline(TimelineRecorder()) as tl:
+    with using(CommRecorder()) as comm, \
+            using(TimelineRecorder()) as tl:
         cluster = Cluster(machine, nprocs, trace=True)
         cluster.run(program, *args)
     return cluster, comm, tl
@@ -269,8 +266,8 @@ def test_transport_skips_recorders_when_disabled():
     # no recorder installed: the global null recorders stay empty
     cluster = Cluster(machine, 2)
     cluster.run(ping)
-    assert get_commviz().snapshot() == {"phases": {}}
-    assert get_timeline().snapshot() == {"phases": {}}
+    assert current("comm").snapshot() == {"phases": {}}
+    assert current("timeline").snapshot() == {"phases": {}}
 
 
 # -- obs edge cases (satellite) ------------------------------------------------
@@ -302,29 +299,22 @@ def test_empty_histogram_summary_export():
 
 
 def test_merge_snapshots_disjoint_metric_names():
-    from repro.obs import MetricsRegistry, merge_snapshots
+    from repro.obs import MetricsRegistry
     a, b = MetricsRegistry(), MetricsRegistry()
     a.counter("only.a").inc(1)
     a.histogram("h.a").observe(2)
     b.counter("only.b").inc(5)
     b.gauge("g.b").set_max(7)
-    merged = merge_snapshots([a.snapshot(), b.snapshot()])
+    merged = MetricsRegistry.merge_snapshots([a.snapshot(), b.snapshot()])
     assert merged["counters"] == {"only.a": 1, "only.b": 5}
     assert merged["gauges"] == {"g.b": 7}
     assert merged["histograms"]["h.a"]["count"] == 1
 
 
-# -- deprecation shim round-trip (satellite) -----------------------------------
+# -- Chrome-trace round-trip ---------------------------------------------------
 
-def test_chrome_trace_shim_deprecation_and_round_trip(tmp_path):
-    import importlib
-    import warnings
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        import repro.analysis.chrome_trace as shim_mod
-        shim = importlib.reload(shim_mod)
-    assert any(issubclass(w.category, DeprecationWarning) for w in caught)
+def test_write_chrome_trace_round_trip(tmp_path):
+    from repro.obs.exporters import chrome_trace_events, write_chrome_trace
 
     machine = make_test_machine(cpus_per_node=2, max_cpus=4)
 
@@ -336,13 +326,10 @@ def test_chrome_trace_shim_deprecation_and_round_trip(tmp_path):
 
     cluster = Cluster(machine, 2, trace=True)
     cluster.run(ping)
-    # the shim's writer is obs/exporters' writer: identical trace bytes
-    p_shim = shim.write_chrome_trace(cluster, tmp_path / "shim.json")
-    from repro.obs.exporters import write_chrome_trace as canonical
-    p_obs = canonical(cluster, tmp_path / "obs.json")
-    assert p_shim.read_text() == p_obs.read_text()
-    events = json.loads(p_shim.read_text())["traceEvents"]
+    path = write_chrome_trace(cluster, tmp_path / "run.json")
+    events = json.loads(path.read_text())["traceEvents"]
     assert events and all("ph" in e for e in events)
+    assert events == json.loads(json.dumps(chrome_trace_events(cluster)))
 
 
 # -- run ledger ----------------------------------------------------------------
@@ -458,8 +445,8 @@ def test_gate_ledger_layer_empty_file(tmp_path):
 def _sweep_observatory(jobs, cache=None):
     points = [SimPoint.make("imb", "xeon", p, benchmark="Sendrecv",
                             msg_bytes=1 << 14) for p in (2, 4, 8)]
-    with using_commviz(CommRecorder()) as comm, \
-            using_timeline(TimelineRecorder()) as tl:
+    with using(CommRecorder()) as comm, \
+            using(TimelineRecorder()) as tl:
         with SweepExecutor(jobs=jobs, cache=cache) as ex:
             ex.run_points(points)
     return (json.dumps(comm.snapshot(), sort_keys=True),
@@ -482,29 +469,33 @@ def test_comm_and_timeline_serial_parallel_cache_identical(tmp_path):
                for name in comm["phases"])
 
 
-def test_cached_points_upgrade_to_miss_when_recorders_appear(tmp_path):
+REPLAYED = [name for name, cls in RECORDERS.items() if cls.replay_cached]
+
+
+@pytest.mark.parametrize("name", REPLAYED)
+def test_cached_record_upgrades_to_miss_when_recorder_appears(tmp_path, name):
+    """A record cached with a replayed recorder off must not replay as an
+    empty matrix, timeline or zero joules once the recorder is on."""
     cache = ResultCache(tmp_path / "cache", fingerprint="obs-test")
-    points = [SimPoint.make("imb", "xeon", 2, benchmark="PingPong",
-                            msg_bytes=1024)]
-    # first pass: recorders off -> cached record has no comm snapshot
+    points = [SimPoint.make("imb", "xeon", p, benchmark="PingPong",
+                            msg_bytes=1024) for p in (2, 4)]
+    # first pass: recorders off -> cached records carry no snapshot
     with SweepExecutor(jobs=1, cache=cache) as ex:
         ex.run_points(points)
-    # second pass: recorders on -> the stale hit is recomputed, not empty
-    with using_commviz(CommRecorder()) as comm:
-        with using_timeline(TimelineRecorder()):
-            with SweepExecutor(jobs=1, cache=cache) as ex:
-                ex.run_points(points)
-                provs = [e["provenance"] for e in ex.point_log]
-    assert provs == ["computed"]
-    assert comm.total_bytes() > 0
-    # third pass: the refreshed cache entry now replays without compute
-    with using_commviz(CommRecorder()) as comm2:
-        with using_timeline(TimelineRecorder()):
-            with SweepExecutor(jobs=1, cache=cache) as ex:
-                ex.run_points(points)
-                provs = [e["provenance"] for e in ex.point_log]
-    assert provs == ["cached"]
-    assert comm2.snapshot() == comm.snapshot()
+    # second pass: the recorder on -> the stale hits are recomputed
+    with using(RECORDERS[name]()) as rec, \
+            SweepExecutor(jobs=1, cache=cache) as ex:
+        ex.run_points(points)
+        provs = [e["provenance"] for e in ex.point_log]
+    assert provs == ["computed", "computed"]
+    assert rec.snapshot()["phases"]
+    # third pass: the refreshed cache entries replay without compute
+    with using(RECORDERS[name]()) as replayed, \
+            SweepExecutor(jobs=1, cache=cache) as ex:
+        ex.run_points(points)
+        provs = [e["provenance"] for e in ex.point_log]
+    assert provs == ["cached", "cached"]
+    assert replayed.snapshot() == rec.snapshot()
 
 
 # -- observed runs and the paper narrative ------------------------------------
@@ -512,8 +503,8 @@ def test_cached_points_upgrade_to_miss_when_recorders_appear(tmp_path):
 @pytest.fixture(scope="module")
 def observed_fig12():
     from repro.harness.observe import observe_figure
-    with using_commviz(CommRecorder()) as comm, \
-            using_timeline(TimelineRecorder()) as tl:
+    with using(CommRecorder()) as comm, \
+            using(TimelineRecorder()) as tl:
         runs = observe_figure("fig12", max_cpus=16)
     return runs, comm, tl
 

@@ -369,19 +369,20 @@ def _snapshots(draw):
 def test_metrics_merge_commutes(snap_a, snap_b):
     """Fan-in order cannot change merged metrics (exact float equality:
     counters add at most two terms per name, and a + b == b + a)."""
-    from repro.obs.metrics import merge_snapshots
+    from repro.obs.metrics import MetricsRegistry
 
-    assert merge_snapshots([snap_a, snap_b]) == \
-        merge_snapshots([snap_b, snap_a])
+    assert MetricsRegistry.merge_snapshots([snap_a, snap_b]) == \
+        MetricsRegistry.merge_snapshots([snap_b, snap_a])
 
 
 @given(_snapshots())
 def test_metrics_merge_empty_is_identity(snap):
-    from repro.obs.metrics import MetricsRegistry, merge_snapshots
+    from repro.obs.metrics import MetricsRegistry
 
+    merge = MetricsRegistry.merge_snapshots
     empty = MetricsRegistry(enabled=True).snapshot()
-    assert merge_snapshots([snap, empty]) == merge_snapshots([snap])
-    assert merge_snapshots([empty, snap]) == merge_snapshots([snap])
+    assert merge([snap, empty]) == merge([snap])
+    assert merge([empty, snap]) == merge([snap])
 
 
 @given(st.integers(0, 4096), st.integers(1, 64))

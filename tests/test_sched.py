@@ -17,7 +17,7 @@ import pytest
 from repro.core import sched
 from repro.core.engine import Engine, events_processed_total
 from repro.core.errors import ConfigError, SimulationError
-from repro.obs.metrics import MetricsRegistry, using_metrics
+from repro.obs import MetricsRegistry, using
 
 EXACT_BACKENDS = ["heapq", "calendar"]
 ALL_BACKENDS = ["heapq", "calendar", "macro"]
@@ -178,7 +178,7 @@ def test_bounded_run_counts_events_and_high_water(name):
     """The instrumented twin of the until-loop must see the queue's
     high-water mark and count exactly the executed events."""
     registry = MetricsRegistry(enabled=True)
-    with using_metrics(registry):
+    with using(registry):
         eng = Engine(backend=name)
         for i in range(6):
             eng.schedule(float(i), lambda: None)
@@ -197,7 +197,7 @@ def test_unbounded_instrumented_run_matches_fast_loop(name):
 
     def run(track):
         registry = MetricsRegistry(enabled=track)
-        with using_metrics(registry):
+        with using(registry):
             eng = Engine(backend=name)
             order = []
             for i in range(5):

@@ -15,18 +15,16 @@ import threading
 
 import pytest
 
+from repro.obs.context import current, install, using
 from repro.obs.telemetry import (
     TRACE_SCHEMA_VERSION,
     TelemetryRecorder,
     TraceSpan,
     assemble_traces,
-    get_telemetry,
     mint_span_id,
     mint_trace_id,
-    set_telemetry,
     trace_summary,
     traces_to_spans,
-    using_telemetry,
 )
 
 
@@ -222,34 +220,34 @@ def test_chrome_trace_export(tmp_path):
 
 
 def test_ambient_default_is_disabled():
-    assert get_telemetry().enabled is False
+    assert current("telemetry").enabled is False
 
 
 def test_using_telemetry_scopes_per_thread():
     rec = TelemetryRecorder()
-    with using_telemetry(rec):
-        assert get_telemetry() is rec
+    with using(rec):
+        assert current("telemetry") is rec
         seen = {}
 
         def other():
-            seen["rec"] = get_telemetry()
+            seen["rec"] = current("telemetry")
 
         t = threading.Thread(target=other)
         t.start()
         t.join()
         # Thread-local scoping: the other thread sees the default.
         assert seen["rec"].enabled is False
-    assert get_telemetry().enabled is False
+    assert current("telemetry").enabled is False
 
 
 def test_set_telemetry_global_fallback():
     rec = TelemetryRecorder()
-    old = set_telemetry(rec)
+    old = install(rec)
     try:
-        assert get_telemetry() is rec
+        assert current("telemetry") is rec
         local = TelemetryRecorder()
-        with using_telemetry(local):
-            assert get_telemetry() is local  # thread-local wins
-        assert get_telemetry() is rec
+        with using(local):
+            assert current("telemetry") is local  # thread-local wins
+        assert current("telemetry") is rec
     finally:
-        set_telemetry(old)
+        install(old)
