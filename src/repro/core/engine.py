@@ -17,12 +17,21 @@ processes* in the SimPy style: a process is a generator that
 Processes compose with plain ``yield from`` so higher layers (collectives,
 benchmarks) read like straight-line MPI code.
 
-The engine is single-threaded and fully deterministic: ties in the event
-queue are broken by insertion order, under every backend.  Events are
-dispatched in *batches* — all events at one timestamp are drained in one
-inner loop, so the per-event cost of queue maintenance, clock updates and
-instrumentation is amortised over the tie width (large in the
-bulk-synchronous phases that dominate benchmark traffic).
+The engine is single-threaded and fully deterministic: events run in
+``(time, insertion order)`` under every backend.  Events are dispatched
+in *batches* — all events queued at one timestamp are drained in one
+inner loop.  Ties are rare in the message-level traffic that dominates
+(about 1.005 events per batch on the HPCC kernels), so the engine also
+dispatches *in place*: when an event is about to be queued at the
+current time while nothing else is pending at that time — the running
+batch has no remainder and the backend holds nothing at ``now`` — the
+contract makes it the very next event dispatched, so it runs at once
+instead of taking a queue round trip.  Two sites do this: a process
+step that yields ``None`` or an already-triggered event, and
+:meth:`Event.fire`, the scheduled trigger that wakes a single waiter.
+Events run in place count as events (``events_processed``) and sample
+the queue high-water mark as the batch they would have started, so
+every observable result is what the queued dispatch would produce.
 """
 
 from __future__ import annotations
@@ -99,6 +108,26 @@ class Event:
             for proc in waiters:
                 push(now, proc._step, args)
 
+    def fire(self, value: Any = None) -> None:
+        """Scheduled trigger: push ``ev.fire`` as an event callback.
+
+        Behaves as :meth:`trigger`, except that a single waiter whose
+        wakeup would be the very next event dispatched is stepped in
+        place instead of queued.  Only valid as the whole body of a
+        dispatched event — called from inside another event, the rest
+        of that event must run before any waiter, so use
+        :meth:`trigger` there.
+        """
+        waiters = self._waiters
+        if (waiters is not None and len(waiters) == 1
+                and not self._triggered and self.engine._run_here()):
+            self._triggered = True
+            self._value = value
+            self._waiters = None
+            waiters[0]._step(value)
+        else:
+            self.trigger(value)
+
     def _add_waiter(self, proc: "Process") -> None:
         if self._triggered:
             engine = self.engine
@@ -149,39 +178,62 @@ class Process:
         self.engine.schedule(0.0, self._step, None)
 
     def _step(self, value: Any) -> None:
-        """Advance the generator by one yield.
+        """Advance the generator until it blocks or sleeps.
 
-        Hot path: this runs once per event.  The dominant yields are plain
-        ``float`` sleeps and ``None`` re-schedules, so those are dispatched
-        on exact type and pushed straight onto the scheduler backend with
-        pre-bound locals; ``Event``/``Process`` waits and int/float
-        subclasses (``bool``, numpy scalars) take the slower isinstance
-        branches.  Every raising exit — generator exception, negative
-        delay, unsupported yield — discards the process from the live set
+        Hot path: this runs once per queued wakeup.  The yields — plain
+        ``float`` sleeps, ``None`` re-schedules, ``Event`` waits and
+        ``Process`` joins — are dispatched on exact type with pre-bound
+        locals; subclasses (``bool``, numpy scalars) take the isinstance
+        branches of :meth:`_yield_other`.
+        A ``None`` or an already-triggered event resumes the generator
+        at the current time: in place when :meth:`Engine._run_here`
+        says that wakeup is the very next event, else through the queue.
+        Every raising exit — generator exception, negative delay,
+        unsupported yield — discards the process from the live set
         first, so a caught error never leaves a ghost in the deadlock
         report.
         """
         engine = self.engine
-        try:
-            item = self.gen.send(value)
-        except StopIteration as stop:
-            engine._live_processes.discard(self)
-            self.done.trigger(stop.value)
-            return
-        except Exception:
-            engine._live_processes.discard(self)
-            raise
-        cls = item.__class__
-        if cls is float or cls is int:
-            if item < 0:
+        send = self.gen.send
+        while True:
+            try:
+                item = send(value)
+            except StopIteration as stop:
                 engine._live_processes.discard(self)
-                raise SimulationError(
-                    f"process {self.name!r} yielded negative delay {item!r}"
-                )
-            engine._push(engine._now + item, self._step, _STEP_ARGS)
-        elif item is None:
-            engine._push(engine._now, self._step, _STEP_ARGS)
-        elif isinstance(item, Event):
+                self.done.trigger(stop.value)
+                return
+            except Exception:
+                engine._live_processes.discard(self)
+                raise
+            cls = item.__class__
+            if cls is float or cls is int:
+                if item < 0:
+                    engine._live_processes.discard(self)
+                    raise SimulationError(
+                        f"process {self.name!r} yielded negative delay {item!r}"
+                    )
+                engine._push(engine._now + item, self._step, _STEP_ARGS)
+                return
+            if item is None:
+                value = None
+            else:
+                if cls is Process:
+                    item = item.done
+                elif cls is not Event:
+                    self._yield_other(item)
+                    return
+                if not item._triggered:
+                    item._add_waiter(self)
+                    return
+                value = item._value
+            if not engine._run_here():
+                engine._push(engine._now, self._step, (value,))
+                return
+
+    def _yield_other(self, item: Any) -> None:
+        """The rare yields: subclasses of the awaitables and numbers."""
+        engine = self.engine
+        if isinstance(item, Event):
             item._add_waiter(self)
         elif isinstance(item, Process):
             item.done._add_waiter(self)
@@ -223,15 +275,22 @@ class Engine:
         #: joins, transport callbacks — goes through this bound method, so
         #: backend selection covers the whole event population.
         self._push = self._sched.push
+        self._pending_at = self._sched.pending_at
         self._live_processes: set[Process] = set()
         self._running = False
-        #: Events executed by this engine across all run() calls.
+        #: True while the running event is the last of its batch — the
+        #: first half of the in-place test in :meth:`_run_here`.
+        self._tail = False
+        #: Events run in place during the current run() call.
+        self._inplace = 0
+        #: Events executed by this engine across all run() calls,
+        #: including those run in place.
         self.events_processed = 0
         #: Largest pending-queue size seen while running (only tracked when
         #: the ambient metrics registry is enabled at construction).
         #: Sampled once per dispatched batch — at the moment the batch is
         #: taken, matching what a per-event loop would see at its first
-        #: pop of that timestamp.
+        #: pop of that timestamp — and once per event run in place.
         self.heap_high_water = 0
         registry = current("metrics")
         self._metrics = registry if registry.enabled else None
@@ -271,7 +330,10 @@ class Engine:
         the queue drains while spawned processes are still unfinished.
 
         Dispatch is batched: every event at the minimum pending timestamp
-        runs in one inner loop.  If an event callback raises, the
+        runs in one inner loop, and the last event of a batch may run
+        further events in place (see :meth:`_run_here`).  ``until`` never
+        cuts an in-place event: it runs at the current time, which the
+        bound has already admitted.  If an event callback raises, the
         unexecuted remainder of its batch is pushed back onto the queue
         (in order, at the same time) before the exception propagates, so
         the pending set stays consistent for post-mortem inspection.
@@ -279,6 +341,8 @@ class Engine:
         if self._running:
             raise SimulationError("engine.run() is not reentrant")
         self._running = True
+        self._tail = True
+        self._inplace = 0
         sched = self._sched
         pop_batch = sched.pop_batch
         n_events = 0
@@ -306,14 +370,13 @@ class Engine:
                     break
                 t, batch = nxt
                 self._now = t
-                it = iter(batch)
-                try:
-                    for fn, args in it:
-                        fn(*args)
-                except BaseException:
-                    self._requeue(t, it)
-                    raise
-                n_events += len(batch)
+                if len(batch) == 1:
+                    fn, args = batch[0]
+                    fn(*args)
+                    n_events += 1
+                else:
+                    self._run_batch(t, batch)
+                    n_events += len(batch)
             if self._live_processes:
                 stuck = sorted(p.name for p in self._live_processes)
                 raise DeadlockError(
@@ -324,27 +387,64 @@ class Engine:
             return self._now
         finally:
             self._running = False
+            self._tail = False
+            n_events += self._inplace
             self.events_processed += n_events
             EVENT_STATS["processed"] += n_events
             if track:
-                self.heap_high_water = hw
+                if hw > self.heap_high_water:
+                    self.heap_high_water = hw
                 m = self._metrics
                 m.counter("engine.events").inc(n_events)
                 m.counter("engine.runs").inc()
-                m.gauge("engine.heap_max").set_max(hw)
+                m.gauge("engine.heap_max").set_max(self.heap_high_water)
 
-    def _requeue(self, t: float, tail) -> None:
-        """Re-queue the unexecuted remainder of a batch whose event raised.
+    def _run_batch(self, t: float, batch: list) -> None:
+        """Run a batch of tied events; only the last may run others in place.
 
-        ``tail`` is the batch iterator, resumed past the raising event —
-        pushing it back at ``t`` keeps the pending set consistent for
-        post-mortem inspection.  (Events executed before the raise stay
+        If an event raises, the unexecuted remainder goes back onto the
+        queue at ``t`` (the batch's events executed before the raise stay
         uncounted, matching the pre-batching per-event loop, which also
-        never reached its counter update on a raise.)
+        never reached its counter update on a raise; events run in place
+        are counted when claimed).
         """
-        push = self._push
-        for fn, args in tail:
-            push(t, fn, args)
+        self._tail = False
+        last = len(batch) - 1
+        i = 0
+        try:
+            while i < last:
+                fn, args = batch[i]
+                i += 1
+                fn(*args)
+        except BaseException:
+            push = self._push
+            for fn, args in batch[i:]:
+                push(t, fn, args)
+            raise
+        self._tail = True
+        fn, args = batch[last]
+        fn(*args)
+
+    def _run_here(self) -> bool:
+        """Claim the next dispatch for an event due now, if it is free.
+
+        True when an event queued at the current time would be the very
+        next one dispatched: the running event is the last of its batch
+        and the backend holds nothing at ``now``.  Under the ``(time,
+        insertion order)`` contract the caller may then run that event
+        in place — as the tail of the running event — with the same
+        effect as queueing it.  A claimed event counts as processed and
+        samples the high-water mark as the batch it would have started
+        (everything pending plus itself).
+        """
+        if not self._tail or self._pending_at(self._now):
+            return False
+        self._inplace += 1
+        if self._metrics is not None:
+            pending = len(self._sched) + 1
+            if pending > self.heap_high_water:
+                self.heap_high_water = pending
+        return True
 
     def run_all(self, gens: Iterable[ProcessGen]) -> list[Any]:
         """Spawn each generator, run to completion, return their results."""

@@ -140,7 +140,8 @@ class _SubGroup:
         self.world_rank = comm.world_rank
         # Mirror the Comm attributes the hot _isend/_irecv funnel reads.
         self._rank = self.rank
-        self._world_ranks = tuple(comm._global(m) for m in self._members)
+        self._world_ranks = tuple(map(comm._world_ranks.__getitem__,
+                                      self._members))
         self._coll_channel = comm._channel("coll")
 
     def _global(self, sub_rank: int) -> int:

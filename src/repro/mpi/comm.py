@@ -13,12 +13,19 @@ cross-matching (the simulated analogue of MPI context ids).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Any, Sequence
 
 from ..core.engine import Event
 from ..core.errors import MPIError
 from .datatypes import ANY_SOURCE, ANY_TAG, SUM, Op, RecvResult, resolve_nbytes
 from . import collectives as _coll
+
+
+@lru_cache(maxsize=8)
+def _iota(n: int) -> tuple[int, ...]:
+    """``tuple(range(n))``, shared by every communicator of size ``n``."""
+    return tuple(range(n))
 
 
 class Comm:
@@ -45,8 +52,9 @@ class Comm:
         self._p2p_channel = (comm_key, "p2p")
         # World ranks are usually the identity mapping (COMM_WORLD and
         # order-preserving duplicates); then _localise is a no-op and
-        # the linear index() scan per received message is skipped.
-        self._identity = all(w == i for i, w in enumerate(world_ranks))
+        # the linear index() scan per received message is skipped.  One
+        # C-level tuple comparison: every rank of a world builds a Comm.
+        self._identity = world_ranks == _iota(len(world_ranks))
 
     # -- identity -----------------------------------------------------------------
 

@@ -223,7 +223,7 @@ class Transport:
                 # Overhead + staging copy occupied the sending CPU.
                 self.cpu_busy_s += t_free - begin
             timing = fabric.message_timing(src_node, dst_node, nbytes, t_free)
-            engine._push(t_free, send_done.trigger, (None,))
+            engine._push(t_free, send_done.fire, (None,))
             payload = None if data is None else copy_payload(data)
             # The envelope (header) travels on the control lane and keeps
             # send order; the payload completes at the bandwidth-queued
@@ -313,7 +313,7 @@ class Transport:
             src_node, dst_node, pending.nbytes, cts_arrival
         )
         # Sender's buffer is free once the bulk data has left the NIC.
-        engine._push(bulk.inject_end, pending.send_done.trigger, (None,))
+        engine._push(bulk.inject_end, pending.send_done.fire, (None,))
         data = pending.data
         payload = None if data is None else copy_payload(data)
         engine._push(bulk.arrival, self._finish_bulk,
@@ -341,7 +341,7 @@ class Transport:
         engine = self.engine
         if t_done < engine._now:
             t_done = engine._now
-        engine._push(t_done, event.trigger, (result,))
+        engine._push(t_done, event.fire, (result,))
 
     # -- receive -----------------------------------------------------------------
 

@@ -6,8 +6,8 @@ must behave identically on top of any of them: same execution order,
 same counters, same error paths.  These tests pin that contract per
 backend, plus the seams the refactor introduced: the process-default
 selection (flag > env > fallback), the bounded-run twin loop's
-instrumentation, the mid-batch exception re-queue, and the live-process
-bookkeeping on raising exits.
+instrumentation, the mid-batch exception re-queue, the live-process
+bookkeeping on raising exits, and when an event may run in place.
 """
 
 from __future__ import annotations
@@ -96,6 +96,19 @@ def test_pop_batch_returns_whole_tie_in_insertion_order(name):
     assert be.pop_batch() is None
     assert be.peek_time() is None
     assert len(be) == 0
+
+
+@pytest.mark.parametrize("name", ALL_BACKENDS)
+def test_pending_at_tracks_the_earliest_time(name):
+    be = sched.make_backend(name)
+    assert not be.pending_at(0.0)
+    be.push(1.0, "a", ())
+    be.push(2.0, "b", ())
+    assert not be.pending_at(0.5)
+    assert be.pending_at(1.0)
+    be.pop_batch()
+    assert not be.pending_at(1.0)
+    assert be.pending_at(2.0)
 
 
 @pytest.mark.parametrize("name", ALL_BACKENDS)
@@ -310,6 +323,111 @@ def test_event_wakeups_preserve_waiter_order(name):
     eng.schedule(1.0, ev.trigger, None)
     eng.run()
     assert woke == [0, 1, 2, 3, 4]
+
+
+# -- in-place dispatch ---------------------------------------------------------
+
+def _counting(name):
+    """A fresh ``name`` backend that counts its pushes."""
+    base = sched.BACKENDS[name]
+
+    class Counting(base):
+        pushes = 0
+
+        def push(self, t, fn, args):
+            self.pushes += 1
+            base.push(self, t, fn, args)
+
+    return Counting()
+
+
+@pytest.mark.parametrize("name", EXACT_BACKENDS)
+def test_next_event_runs_in_place_without_queue_round_trip(name):
+    """A wakeup that is the very next event skips the queue but still
+    counts as an event."""
+    be = _counting(name)
+    eng = Engine(backend=be)
+    ev = eng.event()
+    seen = []
+
+    def prog():
+        seen.append((yield ev))
+        yield None
+        seen.append((yield ev))
+
+    eng.spawn(prog())
+    eng.schedule(1.0, ev.fire, "x")
+    eng.run()
+    assert seen == ["x", "x"]
+    # start + fire queued; wakeup, None and the fired re-wait in place
+    assert be.pushes == 2
+    assert eng.events_processed == 5
+
+
+@pytest.mark.parametrize("name", EXACT_BACKENDS)
+@pytest.mark.parametrize("pending", ["batch_remainder", "queued_at_now"])
+def test_step_not_in_place_when_other_event_pending_now(name, pending):
+    """A ``None`` yield is queued behind anything else due at the same
+    time — still in the running batch or already in the backend."""
+    be = _counting(name)
+    eng = Engine(backend=be)
+    order = []
+
+    def prog():
+        if pending == "queued_at_now":
+            eng.schedule(0.0, order.append, "other")
+        yield None
+        order.append("resumed")
+
+    eng.spawn(prog())
+    if pending == "batch_remainder":
+        eng.schedule(0.0, order.append, "other")
+    eng.run()
+    assert order == ["other", "resumed"]
+    assert be.pushes == 3          # start, other, the queued resume
+    assert eng.events_processed == 3
+
+
+@pytest.mark.parametrize("name", EXACT_BACKENDS)
+def test_scheduled_trigger_wakes_several_waiters_in_order(name):
+    eng = Engine(backend=name)
+    ev = eng.event()
+    woke = []
+
+    def waiter(i):
+        woke.append((i, (yield ev), eng.now))
+
+    for i in range(3):
+        eng.spawn(waiter(i))
+    eng.schedule(1.0, ev.fire, "v")
+    eng.run()
+    assert woke == [(0, "v", 1.0), (1, "v", 1.0), (2, "v", 1.0)]
+
+
+@pytest.mark.parametrize("name", EXACT_BACKENDS)
+def test_exception_in_step_run_in_place(name):
+    """A step run in place that raises discards its process, propagates
+    out of run(), and leaves the pending queue consistent: the later
+    event is still queued and a second run() executes it once."""
+    be = _counting(name)
+    eng = Engine(backend=be)
+    ev = eng.event()
+    ran = []
+
+    def prog():
+        yield ev
+        raise ValueError("woken and blew up")
+
+    proc = eng.spawn(prog())
+    eng.schedule(1.0, ev.fire, None)
+    eng.schedule(2.0, ran.append, "later")
+    with pytest.raises(ValueError, match="woken and blew up"):
+        eng.run()
+    assert be.pushes == 3          # the wakeup itself never queued
+    assert proc not in eng._live_processes
+    assert len(be) == 1 and be.peek_time() == 2.0
+    assert eng.run() == 2.0
+    assert ran == ["later"]
 
 
 # -- executor determinism per backend ------------------------------------------
