@@ -1,8 +1,8 @@
 """Unified run configuration: one resolver for flags, env vars, defaults.
 
 Every entry point used to thread its own ad-hoc mix of CLI flags
-(``--jobs``, ``--engine-backend``, ``--cache-dir``, ``--no-cache``) and
-environment variables (``REPRO_JOBS``, ``REPRO_ENGINE_BACKEND``, ...)
+(``--jobs``, ``--macro-above``, ``--cache-dir``, ``--no-cache``) and
+environment variables (``REPRO_JOBS``, ``REPRO_MACRO_ABOVE``, ...)
 with precedence decided differently per CLI.  :class:`ReproConfig`
 collapses all of that into one frozen dataclass with a single resolution
 rule, applied uniformly to every knob:
@@ -18,7 +18,8 @@ Environment variables:
 
 =====================  =====================================================
 ``REPRO_JOBS``         worker processes for sweep fan-out (default: CPUs)
-``REPRO_ENGINE_BACKEND``  event-queue scheduler (see :mod:`repro.core.sched`)
+``REPRO_MACRO_ABOVE``  IMB collective fast-path strictly above N ranks
+                       (unset: exact everywhere; see :mod:`repro.imb.fastpath`)
 ``REPRO_EXEC_BACKEND`` executor backend (see :mod:`repro.exec.backends`)
 ``REPRO_CACHE_DIR``    result-cache directory (default ``.repro_cache``)
 ``REPRO_NO_CACHE``     ``1`` disables the on-disk result cache
@@ -33,8 +34,8 @@ import os
 from dataclasses import dataclass, replace
 from typing import Any
 
-from .core import sched
 from .core.errors import ConfigError
+from .imb import fastpath
 
 #: Environment variable naming the worker-process count.
 JOBS_ENV = "REPRO_JOBS"
@@ -91,6 +92,18 @@ def _env_flag(name: str) -> bool | None:
                       f"(1/0/true/false), got {raw!r}")
 
 
+def _rank_threshold(raw: int | str, source: str) -> int:
+    """``raw`` as a rank count >= 0, else :class:`ConfigError`."""
+    try:
+        value = int(raw)
+    except (TypeError, ValueError):
+        raise ConfigError(
+            f"{source} must be an integer, got {raw!r}") from None
+    if value < 0:
+        raise ConfigError(f"{source} must be >= 0, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class ReproConfig:
     """Resolved, immutable run configuration.
@@ -102,10 +115,11 @@ class ReproConfig:
 
     #: Worker processes for sweep fan-out (>= 1).
     jobs: int
-    #: Discrete-event scheduler backend name (:mod:`repro.core.sched`).
-    engine_backend: str
     #: Executor backend name (:mod:`repro.exec.backends`).
     exec_backend: str
+    #: IMB collectives are priced analytically strictly above this many
+    #: ranks (:mod:`repro.imb.fastpath`); ``None`` is exact everywhere.
+    macro_above: int | None = None
     #: On-disk result-cache directory.
     cache_dir: str = DEFAULT_CACHE_DIR
     #: Whether the on-disk result cache is used at all.
@@ -126,7 +140,7 @@ class ReproConfig:
     @classmethod
     def from_env_and_args(cls, args: Any = None, *,
                           jobs: int | None = None,
-                          engine_backend: str | None = None,
+                          macro_above: int | str | None = None,
                           exec_backend: str | None = None,
                           cache_dir: str | None = None,
                           no_cache: bool | None = None,
@@ -135,13 +149,14 @@ class ReproConfig:
         """Resolve a config: explicit argument > env var > default.
 
         ``args`` may be an ``argparse.Namespace`` (or any object) whose
-        ``jobs`` / ``engine_backend`` / ``exec_backend`` / ``cache_dir``
+        ``jobs`` / ``macro_above`` / ``exec_backend`` / ``cache_dir``
         / ``no_cache`` attributes supply the explicit layer; keyword
         arguments override even those.  ``None`` (and ``None``-defaulted
         CLI flags) mean "not given", falling through to the environment.
 
         Raises :class:`~repro.core.errors.ConfigError` for an unknown
-        backend name and :class:`ValueError` for a malformed
+        backend name or a ``macro_above`` that is not an integer >= 0,
+        and :class:`ValueError` for a malformed
         ``REPRO_JOBS`` so CLIs can fail with a usage error before any
         simulation starts.
         """
@@ -155,13 +170,11 @@ class ReproConfig:
             r_jobs = default_jobs()
         r_jobs = max(1, int(r_jobs))
 
-        r_engine = arg("engine_backend", engine_backend)
-        if r_engine is None:
-            r_engine = _env_str(sched.BACKEND_ENV) or sched.FALLBACK_BACKEND
-        if r_engine not in sched.BACKENDS:
-            raise ConfigError(
-                f"unknown engine backend {r_engine!r} "
-                f"(registered: {', '.join(sched.available_backends())})")
+        r_macro = arg("macro_above", macro_above)
+        if r_macro is not None:
+            r_macro = _rank_threshold(r_macro, "--macro-above")
+        elif (env := _env_str(fastpath.MACRO_ABOVE_ENV)) is not None:
+            r_macro = _rank_threshold(env, fastpath.MACRO_ABOVE_ENV)
 
         r_exec = arg("exec_backend", exec_backend)
         if r_exec is None:
@@ -192,7 +205,7 @@ class ReproConfig:
         if r_telemetry is None:
             r_telemetry = _env_flag(TELEMETRY_ENV) or False
 
-        return cls(jobs=r_jobs, engine_backend=r_engine, exec_backend=r_exec,
+        return cls(jobs=r_jobs, macro_above=r_macro, exec_backend=r_exec,
                    cache_dir=str(r_cache_dir), cache=not r_no_cache,
                    energy=bool(r_energy), telemetry=bool(r_telemetry))
 
@@ -202,9 +215,10 @@ class ReproConfig:
         """A copy with ``changes`` applied (dataclass ``replace``)."""
         return replace(self, **changes)
 
-    def apply_engine_backend(self) -> None:
-        """Install :attr:`engine_backend` as the process-wide default."""
-        sched.set_default_backend(self.engine_backend)
+    def apply_macro_above(self) -> None:
+        """Install :attr:`macro_above` as the process-wide fast-path
+        threshold (:func:`repro.imb.fastpath.set_macro_above`)."""
+        fastpath.set_macro_above(self.macro_above)
 
     def make_cache(self):
         """A :class:`~repro.exec.cache.ResultCache` per this config.
@@ -226,8 +240,8 @@ class ReproConfig:
         """JSON-able snapshot (service status files, bench artifacts)."""
         return {
             "jobs": self.jobs,
-            "engine_backend": self.engine_backend,
             "exec_backend": self.exec_backend,
+            "macro_above": self.macro_above,
             "cache_dir": self.cache_dir,
             "cache": self.cache,
             "energy": self.energy,

@@ -1,10 +1,9 @@
 """Discrete-event simulation engine.
 
-The engine owns a virtual clock and a pending-event queue provided by a
-pluggable scheduler backend (:mod:`repro.core.sched`).  Simulated
-activities (MPI ranks, benchmark drivers) are Python *generator
-processes* in the SimPy style: a process is a generator that
-``yield``\\ s one of
+The engine owns a virtual clock and a pending-event queue, the calendar
+queue of :mod:`repro.core.sched`.  Simulated activities (MPI ranks,
+benchmark drivers) are Python *generator processes* in the SimPy style:
+a process is a generator that ``yield``\\ s one of
 
 * a ``float``/``int`` — sleep for that many virtual seconds,
 * an :class:`Event` — block until the event is triggered; the value passed
@@ -18,15 +17,15 @@ Processes compose with plain ``yield from`` so higher layers (collectives,
 benchmarks) read like straight-line MPI code.
 
 The engine is single-threaded and fully deterministic: events run in
-``(time, insertion order)`` under every backend.  Events are dispatched
-in *batches* — all events queued at one timestamp are drained in one
-inner loop.  Ties are rare in the message-level traffic that dominates
-(about 1.005 events per batch on the HPCC kernels), so the engine also
-dispatches *in place*: when an event is about to be queued at the
-current time while nothing else is pending at that time — the running
-batch has no remainder and the backend holds nothing at ``now`` — the
-contract makes it the very next event dispatched, so it runs at once
-instead of taking a queue round trip.  Two sites do this: a process
+``(time, insertion order)``.  Events are dispatched in *batches* — all
+events queued at one timestamp are drained in one inner loop.  Ties are
+rare in the message-level traffic that dominates (about 1.005 events
+per batch on the HPCC kernels), so the engine also dispatches *in
+place*: when an event is about to be queued at the current time while
+nothing else is pending at that time — the running batch has no
+remainder and the queue holds nothing at ``now`` — the contract makes
+it the very next event dispatched, so it runs at once instead of taking
+a queue round trip.  Two sites do this: a process
 step that yields ``None`` or an already-triggered event, and
 :meth:`Event.fire`, the scheduled trigger that wakes a single waiter.
 Events run in place count as events (``events_processed``) and sample
@@ -41,7 +40,7 @@ from typing import Any
 
 from ..obs.context import current
 from .errors import DeadlockError, SimulationError
-from .sched import SchedulerBackend, make_backend
+from .sched import CalendarQueue
 
 #: Type alias for process generators.
 ProcessGen = Generator[Any, Any, Any]
@@ -256,24 +255,14 @@ class Process:
 
 
 class Engine:
-    """The discrete-event scheduler and virtual clock.
+    """The discrete-event scheduler and virtual clock."""
 
-    ``backend`` selects the pending-event queue implementation: a
-    registered name (``"heapq"``, ``"calendar"``, ``"macro"``), a
-    :class:`~repro.core.sched.SchedulerBackend` instance, or ``None`` for
-    the process default (``--engine-backend`` flag /
-    ``REPRO_ENGINE_BACKEND`` env var, falling back to ``calendar``).
-    Execution order — and therefore every simulated result — is identical
-    under every exact backend.
-    """
-
-    def __init__(self, backend: str | SchedulerBackend | None = None) -> None:
+    def __init__(self) -> None:
         self._now = 0.0
-        self._sched = make_backend(backend)
-        #: Raw absolute-time insert of the active backend.  The single
-        #: scheduling funnel: every event — sleeps, event wakeups, process
-        #: joins, transport callbacks — goes through this bound method, so
-        #: backend selection covers the whole event population.
+        self._sched = CalendarQueue()
+        #: Raw absolute-time insert of the queue.  The single scheduling
+        #: funnel: every event — sleeps, event wakeups, process joins,
+        #: transport callbacks — goes through this bound method.
         self._push = self._sched.push
         self._pending_at = self._sched.pending_at
         self._live_processes: set[Process] = set()
@@ -299,11 +288,6 @@ class Engine:
     def now(self) -> float:
         """Current virtual time in seconds."""
         return self._now
-
-    @property
-    def backend_name(self) -> str:
-        """Name of the scheduler backend this engine runs on."""
-        return self._sched.name
 
     def schedule(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
@@ -430,7 +414,7 @@ class Engine:
 
         True when an event queued at the current time would be the very
         next one dispatched: the running event is the last of its batch
-        and the backend holds nothing at ``now``.  Under the ``(time,
+        and the queue holds nothing at ``now``.  Under the ``(time,
         insertion order)`` contract the caller may then run that event
         in place — as the tail of the running event — with the same
         effect as queueing it.  A claimed event counts as processed and

@@ -1,10 +1,8 @@
 """Pluggable execution backends for the sweep executor.
 
-Mirror of :mod:`repro.core.sched`: where that module lifts the engine's
-event queue behind a registry of scheduler backends, this one lifts the
-*executor's* compute path behind a registry of execution backends, so how
-simulation points are fanned out can be swapped without touching sweep
-semantics:
+This module lifts the *executor's* compute path behind a registry of
+execution backends, so how simulation points are fanned out can be
+swapped without touching sweep semantics:
 
 * ``inline`` — compute every point serially in this process.  The
   reference backend and the library default.
@@ -51,8 +49,8 @@ from pathlib import Path
 from typing import Callable
 
 from ..config import EXEC_BACKEND_ENV
-from ..core import sched
 from ..core.errors import ConfigError
+from ..imb import fastpath
 from ..obs.context import RECORDERS, current, install
 from .points import SimPoint
 from .worker import PointRecord, compute_point
@@ -83,24 +81,24 @@ class WorkerContext:
 
     One picklable/JSON-able object replaces the positional initargs
     tuple that used to be threaded into the pool initializer: the names
-    of the enabled per-point recorders plus the scheduler-backend choice
-    (with the ``spawn`` start method a child would otherwise re-resolve
-    its own environment).
+    of the enabled per-point recorders plus the macro fast-path
+    threshold (with the ``spawn`` start method a child would otherwise
+    start exact whatever its parent runs).
     """
 
     recorders: tuple[str, ...] = ()
-    engine_backend: str | None = None
+    macro_above: int | None = None
 
     @classmethod
     def capture(cls) -> "WorkerContext":
         """Snapshot the ambient switches of the calling (parent) process."""
         return cls(recorders=tuple(name for name in RECORDERS
                                    if current(name).enabled),
-                   engine_backend=sched.default_backend_name())
+                   macro_above=fastpath.macro_above())
 
     def to_dict(self) -> dict:
         return {"recorders": list(self.recorders),
-                "engine_backend": self.engine_backend}
+                "macro_above": self.macro_above}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "WorkerContext":
@@ -117,7 +115,7 @@ class WorkerContext:
                 f"unknown recorder {unknown[0]!r} in worker context "
                 f"(registered: {', '.join(RECORDERS)})")
         return cls(recorders=recorders,
-                   engine_backend=doc.get("engine_backend"))
+                   macro_above=doc.get("macro_above"))
 
 
 def init_worker(ctx: WorkerContext) -> None:
@@ -133,8 +131,7 @@ def init_worker(ctx: WorkerContext) -> None:
     job message instead and ships the spans back in the protocol reply
     (see :mod:`repro.exec.fleet`).
     """
-    if ctx.engine_backend is not None:
-        sched.set_default_backend(ctx.engine_backend)
+    fastpath.set_macro_above(ctx.macro_above)
     for name in ctx.recorders:
         install(RECORDERS[name]())
 

@@ -32,7 +32,7 @@ import tempfile
 from pathlib import Path
 
 from ..config import DEFAULT_CACHE_DIR  # noqa: F401  (re-exported)
-from ..core import sched
+from ..imb import fastpath
 from .locks import FileLock, LockTimeout
 from .points import SimPoint
 
@@ -93,14 +93,9 @@ class ResultCache:
         return self.root / self.fingerprint[:GENERATION_PREFIX]
 
     def _path(self, point: SimPoint) -> Path:
-        blob = self.fingerprint + "\n" + point.key()
-        # Scheduler backends that can change results (the macro fast-path
-        # above its rank threshold) salt the address so approximate and
-        # exact results never alias.  Exact backends tag as None: heapq,
-        # calendar, and macro-below-threshold all share entries.
-        tag = sched.backend_result_tag()
-        if tag is not None:
-            blob += "\n" + tag
+        # The macro fast-path salts the address so approximate and exact
+        # results never alias.
+        blob = self.fingerprint + "\n" + fastpath.salt(point.key())
         digest = hashlib.sha256(blob.encode()).hexdigest()
         return self.generation_dir / digest[:2] / f"{digest}.pkl"
 
@@ -110,7 +105,7 @@ class ResultCache:
         try:
             with path.open("rb") as fh:
                 record = pickle.load(fh)
-        except (OSError, pickle.PickleError, EOFError, AttributeError):
+        except Exception:  # unreadable or corrupt entry: a counted miss
             self.misses += 1
             return None
         self.hits += 1

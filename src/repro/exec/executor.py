@@ -31,7 +31,7 @@ from time import perf_counter
 from typing import Any
 
 from ..config import default_jobs
-from ..core import sched
+from ..imb import fastpath
 from ..obs.context import RECORDERS, current
 from .backends import ExecBackend, ExecBackendError, make_exec_backend
 from .cache import ResultCache
@@ -177,10 +177,8 @@ class SweepExecutor:
             return records, [True] * len(pts)
 
         tel = current("telemetry")
-        tag = sched.backend_result_tag()
-        claims = [self.coalescer.claim(
-            pt.key() if tag is None else f"{pt.key()}\n{tag}")
-            for pt in pts]
+        claims = [self.coalescer.claim(fastpath.salt(pt.key()))
+                  for pt in pts]
         records: list[PointRecord | None] = [None] * len(pts)
         owned_flags = [c.owner for c in claims]
         owned_pairs: list[tuple[int, SimPoint]] = []

@@ -33,7 +33,7 @@ import traceback
 
 def serve(stdin, stdout) -> int:
     """Process protocol lines until shutdown/EOF; returns an exit code."""
-    # Imports deferred so ``init`` can set the scheduler backend before
+    # Imports deferred so ``init`` can set the fast-path threshold before
     # any engine state is touched — and so a protocol error in the very
     # first line doesn't pay the full model import.
     from ..obs.context import using

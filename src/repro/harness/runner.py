@@ -44,7 +44,6 @@ from time import perf_counter
 
 from ..api import normalize_figure_id, normalize_table_id
 from ..config import ReproConfig
-from ..core import sched
 from ..core.errors import ConfigError
 from ..exec import (
     ResultCache,
@@ -74,14 +73,16 @@ from .report import render_figure, render_table, save_figure, save_table
 from .tables import ALL_TABLES
 
 #: Bump when the BENCH_harness.json layout changes incompatibly.
-#: v2: ``harness.engine_backend`` records the scheduler backend the run
-#: used (and joins the ledger ``run_key``).
+#: v2: the ``harness`` block records the scheduler backend the run used
+#: (and it joins the ledger ``run_key``).
 #: v3: ``harness.exec_backend`` records the executor backend.
 #: v4: optional top-level ``energy`` section (per-component joules and
 #: totals, present only when the run had ``--energy`` on).
 #: v5: optional top-level ``telemetry`` section (distributed-trace
 #: summary, present only when the run had ``--telemetry`` on).
-BENCH_SCHEMA_VERSION = 5
+#: v6: ``harness.macro_above`` (``null`` when exact) replaces the
+#: scheduler backend name — there is one scheduler left to record.
+BENCH_SCHEMA_VERSION = 6
 
 # Id normalisation moved to the stable API surface; these aliases keep
 # the historical (internal) names importable.
@@ -215,11 +216,10 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--jobs", "-j", type=int, default=None,
                     help="worker processes for sweep points "
                          "(default: REPRO_JOBS env var, else CPU count)")
-    ap.add_argument("--engine-backend", default=None, metavar="NAME",
-                    help="scheduler backend for every simulation "
-                         f"({', '.join(sched.available_backends())}; "
-                         f"default: {sched.BACKEND_ENV} env var, else "
-                         f"{sched.FALLBACK_BACKEND})")
+    ap.add_argument("--macro-above", default=None, metavar="N",
+                    help="price IMB collectives analytically above N ranks "
+                         "(default: REPRO_MACRO_ABOVE env var, else exact "
+                         "everywhere)")
     ap.add_argument("--exec-backend", default=None, metavar="NAME",
                     help="executor backend for sweep points "
                          f"({', '.join(available_exec_backends())}; "
@@ -305,11 +305,10 @@ def main(argv: list[str] | None = None) -> int:
     # One resolver for every knob: explicit flag > env var > default.
     try:
         config = ReproConfig.from_env_and_args(args)
-        config.apply_engine_backend()
+        config.apply_macro_above()
     except (ConfigError, ValueError) as exc:  # e.g. non-integer REPRO_JOBS
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    engine_backend = config.engine_backend
 
     if args.cache_clear:
         ResultCache(config.cache_dir).clear()
@@ -553,7 +552,7 @@ def main(argv: list[str] | None = None) -> int:
         "fingerprint": fingerprint,
         "max_cpus": args.max_cpus,
         "jobs": executor.jobs,
-        "engine_backend": engine_backend,
+        "macro_above": config.macro_above,
         "exec_backend": config.exec_backend,
         "cache": None if cache is None else str(cache.root),
         "wall_s": round(wall_s, 6),
@@ -581,7 +580,7 @@ def main(argv: list[str] | None = None) -> int:
         ledger_path = (Path(args.ledger) if args.ledger
                        else bench_path.with_name("BENCH_ledger.jsonl"))
         ledger = RunLedger(ledger_path)
-        key = run_key(item_ids, args.max_cpus, engine_backend)
+        key = run_key(item_ids, args.max_cpus)
         row = {
             "when": round(time.time(), 3),
             "git_sha": sha,
@@ -590,7 +589,7 @@ def main(argv: list[str] | None = None) -> int:
             "items": item_ids,
             "max_cpus": args.max_cpus,
             "jobs": executor.jobs,
-            "engine_backend": engine_backend,
+            "macro_above": config.macro_above,
             "exec_backend": config.exec_backend,
             "wall_s": round(wall_s, 6),
             "points": totals["points"],

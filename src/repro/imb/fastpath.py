@@ -4,13 +4,15 @@ The IMB collective benchmarks are *steady state by construction*: every
 measured iteration performs the identical collective on the identical
 message size, so the per-iteration time the message-level simulation
 converges to is exactly what the closed forms in
-:mod:`repro.network.macro` price.  When the active scheduler backend
-licenses the fast-path (``--engine-backend macro``) **and** the rank
-count is strictly above :func:`repro.core.sched.macro_fastpath_threshold`,
+:mod:`repro.network.macro` price.  When the process-wide threshold is
+set (``--macro-above N`` or ``REPRO_MACRO_ABOVE``, resolved by
+:class:`repro.config.ReproConfig` and installed with
+:func:`set_macro_above`) and the rank count is strictly above it,
 :meth:`repro.imb.framework.IMBBenchmark.run` short-circuits the whole
 cluster simulation with one pricer call — this is what makes 100k–1M-rank
 scale studies tractable (the message-level path would schedule ~P log P
-events per collective call).
+events per collective call).  Unset, the default, every point is
+simulated exactly.
 
 Correctness discipline (mirrors the golden oracle's expectations):
 
@@ -18,18 +20,16 @@ Correctness discipline (mirrors the golden oracle's expectations):
   :mod:`repro.mpi.collectives` — size thresholds, power-of-two splits,
   small-communicator special cases — so the closed form always prices
   the same algorithm the message-level path would have scheduled.
-* The default threshold sits above the paper's largest configuration,
-  so every figure/table in the paper range is produced by the exact
-  message-level simulation under every backend; ``repro.validate``
-  proves that byte-for-byte.
+* Nothing is fast-pathed unless a threshold is set, so every
+  figure/table of a default run is produced by the exact message-level
+  simulation; ``repro.validate`` proves that byte-for-byte.
 * Fast-pathed results are never cache-compatible with exact results:
-  :func:`repro.core.sched.backend_result_tag` salts the result-cache key
-  whenever the fast-path is live.
+  :func:`result_tag` salts the result-cache address, the coalescer claim
+  key and the ledger ``run_key`` whenever a threshold is set.
 """
 
 from __future__ import annotations
 
-from ..core import sched
 from ..machine.system import MachineSpec
 from ..mpi.collectives import (
     ALLGATHER_TOTAL_SHORT,
@@ -41,16 +41,52 @@ from ..mpi.collectives import (
 )
 from ..network import macro
 
+#: Environment variable setting the fast-path rank threshold.
+MACRO_ABOVE_ENV = "REPRO_MACRO_ABOVE"
+
+#: Process-wide threshold: fast-path strictly above this many ranks;
+#: ``None`` simulates everything exactly.
+_macro_above: int | None = None
+
+
+def set_macro_above(n: int | None) -> int | None:
+    """Install (or with ``None`` clear) the threshold; returns the old one.
+
+    Callers validate ``n`` first: CLIs through
+    :meth:`repro.config.ReproConfig.from_env_and_args`, workers through
+    their parent's :class:`repro.exec.backends.WorkerContext`.
+    """
+    global _macro_above
+    previous, _macro_above = _macro_above, n
+    return previous
+
+
+def macro_above() -> int | None:
+    """The installed threshold, ``None`` when every point is exact."""
+    return _macro_above
+
 
 def fastpath_active(nprocs: int) -> bool:
-    """Whether the macro fast-path may replace a simulation at ``nprocs``.
+    """Whether the macro fast-path may replace a simulation at ``nprocs``."""
+    return _macro_above is not None and nprocs > _macro_above
 
-    Both gates must pass: the process-default scheduler backend carries
-    the ``macro_fastpath`` capability, and the rank count is strictly
-    above the configured threshold (`REPRO_MACRO_THRESHOLD`).
+
+def result_tag() -> str | None:
+    """Result salt for the fast-path mode, ``None`` when exact.
+
+    Fast-pathed points are priced analytically, so their results must
+    never be served to (or from) exact runs: the cache address, the
+    coalescer claim key and the ledger ``run_key`` all carry this tag.
     """
-    return (nprocs > sched.macro_fastpath_threshold()
-            and sched.macro_fastpath_active())
+    if _macro_above is None:
+        return None
+    return f"macro-fastpath>{_macro_above}"
+
+
+def salt(key: str) -> str:
+    """``key`` salted with :func:`result_tag`; unchanged when exact."""
+    tag = result_tag()
+    return key if tag is None else f"{key}\n{tag}"
 
 
 # -- per-benchmark pricers, mirroring mpi.collectives selection rules -------

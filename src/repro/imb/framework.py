@@ -142,10 +142,9 @@ class IMBBenchmark:
                            msg_bytes: int) -> float | None:
         """Analytic per-call time when the macro fast-path is licensed.
 
-        Returns ``None`` (simulate at message level) unless the active
-        scheduler backend enables the fast-path AND ``nprocs`` exceeds the
-        configured threshold AND a closed-form pricer exists for this
-        benchmark.  See :mod:`repro.imb.fastpath`.
+        Returns ``None`` (simulate at message level) unless ``nprocs``
+        exceeds the installed ``macro_above`` threshold AND a closed-form
+        pricer exists for this benchmark.  See :mod:`repro.imb.fastpath`.
         """
         from . import fastpath
 

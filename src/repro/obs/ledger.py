@@ -26,8 +26,8 @@ import subprocess
 from pathlib import Path
 
 #: Bump when the entry layout changes incompatibly.
-#: v2: entries carry ``engine_backend`` and it joins ``run_key`` — runs
-#: under different scheduler backends are different work, so their
+#: v2: entries carried the scheduler backend's name and it joined
+#: ``run_key`` — runs in different modes are different work, so their
 #: events/s never compete in the same trailing-median window.
 #: v4: energy-accounted runs carry ``energy_total_j`` /
 #: ``energy_avg_power_w`` / ``energy_edp_js``; energy-off rows omit the
@@ -40,6 +40,9 @@ from pathlib import Path
 #: v5: traced runs carry ``trace_id`` (and, for harness rows,
 #: ``trace_spans``) linking the row to its distributed job trace;
 #: telemetry-off rows omit the fields entirely.
+#: Still v5 since the scheduler backends went: rows carry ``macro_above``
+#: (``null`` when exact) instead of the backend name, a field swap the
+#: lenient readers absorb, so no reader needs to tell the layouts apart.
 LEDGER_SCHEMA_VERSION = 5
 
 #: Comparable runs required before regression flagging switches on.
@@ -63,11 +66,14 @@ def git_sha(repo_dir: str | Path | None = None) -> str:
     return sha if out.returncode == 0 and sha else "unknown"
 
 
-def run_key(items: list[str], max_cpus: int | None,
-            engine_backend: str | None = None) -> str:
-    """Stable key for "the same work": items + CPU cap + engine backend."""
+def run_key(items: list[str], max_cpus: int | None) -> str:
+    """Stable key for "the same work": items + CPU cap + the installed
+    macro fast-path mode (:func:`repro.imb.fastpath.result_tag`), so
+    fast-pathed runs never share a trailing-median window with exact ones.
+    """
+    from ..imb.fastpath import result_tag  # deferred: imb imports obs
     blob = json.dumps({"items": sorted(items), "max_cpus": max_cpus,
-                       "engine_backend": engine_backend},
+                       "fastpath": result_tag()},
                       sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 

@@ -37,7 +37,9 @@ def _add_exec_flags(p: argparse.ArgumentParser) -> None:
                    help="cap CPU sweeps (default: full scale)")
     p.add_argument("--jobs", "-j", type=int, default=None,
                    help="worker processes (default: REPRO_JOBS, else CPUs)")
-    p.add_argument("--engine-backend", default=None, metavar="NAME")
+    p.add_argument("--macro-above", default=None, metavar="N",
+                   help="price IMB collectives analytically above N ranks "
+                        "(default: REPRO_MACRO_ABOVE, else exact)")
     p.add_argument("--exec-backend", default=None, metavar="NAME")
     p.add_argument("--no-cache", action="store_true", default=None,
                    help="disable the on-disk result cache")
@@ -112,7 +114,7 @@ def _dispatch(args) -> int:
     # run / check need an executor.
     try:
         config = ReproConfig.from_env_and_args(args)
-        config.apply_engine_backend()
+        config.apply_macro_above()
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

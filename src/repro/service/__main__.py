@@ -38,7 +38,6 @@ import sys
 
 from ..api import normalize_item_id
 from ..config import ReproConfig
-from ..core import sched
 from ..core.errors import ConfigError
 from ..exec.backends import available_exec_backends
 from .queue import JOB_STATES, TERMINAL_STATES
@@ -77,9 +76,10 @@ def _add_config_flags(ap: argparse.ArgumentParser) -> None:
     ap.add_argument("--jobs", "-j", type=int, default=None,
                     help="worker processes per sweep (default: REPRO_JOBS "
                          "env var, else CPU count)")
-    ap.add_argument("--engine-backend", default=None, metavar="NAME",
-                    help="scheduler backend "
-                         f"({', '.join(sched.available_backends())})")
+    ap.add_argument("--macro-above", default=None, metavar="N",
+                    help="price IMB collectives analytically above N ranks "
+                         "(default: REPRO_MACRO_ABOVE env var, else exact "
+                         "everywhere)")
     ap.add_argument("--exec-backend", default=None, metavar="NAME",
                     help="executor backend "
                          f"({', '.join(available_exec_backends())}; "
@@ -171,7 +171,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "serve":
         try:
             config = ReproConfig.from_env_and_args(args)
-            config.apply_engine_backend()
+            config.apply_macro_above()
         except (ConfigError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
@@ -180,7 +180,7 @@ def main(argv: list[str] | None = None) -> int:
         tel = " telemetry=on" if config.telemetry else ""
         print(f"[repro.service: spool={spool.root} "
               f"workers={args.workers} jobs={config.jobs} "
-              f"exec={config.exec_backend} engine={config.engine_backend}"
+              f"exec={config.exec_backend} macro_above={config.macro_above}"
               f"{tel}]")
         try:
             n = server.run(once=args.once, max_wall_s=args.max_wall)

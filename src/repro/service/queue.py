@@ -122,7 +122,7 @@ class JobQueue:
                  events_path: str | Path | None = None) -> None:
         self.config = config if config is not None \
             else ReproConfig.from_env_and_args()
-        self.config.apply_engine_backend()
+        self.config.apply_macro_above()
         self.cache = cache if cache is not None else self.config.make_cache()
         self.coalescer = PointCoalescer()
         self.artifacts_dir = (Path(artifacts_dir)
@@ -505,14 +505,13 @@ class JobQueue:
             "when": round(time.time(), 3),
             "git_sha": git_sha(),
             "fingerprint": source_fingerprint(),
-            "run_key": run_key(list(job.items), job.max_cpus,
-                               self.config.engine_backend),
+            "run_key": run_key(list(job.items), job.max_cpus),
             "service": job.id,
             "state": state if state is not None else job.state,
             "items": list(job.items),
             "max_cpus": job.max_cpus,
             "jobs": self.config.jobs,
-            "engine_backend": self.config.engine_backend,
+            "macro_above": self.config.macro_above,
             "exec_backend": self.config.exec_backend,
             "wall_s": wall,
             "points": stats.get("points", 0),

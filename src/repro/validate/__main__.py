@@ -19,7 +19,6 @@ import argparse
 import sys
 
 from ..config import ReproConfig
-from ..core import sched
 from ..core.errors import ConfigError
 from ..exec import available_exec_backends, using_executor
 from ..harness.figures import ALL_FIGURES
@@ -58,11 +57,10 @@ def main(argv: list[str] | None = None) -> int:
                     help="write the machine-readable report JSON to PATH")
     ap.add_argument("--jobs", "-j", type=int, default=None,
                     help="worker processes for sweep points")
-    ap.add_argument("--engine-backend", default=None, metavar="NAME",
-                    help="scheduler backend for every simulation "
-                         f"({', '.join(sched.available_backends())}; "
-                         f"default: {sched.BACKEND_ENV} env var, else "
-                         f"{sched.FALLBACK_BACKEND})")
+    ap.add_argument("--macro-above", default=None, metavar="N",
+                    help="price IMB collectives analytically above N ranks "
+                         "(default: REPRO_MACRO_ABOVE env var, else exact "
+                         "everywhere)")
     ap.add_argument("--exec-backend", default=None, metavar="NAME",
                     help="executor backend for sweep points "
                          f"({', '.join(available_exec_backends())}; "
@@ -114,7 +112,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         config = ReproConfig.from_env_and_args(args)
-        config.apply_engine_backend()
+        config.apply_macro_above()
         executor = config.make_executor()
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,15 +16,15 @@ from repro.config import (
     ReproConfig,
     default_jobs,
 )
-from repro.core import sched
 from repro.core.errors import ConfigError
+from repro.imb.fastpath import MACRO_ABOVE_ENV
 
 
 @pytest.fixture(autouse=True)
 def _clean_env(monkeypatch):
     """Every test starts from an unconfigured environment."""
     for var in (JOBS_ENV, EXEC_BACKEND_ENV, CACHE_DIR_ENV, NO_CACHE_ENV,
-                sched.BACKEND_ENV):
+                MACRO_ABOVE_ENV):
         monkeypatch.delenv(var, raising=False)
 
 
@@ -35,7 +35,7 @@ def _clean_env(monkeypatch):
 def test_defaults():
     cfg = ReproConfig.from_env_and_args(jobs=1)
     assert cfg.jobs == 1
-    assert cfg.engine_backend == sched.FALLBACK_BACKEND
+    assert cfg.macro_above is None  # exact everywhere
     assert cfg.exec_backend == "inline"
     assert cfg.cache_dir == DEFAULT_CACHE_DIR
     assert cfg.cache is True
@@ -69,7 +69,7 @@ def test_explicit_beats_env(monkeypatch):
 
 def test_namespace_args_supply_explicit_layer(monkeypatch):
     monkeypatch.setenv(JOBS_ENV, "7")
-    args = argparse.Namespace(jobs=2, engine_backend=None,
+    args = argparse.Namespace(jobs=2, macro_above=None,
                               exec_backend="inline", cache_dir=None,
                               no_cache=None)
     cfg = ReproConfig.from_env_and_args(args)
@@ -87,9 +87,35 @@ def test_keyword_beats_namespace():
 # Validation failures
 # ---------------------------------------------------------------------------
 
-def test_unknown_engine_backend():
-    with pytest.raises(ConfigError, match="unknown engine backend"):
-        ReproConfig.from_env_and_args(engine_backend="nope")
+def test_macro_above_flag_beats_env(monkeypatch):
+    monkeypatch.setenv(MACRO_ABOVE_ENV, "64")
+    assert ReproConfig.from_env_and_args().macro_above == 64
+    assert ReproConfig.from_env_and_args(macro_above="0").macro_above == 0
+    args = argparse.Namespace(macro_above="2048")
+    assert ReproConfig.from_env_and_args(args).macro_above == 2048
+
+
+@pytest.mark.parametrize("raw, match", [
+    ("not-a-number", "must be an integer"),
+    ("1.5", "must be an integer"),
+    ("-1", "must be >= 0"),
+], ids=["garbage", "fraction", "negative"])
+def test_bad_macro_above(monkeypatch, raw, match):
+    with pytest.raises(ConfigError, match=f"--macro-above {match}"):
+        ReproConfig.from_env_and_args(macro_above=raw)
+    monkeypatch.setenv(MACRO_ABOVE_ENV, raw)
+    with pytest.raises(ConfigError, match=f"{MACRO_ABOVE_ENV} {match}"):
+        ReproConfig.from_env_and_args()
+
+
+def test_bad_macro_above_is_a_usage_error(monkeypatch, capsys):
+    from repro.harness.runner import main as runner_main
+
+    assert runner_main(["--table", "2", "--macro-above", "abc"]) == 2
+    assert "--macro-above must be an integer" in capsys.readouterr().err
+    monkeypatch.setenv(MACRO_ABOVE_ENV, "-3")
+    assert runner_main(["--table", "2"]) == 2
+    assert f"{MACRO_ABOVE_ENV} must be >= 0" in capsys.readouterr().err
 
 
 def test_unknown_exec_backend():
@@ -149,6 +175,6 @@ def test_make_executor_wires_everything(tmp_path):
 def test_to_dict_roundtrips_fields():
     cfg = ReproConfig.from_env_and_args(jobs=2, exec_backend="pool")
     doc = cfg.to_dict()
-    assert doc == {"jobs": 2, "engine_backend": cfg.engine_backend,
+    assert doc == {"jobs": 2, "macro_above": None,
                    "exec_backend": "pool", "cache_dir": cfg.cache_dir,
                    "cache": True, "energy": False, "telemetry": False}

@@ -6,15 +6,14 @@ a time, nothing ever run in place.  Random programs (ties, zero-delay
 yields, waits on fired and pending events, scheduled triggers with any
 number of waiters, direct triggers, joins, bounded runs) must produce
 the same side-effect order, clock, event count and queue high-water mark
-on the :class:`~repro.core.engine.Engine` as on the reference, under
-both exact backends.
+on the :class:`~repro.core.engine.Engine` as on the reference.  It is
+the one ordering oracle for the engine and its calendar queue.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -189,11 +188,42 @@ def execute(eng, program):
     return first, run(), log
 
 
-@pytest.mark.parametrize("backend", ["heapq", "calendar"])
 @settings(max_examples=300, deadline=None)
 @given(program=programs)
-def test_engine_matches_reference_dispatch(backend, program):
+def test_engine_matches_reference_dispatch(program):
     expected = execute(RefEngine(), program)
     with using(MetricsRegistry(enabled=True)):
-        eng = Engine(backend=backend)
+        eng = Engine()
     assert execute(eng, program) == expected
+
+
+def test_interleaved_workload_matches_reference():
+    """One fixed interleaving — sleeps, scheduled triggers, same-time
+    re-schedules and joins with return values — logs identically on the
+    engine and on the reference."""
+
+    def trace(eng):
+        log = []
+
+        def child(i):
+            yield 0.25 * i
+            log.append(("child", i, eng.now))
+            return i * 10
+
+        def prog(i):
+            ev = eng.event()
+            eng.schedule(0.5, ev.trigger, i)
+            got = yield ev
+            log.append(("event", got, eng.now))
+            yield None
+            v = yield eng.spawn(child(i), f"c{i}")
+            log.append(("join", v, eng.now))
+            yield 0.125
+            log.append(("done", i, eng.now))
+
+        for i in range(4):
+            eng.spawn(prog(i), f"p{i}")
+        eng.run()
+        return log, eng.now, eng.events_processed
+
+    assert trace(Engine()) == trace(RefEngine())

@@ -1,18 +1,9 @@
-"""Engine hot-path regression guard: counters plus a micro-benchmark.
-
-The micro-benchmark runs once per scheduler backend; the sweep-level
-guard renders one real figure under every backend and requires the
-output text to be byte-identical — the determinism contract that lets
-``--engine-backend`` be a pure performance knob inside the paper range.
-"""
+"""Engine hot-path regression guard: counters plus a micro-benchmark."""
 
 from __future__ import annotations
 
 from time import perf_counter
 
-import pytest
-
-from repro.core import sched
 from repro.core.engine import EVENT_STATS, Engine, events_processed_total
 
 #: Fixed micro-benchmark workload: 8 processes x 10k sleep yields.
@@ -50,9 +41,8 @@ def test_engine_counts_accumulate_across_runs():
     assert eng.events_processed == 8
 
 
-@pytest.mark.parametrize("backend", sorted(sched.BACKENDS))
-def test_engine_event_loop_micro_benchmark(backend):
-    eng = Engine(backend=backend)
+def test_engine_event_loop_micro_benchmark():
+    eng = Engine()
     for i in range(N_PROCS):
         eng.spawn(_sleeper(N_YIELDS), name=f"p{i}")
     t0 = perf_counter()
@@ -61,28 +51,9 @@ def test_engine_event_loop_micro_benchmark(backend):
     expected = N_PROCS * (N_YIELDS + 1)
     assert eng.events_processed == expected
     assert elapsed < BUDGET_S, (
-        f"[{backend}] engine processed {expected} events in {elapsed:.2f}s "
+        f"engine processed {expected} events in {elapsed:.2f}s "
         f"({expected / elapsed:,.0f} ev/s); budget is {BUDGET_S}s"
     )
-
-
-def test_sweep_output_byte_identical_across_backends():
-    """Figure 12 at a small cap, rendered under each backend, must agree
-    to the byte — including under ``macro``, whose fast-path only fires
-    above the rank threshold and so never inside the paper range."""
-    from repro.harness.figures import ALL_FIGURES
-    from repro.harness.report import render_figure
-
-    def render(backend):
-        previous = sched.set_default_backend(backend)
-        try:
-            return render_figure(ALL_FIGURES["fig12"](max_cpus=8))
-        finally:
-            sched.set_default_backend(previous)
-
-    ref = render("heapq")
-    assert render("calendar") == ref
-    assert render("macro") == ref
 
 
 def test_engine_mixed_yields_still_supported():

@@ -134,6 +134,21 @@ def test_cache_ignores_corrupt_entry(tmp_path):
     assert cache.get(pt) is None  # treated as a miss, not an error
 
 
+@pytest.mark.parametrize("blob", [
+    b"I12x\n.",                # pickle.load raises ValueError
+    b"cnot_a_module\nX\n.",    # pickle.load raises ModuleNotFoundError
+], ids=["value_error", "module_not_found"])
+def test_cache_counts_unloadable_entry_as_miss(tmp_path, blob):
+    cache = ResultCache(tmp_path / "cache", fingerprint="fp")
+    pt = SimPoint.make("imb", "xeon", 2, benchmark="Sendrecv",
+                       msg_bytes=1024)
+    path = cache._path(pt)
+    path.parent.mkdir(parents=True)
+    path.write_bytes(blob)
+    assert cache.get(pt) is None
+    assert (cache.hits, cache.misses) == (0, 1)
+
+
 def test_source_fingerprint_tracks_content(tmp_path):
     tree = tmp_path / "pkg"
     tree.mkdir()

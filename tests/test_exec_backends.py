@@ -234,8 +234,7 @@ def test_point_and_record_encode_roundtrip():
 
 
 def test_worker_context_roundtrip():
-    ctx = WorkerContext(recorders=("metrics", "timeline"),
-                        engine_backend="heap")
+    ctx = WorkerContext(recorders=("metrics", "timeline"), macro_above=2048)
     assert WorkerContext.from_dict(ctx.to_dict()) == ctx
 
 
@@ -249,4 +248,4 @@ def test_worker_context_rejects_unknown_recorder():
 def test_worker_context_capture_defaults():
     ctx = WorkerContext.capture()
     assert ctx.recorders == ()  # every ambient recorder is off in tests
-    assert ctx.engine_backend is not None
+    assert ctx.macro_above is None  # exact unless a threshold is set

@@ -48,7 +48,7 @@ def _serve_lines(*msgs: object) -> list[dict]:
     return [json.loads(line) for line in stdout.getvalue().splitlines()]
 
 
-_INIT = {"op": "init", "ctx": WorkerContext(engine_backend="heapq").to_dict()}
+_INIT = {"op": "init", "ctx": WorkerContext().to_dict()}
 
 
 # -- worker side: the protocol loop -------------------------------------------

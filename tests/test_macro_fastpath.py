@@ -1,14 +1,13 @@
 """The macro fast-path: gating, pricing, cache isolation, scale studies.
 
 The analytic fast-path (:mod:`repro.imb.fastpath`) may replace a
-message-level IMB collective simulation only when BOTH gates pass: the
-process-default scheduler backend is ``macro`` AND the rank count is
-strictly above ``REPRO_MACRO_THRESHOLD`` (default: one past the paper's
-largest 2024-CPU configuration).  Inside the paper range every backend
-must therefore produce byte-identical results; above the threshold the
-fast-path must return exactly what the pricers compute, in microseconds
-of host time rather than minutes, and its results must never share
-cache entries with exact-mode results.
+message-level IMB collective simulation only when ``macro_above`` is set
+(``--macro-above N`` / ``REPRO_MACRO_ABOVE``) AND the rank count is
+strictly above it.  Unset — the default — every point is simulated
+exactly.  Above the threshold the fast-path must return exactly what the
+pricers compute, in microseconds of host time rather than minutes, and
+its results must never share a cache entry, a coalescer claim or a
+ledger ``run_key`` with exact-mode results.
 """
 
 from __future__ import annotations
@@ -18,54 +17,62 @@ import math
 import pytest
 
 from repro import get_machine
-from repro.core import sched
-from repro.exec import ResultCache, SimPoint
+from repro.config import ReproConfig
+from repro.exec import ResultCache, SimPoint, SweepExecutor
 from repro.imb import fastpath
 from repro.imb.framework import BENCHMARKS, get_benchmark
+from repro.obs import run_key
+from repro.service.coalesce import PointCoalescer
 
 COLLECTIVES = ["Barrier", "Bcast", "Reduce", "Allreduce", "Reduce_scatter",
                "Allgather", "Allgatherv", "Alltoall"]
 
 
 @pytest.fixture(autouse=True)
-def _clean_default():
-    previous = sched.set_default_backend(None)
+def _exact_by_default():
+    previous = fastpath.set_macro_above(None)
     yield
-    sched.set_default_backend(previous)
+    fastpath.set_macro_above(previous)
 
 
 # -- gating --------------------------------------------------------------------
 
-def test_fastpath_needs_both_gates(monkeypatch):
-    monkeypatch.delenv(sched.THRESHOLD_ENV, raising=False)
-    thr = sched.DEFAULT_MACRO_THRESHOLD
-    sched.set_default_backend("macro")
-    assert not fastpath.fastpath_active(thr)        # strictly above only
-    assert fastpath.fastpath_active(thr + 1)
-    for exact in ("heapq", "calendar"):
-        sched.set_default_backend(exact)
-        assert not fastpath.fastpath_active(1 << 20)
+def test_fastpath_fires_strictly_above_macro_above():
+    fastpath.set_macro_above(2048)
+    assert not fastpath.fastpath_active(2048)       # strictly above only
+    assert fastpath.fastpath_active(2049)
+    fastpath.set_macro_above(None)
+    assert not any(fastpath.fastpath_active(p) for p in (0, 1, 2049, 1 << 30))
 
 
-def test_default_threshold_covers_paper_range():
+def test_default_threshold_covers_paper_range(monkeypatch):
     """Every configuration the paper measured must simulate exactly."""
     from repro.machine import MACHINES
 
+    monkeypatch.delenv(fastpath.MACRO_ABOVE_ENV, raising=False)
     largest = max(m.max_cpus for m in MACHINES.values())
-    assert largest <= sched.DEFAULT_MACRO_THRESHOLD
+    assert ReproConfig.from_env_and_args(jobs=1).macro_above is None
+    assert not fastpath.fastpath_active(largest)
+    fastpath.set_macro_above(2048)                  # the scale-study setting
+    assert not fastpath.fastpath_active(largest)
 
 
-def test_paper_range_results_identical_across_backends():
+def test_paper_range_results_identical_under_macro_above():
     m = get_machine("xeon")
 
-    def measure(backend):
-        sched.set_default_backend(backend)
+    def measure(n):
+        fastpath.set_macro_above(n)
         r = get_benchmark("Allreduce").run(m, 16)
         return r.time_us, r.bandwidth_mbs
 
-    ref = measure("heapq")
-    assert measure("calendar") == ref
-    assert measure("macro") == ref   # below threshold: macro is exact too
+    # 16 ranks is not above 16 or 2048: simulated exactly either way
+    assert measure(None) == measure(2048) == measure(16)
+
+
+def test_result_tag_names_the_threshold():
+    assert fastpath.result_tag() is None
+    fastpath.set_macro_above(2048)
+    assert fastpath.result_tag() == "macro-fastpath>2048"
 
 
 # -- pricing -------------------------------------------------------------------
@@ -93,11 +100,10 @@ def test_prices_are_finite_positive_and_scale(name, p):
         assert bigger > t
 
 
-def test_run_above_threshold_returns_priced_time(monkeypatch):
+def test_run_above_threshold_returns_priced_time():
     """Above the threshold, IMBBenchmark.run must short-circuit to the
     pricer — same value, no cluster construction at 8192 ranks."""
-    monkeypatch.setenv(sched.THRESHOLD_ENV, "1024")
-    sched.set_default_backend("macro")
+    fastpath.set_macro_above(1024)
     m = get_machine("xeon").scaled(8192)
     for name in COLLECTIVES:
         r = get_benchmark(name).run(m, 8192)
@@ -106,38 +112,71 @@ def test_run_above_threshold_returns_priced_time(monkeypatch):
         assert r.check() == []
 
 
-def test_lowered_threshold_prices_close_to_simulation(monkeypatch):
+def test_lowered_threshold_prices_close_to_simulation():
     """With the threshold lowered into simulable range, the fast-path
     must stay within the same tolerance band the macro agreement suite
     licenses for the closed forms."""
     m = get_machine("xeon")
-    sched.set_default_backend("calendar")
     exact = get_benchmark("Allreduce").run(m, 32).time_us
-    monkeypatch.setenv(sched.THRESHOLD_ENV, "16")
-    sched.set_default_backend("macro")
+    fastpath.set_macro_above(16)
     fast = get_benchmark("Allreduce").run(m, 32).time_us
     assert fast == pytest.approx(exact, rel=0.6)
 
 
 # -- cache isolation -----------------------------------------------------------
 
-def test_fastpath_results_never_alias_exact_cache_entries(monkeypatch):
-    monkeypatch.delenv(sched.THRESHOLD_ENV, raising=False)
+def test_fastpath_results_never_alias_exact_cache_entries():
     cache = ResultCache("unused-dir", fingerprint="fixed")
     pt = SimPoint.make("imb", "xeon", 4096, benchmark="Allreduce")
-    sched.set_default_backend("heapq")
-    p_heapq = cache._path(pt)
-    sched.set_default_backend("calendar")
-    p_cal = cache._path(pt)
-    sched.set_default_backend("macro")
-    p_macro = cache._path(pt)
-    # exact backends share entries (that's what makes cache-warm
-    # cross-backend runs byte-identical); fast-path mode never does
-    assert p_heapq == p_cal
-    assert p_macro != p_heapq
+    exact = cache._path(pt)
+    fastpath.set_macro_above(2048)
+    fast = cache._path(pt)
+    assert fast != exact
     # and the threshold is part of the salt
-    monkeypatch.setenv(sched.THRESHOLD_ENV, "512")
-    assert cache._path(pt) != p_macro
+    fastpath.set_macro_above(512)
+    assert cache._path(pt) not in (exact, fast)
+
+
+def test_fastpath_runs_never_share_coalescer_claims():
+    """An exact sweep and a fast-path sweep of the same point are
+    different work: neither may wait on the other's claim."""
+
+    class RecordingCoalescer(PointCoalescer):
+        def claim(self, key):
+            keys.append(key)
+            return super().claim(key)
+
+    keys = []
+    executor = SweepExecutor(jobs=1, cache=None,
+                             coalescer=RecordingCoalescer())
+    pt = SimPoint.make("imb", "xeon", 2, benchmark="Allreduce",
+                       msg_bytes=1024)
+    executor.run_points([pt])
+    fastpath.set_macro_above(2048)
+    executor.run_points([pt])
+    exact_key, fast_key = keys
+    assert exact_key == pt.key()
+    assert fast_key == f"{pt.key()}\nmacro-fastpath>2048"
+
+
+@pytest.mark.parametrize("backend", ["pool", "subprocess"])
+def test_workers_inherit_macro_above(backend):
+    """The threshold reaches worker processes through their context."""
+    pts = [SimPoint.make("imb", "xeon", p, benchmark="Allreduce",
+                         msg_bytes=1024) for p in (32, 64)]
+    exact = SweepExecutor(jobs=1, cache=None).run_points(pts)
+    fastpath.set_macro_above(16)
+    inline = SweepExecutor(jobs=1, cache=None).run_points(pts)
+    with SweepExecutor(jobs=2, cache=None, backend=backend) as ex:
+        assert ex.run_points(pts) == inline != exact
+
+
+def test_fastpath_runs_are_different_ledger_work():
+    exact = run_key(["fig12"], 32)
+    fastpath.set_macro_above(2048)
+    fast = run_key(["fig12"], 32)
+    fastpath.set_macro_above(512)
+    assert len({exact, fast, run_key(["fig12"], 32)}) == 3
 
 
 # -- scale-study machine scaling ----------------------------------------------

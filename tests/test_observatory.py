@@ -16,7 +16,6 @@ import json
 
 import pytest
 
-from repro.core import sched
 from repro.core.trace import MessageRecord, Tracer
 from repro.exec import ResultCache, SimPoint, SweepExecutor
 from repro.harness.runner import BENCH_SCHEMA_VERSION
@@ -649,14 +648,14 @@ def test_runner_report_and_ledger_cli(tmp_path, capsys):
     bench_doc = json.loads(bench.read_text())
     assert bench_doc["schema_version"] == BENCH_SCHEMA_VERSION
     assert bench_doc["harness"]["git_sha"]
-    assert bench_doc["harness"]["engine_backend"] in sched.available_backends()
+    assert bench_doc["harness"]["macro_above"] is None
     assert bench_doc["totals"]["points"] > 0
 
     entries = RunLedger(ledger).entries()
     assert len(entries) == 1
     assert entries[0]["items"] == ["fig12"]
     assert entries[0]["schema_version"] == LEDGER_SCHEMA_VERSION
-    assert entries[0]["engine_backend"] == bench_doc["harness"]["engine_backend"]
+    assert entries[0]["macro_above"] is None
 
     doc = read_report_doc(report)
     assert doc["schema_version"] == REPORT_SCHEMA_VERSION
