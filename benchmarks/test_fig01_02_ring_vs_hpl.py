@@ -10,20 +10,21 @@ crossover are asserted too.
 
 import pytest
 
-from repro.harness import fig01, fig02
+from repro.api import run_figure
 from benchmarks.conftest import HPCC_MAX_CPUS, y_at_cpus
 
 
 @pytest.fixture(scope="module")
 def figures():
-    f1 = fig01(max_cpus=HPCC_MAX_CPUS)
-    f2 = fig02(max_cpus=HPCC_MAX_CPUS)
+    f1 = run_figure("fig01", max_cpus=HPCC_MAX_CPUS)
+    f2 = run_figure("fig02", max_cpus=HPCC_MAX_CPUS)
     return f1, f2
 
 
 def test_fig01_accumulated_bandwidth(benchmark, figures):
     f1, _ = figures
-    benchmark.pedantic(lambda: fig01(max_cpus=16), rounds=1, iterations=1)
+    benchmark.pedantic(lambda: run_figure("fig01", max_cpus=16),
+                       rounds=1, iterations=1)
     # accumulated bandwidth grows with system size on every machine once
     # the run spans multiple nodes (the first points on fat-node systems
     # are intra-node-inflated, as in the paper's leftmost samples)
@@ -37,7 +38,8 @@ def test_fig01_accumulated_bandwidth(benchmark, figures):
 
 def test_fig02_ratio_anchors(benchmark, figures):
     _, f2 = figures
-    benchmark.pedantic(lambda: fig02(max_cpus=16), rounds=1, iterations=1)
+    benchmark.pedantic(lambda: run_figure("fig02", max_cpus=16),
+                       rounds=1, iterations=1)
 
     # SGI Altix NL4 in-box plateau ~203 B/KFlop (paper: 203.12)
     nl4_64 = y_at_cpus(f2, "altix_nl4", 64)

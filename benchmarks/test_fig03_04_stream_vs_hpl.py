@@ -7,18 +7,20 @@ with CPU count because HPL efficiency decreases.
 
 import pytest
 
-from repro.harness import fig03, fig04
+from repro.api import run_figure
 from benchmarks.conftest import HPCC_MAX_CPUS
 
 
 @pytest.fixture(scope="module")
 def figures():
-    return fig03(max_cpus=HPCC_MAX_CPUS), fig04(max_cpus=HPCC_MAX_CPUS)
+    return (run_figure("fig03", max_cpus=HPCC_MAX_CPUS),
+            run_figure("fig04", max_cpus=HPCC_MAX_CPUS))
 
 
 def test_fig03_accumulated_stream(benchmark, figures):
     f3, _ = figures
-    benchmark.pedantic(lambda: fig03(max_cpus=16), rounds=1, iterations=1)
+    benchmark.pedantic(lambda: run_figure("fig03", max_cpus=16),
+                       rounds=1, iterations=1)
     # linear growth: doubling CPUs doubles accumulated bandwidth
     for s in f3.series:
         assert s.y[1] == pytest.approx(2 * s.y[0], rel=0.05)
@@ -31,7 +33,8 @@ def test_fig03_accumulated_stream(benchmark, figures):
 
 def test_fig04_byte_per_flop_anchors(benchmark, figures):
     _, f4 = figures
-    benchmark.pedantic(lambda: fig04(max_cpus=16), rounds=1, iterations=1)
+    benchmark.pedantic(lambda: run_figure("fig04", max_cpus=16),
+                       rounds=1, iterations=1)
 
     sx8 = f4.by_machine("sx8").y
     assert all(v > 2.67 for v in sx8)          # paper: "consistently above"

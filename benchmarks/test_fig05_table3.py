@@ -9,8 +9,8 @@ leads ring latency, and each column's normalised winner scores 1.0.
 import pytest
 
 from repro.analysis.ratios import best_machine
-from repro.harness import fig05
-from repro.harness.tables import table3
+from repro.api import run_table
+from repro.scenarios import get_scenario
 from benchmarks.conftest import BENCH_MAX_CPUS
 
 # Fig 5 needs the flagship configurations to be meaningful; cap only if
@@ -20,12 +20,13 @@ CAP = None if BENCH_MAX_CPUS >= 64 else BENCH_MAX_CPUS
 
 @pytest.fixture(scope="module")
 def kiviat():
-    return fig05(max_cpus=CAP)
+    return get_scenario("fig05").run_with_data(CAP)
 
 
 def test_fig05_normalised_columns(benchmark, kiviat):
     fig, data = kiviat
-    benchmark.pedantic(lambda: table3(max_cpus=CAP), rounds=1, iterations=1)
+    benchmark.pedantic(lambda: run_table("table3", max_cpus=CAP),
+                       rounds=1, iterations=1)
 
     # every column's best system is exactly 1.0 after normalisation
     for col in data.columns:

@@ -8,17 +8,18 @@ largest CPU counts it can field next to the commodity clusters.
 
 import pytest
 
-from repro.harness import fig06
+from repro.api import run_figure
 from benchmarks.conftest import BENCH_MAX_CPUS, series_map
 
 
 @pytest.fixture(scope="module")
 def fig():
-    return fig06(max_cpus=BENCH_MAX_CPUS)
+    return run_figure("fig06", max_cpus=BENCH_MAX_CPUS)
 
 
 def test_fig06_barrier_shapes(benchmark, fig):
-    benchmark.pedantic(lambda: fig06(max_cpus=8), rounds=1, iterations=1)
+    benchmark.pedantic(lambda: run_figure("fig06", max_cpus=8),
+                       rounds=1, iterations=1)
     data = series_map(fig)
 
     # monotone growth with CPU count on every machine

@@ -8,17 +8,18 @@ and both ahead of the Opteron cluster.
 
 import pytest
 
-from repro.harness import fig08
+from repro.api import run_figure
 from benchmarks.conftest import BENCH_MAX_CPUS, series_map
 
 
 @pytest.fixture(scope="module")
 def fig():
-    return fig08(max_cpus=BENCH_MAX_CPUS)
+    return run_figure("fig08", max_cpus=BENCH_MAX_CPUS)
 
 
 def test_fig08_reduce_shapes(benchmark, fig):
-    benchmark.pedantic(lambda: fig08(max_cpus=8), rounds=1, iterations=1)
+    benchmark.pedantic(lambda: run_figure("fig08", max_cpus=8),
+                       rounds=1, iterations=1)
     data = series_map(fig)
 
     def at(machine, p):

@@ -7,18 +7,20 @@ the scalar systems are an order of magnitude behind the SX-8.
 
 import pytest
 
-from repro.harness import fig08, fig09
+from repro.api import run_figure
 from benchmarks.conftest import BENCH_MAX_CPUS, series_map
 
 
 @pytest.fixture(scope="module")
 def figs():
-    return fig08(max_cpus=BENCH_MAX_CPUS), fig09(max_cpus=BENCH_MAX_CPUS)
+    return (run_figure("fig08", max_cpus=BENCH_MAX_CPUS),
+            run_figure("fig09", max_cpus=BENCH_MAX_CPUS))
 
 
 def test_fig09_reduce_scatter_shapes(benchmark, figs):
     f8, f9 = figs
-    benchmark.pedantic(lambda: fig09(max_cpus=8), rounds=1, iterations=1)
+    benchmark.pedantic(lambda: run_figure("fig09", max_cpus=8),
+                       rounds=1, iterations=1)
     d8, d9 = series_map(f8), series_map(f9)
 
     def at(d, machine, p):

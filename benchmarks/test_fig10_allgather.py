@@ -7,17 +7,18 @@ of the X1; Altix and Xeon almost the same, ahead of the Opteron cluster.
 
 import pytest
 
-from repro.harness import fig10
+from repro.api import run_figure
 from benchmarks.conftest import BENCH_MAX_CPUS, series_map
 
 
 @pytest.fixture(scope="module")
 def fig():
-    return fig10(max_cpus=BENCH_MAX_CPUS)
+    return run_figure("fig10", max_cpus=BENCH_MAX_CPUS)
 
 
 def test_fig10_allgather_shapes(benchmark, fig):
-    benchmark.pedantic(lambda: fig10(max_cpus=8), rounds=1, iterations=1)
+    benchmark.pedantic(lambda: run_figure("fig10", max_cpus=8),
+                       rounds=1, iterations=1)
     data = series_map(fig)
 
     def at(machine, p):

@@ -8,18 +8,20 @@ curve changes regime between 8 and 16 CPUs (single node -> multi node).
 
 import pytest
 
-from repro.harness import fig10, fig11
+from repro.api import run_figure
 from benchmarks.conftest import BENCH_MAX_CPUS, series_map
 
 
 @pytest.fixture(scope="module")
 def figs():
-    return fig10(max_cpus=BENCH_MAX_CPUS), fig11(max_cpus=BENCH_MAX_CPUS)
+    return (run_figure("fig10", max_cpus=BENCH_MAX_CPUS),
+            run_figure("fig11", max_cpus=BENCH_MAX_CPUS))
 
 
 def test_fig11_allgatherv_shapes(benchmark, figs):
     f10, f11 = figs
-    benchmark.pedantic(lambda: fig11(max_cpus=8), rounds=1, iterations=1)
+    benchmark.pedantic(lambda: run_figure("fig11", max_cpus=8),
+                       rounds=1, iterations=1)
     d10, d11 = series_map(f10), series_map(f11)
 
     # Allgatherv tracks Allgather point-for-point on every machine

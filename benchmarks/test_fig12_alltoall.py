@@ -11,17 +11,18 @@ before Myrinet falls behind.
 
 import pytest
 
-from repro.harness import fig12
+from repro.api import run_figure
 from benchmarks.conftest import BENCH_MAX_CPUS, series_map
 
 
 @pytest.fixture(scope="module")
 def fig():
-    return fig12(max_cpus=BENCH_MAX_CPUS)
+    return run_figure("fig12", max_cpus=BENCH_MAX_CPUS)
 
 
 def test_fig12_alltoall_shapes(benchmark, fig):
-    benchmark.pedantic(lambda: fig12(max_cpus=8), rounds=1, iterations=1)
+    benchmark.pedantic(lambda: run_figure("fig12", max_cpus=8),
+                       rounds=1, iterations=1)
     data = series_map(fig)
 
     def at(machine, p):

@@ -8,17 +8,18 @@ memory) and flattens beyond ~16; anchors: 47.4 GB/s for an SX-8 pair,
 
 import pytest
 
-from repro.harness import fig13
+from repro.api import run_figure
 from benchmarks.conftest import BENCH_MAX_CPUS, series_map
 
 
 @pytest.fixture(scope="module")
 def fig():
-    return fig13(max_cpus=BENCH_MAX_CPUS)
+    return run_figure("fig13", max_cpus=BENCH_MAX_CPUS)
 
 
 def test_fig13_sendrecv_shapes(benchmark, fig):
-    benchmark.pedantic(lambda: fig13(max_cpus=8), rounds=1, iterations=1)
+    benchmark.pedantic(lambda: run_figure("fig13", max_cpus=8),
+                       rounds=1, iterations=1)
     data = series_map(fig)
 
     def at(machine, p):

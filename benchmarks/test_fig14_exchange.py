@@ -12,18 +12,20 @@ not captured by the fabric parameters.
 
 import pytest
 
-from repro.harness import fig13, fig14
+from repro.api import run_figure
 from benchmarks.conftest import BENCH_MAX_CPUS, series_map
 
 
 @pytest.fixture(scope="module")
 def figs():
-    return fig13(max_cpus=BENCH_MAX_CPUS), fig14(max_cpus=BENCH_MAX_CPUS)
+    return (run_figure("fig13", max_cpus=BENCH_MAX_CPUS),
+            run_figure("fig14", max_cpus=BENCH_MAX_CPUS))
 
 
 def test_fig14_exchange_shapes(benchmark, figs):
     f13, f14 = figs
-    benchmark.pedantic(lambda: fig14(max_cpus=8), rounds=1, iterations=1)
+    benchmark.pedantic(lambda: run_figure("fig14", max_cpus=8),
+                       rounds=1, iterations=1)
     d13, d14 = series_map(f13), series_map(f14)
 
     def at(d, machine, p):

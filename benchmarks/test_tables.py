@@ -1,10 +1,12 @@
 """Tables 1 and 2: static configuration tables (exact content checks)."""
 
-from repro.harness import render_table, table1, table2
+from repro.api import run_table
+from repro.harness import render_table
 
 
 def test_table1_architecture_parameters(benchmark):
-    t = benchmark.pedantic(table1, rounds=1, iterations=1)
+    t = benchmark.pedantic(run_table, args=("table1",), rounds=1,
+                           iterations=1)
     rows = dict(t.rows)
     # Exact values from the paper's Table 1.
     assert rows == {
@@ -21,7 +23,8 @@ def test_table1_architecture_parameters(benchmark):
 
 
 def test_table2_system_characteristics(benchmark):
-    t = benchmark.pedantic(table2, rounds=1, iterations=1)
+    t = benchmark.pedantic(run_table, args=("table2",), rounds=1,
+                           iterations=1)
     by_name = {r[0]: r for r in t.rows}
     # (type, cpus/node, clock, peak/node, network, topology)
     expectations = {

@@ -9,7 +9,9 @@ The surface:
 
 * **Running paper items** — :func:`run_figure` / :func:`run_table`
   regenerate any figure or table by id (``"fig06"``, ``6``, ``"table2"``
-  all accepted), through whatever executor is ambient.
+  all accepted), and :func:`run_item` any registered scenario as well;
+  each is a lookup in the scenario registry (:mod:`repro.scenarios`)
+  run through whatever executor is ambient.
 * **Execution** — :class:`~repro.exec.points.SimPoint`,
   :class:`~repro.exec.executor.SweepExecutor`, :func:`using_executor`,
   :func:`get_executor`, :class:`~repro.exec.cache.ResultCache`.
@@ -19,7 +21,7 @@ The surface:
   queue behind ``python -m repro.service``.
 * **Validation** — :func:`validate`, the golden/invariant/fuzz gate.
 
-Heavy subsystems (harness registries, the service, the validation gate)
+Heavy subsystems (the scenario registry, the service, the validation gate)
 are imported lazily so ``import repro`` stays light.
 """
 
@@ -58,43 +60,58 @@ __all__ = [
 def normalize_figure_id(figure: int | str) -> str:
     """Canonical ``figNN`` id from ``6``, ``"6"``, ``"fig6"``, ``"fig06"``.
 
-    Raises :class:`ValueError` for unparsable input; existence against
-    the figure registry is checked by :func:`run_figure`.
+    Raises :class:`ValueError` unless the number is plain digits;
+    existence against the registry is checked by :func:`run_figure`.
     """
-    raw = str(figure).lower().removeprefix("fig").lstrip("0") or "0"
+    raw = str(figure).lower().removeprefix("fig")
+    if not raw.isdigit():
+        raise ValueError(f"invalid figure id {figure!r}")
     return f"fig{int(raw):02d}"
 
 
 def normalize_table_id(table: int | str) -> str:
     """Canonical ``tableN`` id from ``2``, ``"2"``, or ``"table2"``."""
     raw = str(table).lower().removeprefix("table")
+    if not raw.isdigit():
+        raise ValueError(f"invalid table id {table!r}")
     return f"table{int(raw)}"
 
 
 def normalize_item_id(item: int | str) -> str:
     """Canonical id for a mixed figure/table/scenario identifier.
 
-    Bare numbers are figures (matching the CLI's ``--figure`` shorthand);
-    anything starting with ``table`` is a table; any other string is
-    accepted verbatim when it names a registered scenario (so the
-    service can submit e.g. ``app_cg`` by name).
+    An exact registered scenario id wins (so the service can submit
+    e.g. ``app_cg`` by name); otherwise ``table<digits>`` is a table
+    and bare numbers or ``fig<digits>`` are figures (matching the CLI's
+    ``--figure`` shorthand).
     """
-    s = str(item)
-    if s.lower().startswith("table"):
-        return normalize_table_id(item)
-    try:
-        return normalize_figure_id(item)
-    except ValueError:
-        from .scenarios import has_scenario
+    from .scenarios import has_scenario
 
-        if has_scenario(s):
-            return s
+    s = str(item)
+    if has_scenario(s):
+        return s
+    norm = (normalize_table_id if s.lower().startswith("table")
+            else normalize_figure_id)
+    try:
+        return norm(s)
+    except ValueError:
         raise ValueError(
             f"unknown item {item!r}: not a figure/table id or a "
             "registered scenario name") from None
 
 
 # -- running paper items -----------------------------------------------------
+
+def _run_paper_item(raw: int | str, ident: str, kind: str,
+                    max_cpus: int | None):
+    from .scenarios import get_scenario
+    from .scenarios.builtin import PAPER_FIGURE_IDS, PAPER_TABLE_IDS
+
+    known = PAPER_TABLE_IDS if kind == "table" else PAPER_FIGURE_IDS
+    if ident not in known:
+        raise KeyError(f"unknown {kind} {raw!r} (known: {', '.join(known)})")
+    return get_scenario(ident).run(max_cpus=max_cpus)
+
 
 def run_figure(figure: int | str, max_cpus: int | None = None):
     """Regenerate one paper figure; returns its ``FigureResult``.
@@ -103,49 +120,29 @@ def run_figure(figure: int | str, max_cpus: int | None = None):
     :func:`using_executor` (or build one from :class:`ReproConfig`) to
     parallelise or cache.
     """
-    from .harness.figures import ALL_FIGURES
-
-    ident = normalize_figure_id(figure)
-    try:
-        fn = ALL_FIGURES[ident]
-    except KeyError:
-        raise KeyError(
-            f"unknown figure {figure!r} "
-            f"(known: {', '.join(sorted(ALL_FIGURES))})") from None
-    return fn(max_cpus=max_cpus)
+    return _run_paper_item(figure, normalize_figure_id(figure), "figure",
+                           max_cpus)
 
 
 def run_table(table: int | str, max_cpus: int | None = None):
     """Regenerate one paper table; returns its ``TableResult``.
 
-    Tables that do not sweep CPUs (1 and 2) ignore ``max_cpus``.
+    Tables that do not sweep CPUs (1, 2 and 4) ignore ``max_cpus``.
     """
-    import inspect
-
-    from .harness.tables import ALL_TABLES
-
-    ident = normalize_table_id(table)
-    try:
-        fn = ALL_TABLES[ident]
-    except KeyError:
-        raise KeyError(
-            f"unknown table {table!r} "
-            f"(known: {', '.join(sorted(ALL_TABLES))})") from None
-    if "max_cpus" in inspect.signature(fn).parameters:
-        return fn(max_cpus=max_cpus)
-    return fn()
+    return _run_paper_item(table, normalize_table_id(table), "table",
+                           max_cpus)
 
 
 def run_item(item: str, max_cpus: int | None = None):
-    """Dispatch ``figNN`` / ``tableN`` / scenario ids to the right runner."""
-    s = str(item)
-    if s.lower().startswith("table"):
-        return run_table(item, max_cpus=max_cpus)
-    try:
-        normalize_figure_id(item)
-    except ValueError:
-        return run_scenario(s, max_cpus=max_cpus)
-    return run_figure(item, max_cpus=max_cpus)
+    """Regenerate one figure, table or scenario by (normalised) id."""
+    from .scenarios import has_scenario
+
+    ident = normalize_item_id(item)
+    if has_scenario(ident):
+        return run_scenario(ident, max_cpus=max_cpus)
+    # An unregistered figNN / tableN: the typed runner names the known ids.
+    run = run_table if ident.startswith("table") else run_figure
+    return run(ident, max_cpus=max_cpus)
 
 
 def run_scenario(scenario: str, max_cpus: int | None = None):

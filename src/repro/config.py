@@ -12,7 +12,8 @@ rule, applied uniformly to every knob:
 :meth:`ReproConfig.from_env_and_args` is the only resolver; the harness
 CLI, the validation CLI, the sweep service, and worker-process
 initialisation all pass the resulting config explicitly instead of
-re-reading ``os.environ`` at different times.
+re-reading ``os.environ`` at different times.  The CLIs declare the
+shared flags through one call, :meth:`ReproConfig.add_arguments`.
 
 Environment variables:
 
@@ -131,6 +132,40 @@ class ReproConfig:
     telemetry: bool = False
 
     # -- construction -------------------------------------------------------
+
+    @staticmethod
+    def add_arguments(parser) -> None:
+        """Add the shared run-configuration flags to an argparse parser.
+
+        ``--jobs/-j``, ``--macro-above``, ``--exec-backend``,
+        ``--no-cache`` and ``--cache-dir`` all default to ``None`` ("not
+        given"), so :meth:`from_env_and_args` falls through to the env
+        var, then the built-in default.
+        """
+        from .exec.backends import available_exec_backends
+
+        parser.add_argument(
+            "--jobs", "-j", type=int, default=None,
+            help=f"worker processes for sweep points (default: {JOBS_ENV} "
+                 "env var, else CPU count)")
+        parser.add_argument(
+            "--macro-above", default=None, metavar="N",
+            help="price IMB collectives analytically above N ranks "
+                 f"(default: {fastpath.MACRO_ABOVE_ENV} env var, else "
+                 "exact everywhere)")
+        parser.add_argument(
+            "--exec-backend", default=None, metavar="NAME",
+            help="executor backend for sweep points "
+                 f"({', '.join(available_exec_backends())}; default: "
+                 f"{EXEC_BACKEND_ENV} env var, else pool for --jobs > 1)")
+        parser.add_argument(
+            "--no-cache", action="store_true", default=None,
+            help="disable the on-disk result cache (default: "
+                 f"{NO_CACHE_ENV} env var, else cached)")
+        parser.add_argument(
+            "--cache-dir", default=None,
+            help=f"result cache directory (default: {CACHE_DIR_ENV} env "
+                 f"var, else {DEFAULT_CACHE_DIR})")
 
     @classmethod
     def defaults(cls) -> "ReproConfig":

@@ -1,4 +1,9 @@
-"""Experiment harness: regenerate the paper's tables and figures."""
+"""Experiment harness: render, export and report the paper's items.
+
+The items themselves — every figure and table — are declared in the
+scenario registry (:mod:`repro.scenarios`); run one with
+``repro.run_figure`` / ``repro.run_table`` or ``python -m repro.harness``.
+"""
 
 from .dashboard import (
     REPORT_SCHEMA_VERSION,
@@ -6,32 +11,6 @@ from .dashboard import (
     read_report_doc,
     render_html,
     write_report,
-)
-from .figures import (
-    ALL_FIGURES,
-    FLAGSHIP_CPUS,
-    HPCC_SWEEP_MACHINES,
-    IMB_FIGURES,
-    IMB_MACHINES,
-    FigureResult,
-    FigureSeries,
-    fig01,
-    fig02,
-    fig03,
-    fig04,
-    fig05,
-    fig06,
-    fig07,
-    fig08,
-    fig09,
-    fig10,
-    fig11,
-    fig12,
-    fig13,
-    fig14,
-    fig15,
-    flagship_results,
-    imb_figure,
 )
 from .extended import (
     message_size_sweep,
@@ -45,34 +24,25 @@ from .report import (
     figure_to_csv,
     figure_to_json,
     render_figure,
+    render_result,
     render_table,
     save_figure,
+    save_result,
     save_table,
     table_to_csv,
     table_to_json,
 )
-from .tables import ALL_TABLES, TableResult, table1, table2, table3
+from .results import FigureResult, FigureSeries, TableResult
 
 __all__ = [
     "FigureResult",
     "FigureSeries",
     "TableResult",
-    "ALL_FIGURES",
-    "ALL_TABLES",
-    "IMB_FIGURES",
-    "IMB_MACHINES",
-    "HPCC_SWEEP_MACHINES",
-    "FLAGSHIP_CPUS",
-    "fig01", "fig02", "fig03", "fig04", "fig05", "fig06", "fig07",
-    "fig08", "fig09", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15",
-    "imb_figure",
-    "flagship_results",
-    "table1", "table2", "table3",
-    "render_figure", "render_table", "render_ascii_plot",
+    "render_figure", "render_table", "render_result", "render_ascii_plot",
     "figure_to_csv", "table_to_csv", "figure_to_json", "table_to_json",
     "message_size_sweep", "size_sweep_figure", "sweep_sizes",
     "onesided_comparison", "sequel_study",
-    "save_figure", "save_table",
+    "save_figure", "save_table", "save_result",
     "REPORT_SCHEMA_VERSION", "build_run_doc", "read_report_doc",
     "render_html", "write_report",
 ]

@@ -6,7 +6,7 @@ Implements the measurement campaigns the paper announces as future work
 * :func:`message_size_sweep` — one IMB benchmark as a function of
   message size, 1 B to 2 MB (the paper only plots 1 MB);
 * :func:`size_sweep_figure` — the sweep across all five systems, in the
-  same :class:`~repro.harness.figures.FigureResult` form the regular
+  same :class:`~repro.harness.results.FigureResult` form the regular
   harness uses (so rendering/CSV export work unchanged);
 * :func:`onesided_comparison` — IMB-EXT Unidir_Put/Unidir_Get next to
   the two-sided PingPong, per machine;
@@ -25,7 +25,8 @@ from ..imb.framework import imb_message_sizes
 from ..imb.suite import run_benchmark
 from ..machine import MachineSpec, get_machine
 from ..machine.future import FUTURE_MACHINES
-from .figures import IMB_MACHINES, FigureResult, FigureSeries
+from ..scenarios.builtin import IMB_MACHINES
+from .results import FigureResult, FigureSeries
 
 #: Future-work sweep upper bound: "from 1 byte to 2 MB" (§5.2).
 SWEEP_MAX_BYTES = 2 * 1024 * 1024

@@ -36,7 +36,7 @@ from ..obs.critical_path import CriticalPathReport, critical_path_report
 from ..obs.energy import EnergyRecorder
 from ..obs.exporters import write_chrome_trace
 from ..obs.timeline import straggler_profile
-from .figures import HPCC_SWEEP_MACHINES, IMB_FIGURES, IMB_MACHINES
+from ..scenarios.builtin import HPCC_SWEEP_MACHINES, IMB_FIGURES, IMB_MACHINES
 
 #: Rank count for representative traced runs — large enough to exercise
 #: inter-node contention on every catalogued machine, small enough that

@@ -1,6 +1,6 @@
 """ASCII plotting for figure results.
 
-Renders a :class:`~repro.harness.figures.FigureResult` as a log-log
+Renders a :class:`~repro.harness.results.FigureResult` as a log-log
 scatter chart in plain text — enough to eyeball the orderings and
 crossovers the paper's figures show, without any plotting dependency.
 
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from .figures import FigureResult
+from .results import FigureResult
 
 MARKERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 

@@ -1,4 +1,8 @@
-"""Rendering of figures/tables: ASCII for the terminal, CSV/JSON for files."""
+"""Rendering of figures/tables: ASCII for the terminal, CSV/JSON for files.
+
+:func:`render_result` and :func:`save_result` take either result type;
+they are the one place that decides "table or figure?" for a result.
+"""
 
 from __future__ import annotations
 
@@ -8,8 +12,8 @@ import io
 import json
 from pathlib import Path
 
-from .figures import FigureResult
-from .tables import TableResult
+from .plot import render_ascii_plot
+from .results import FigureResult, TableResult
 
 
 def render_table(table: TableResult) -> str:
@@ -110,3 +114,23 @@ def save_table(table: TableResult, out_dir: str | Path) -> Path:
     (out / f"{table.table_id}.txt").write_text(render_table(table) + "\n")
     (out / f"{table.table_id}.json").write_text(table_to_json(table) + "\n")
     return path
+
+
+def render_result(result: FigureResult | TableResult, *,
+                  plot: bool = False) -> str:
+    """Terminal rendering of either result type.
+
+    ``plot`` appends the ASCII log-log chart to figures; tables have none.
+    """
+    if isinstance(result, TableResult):
+        return render_table(result)
+    text = render_figure(result)
+    return f"{text}\n\n{render_ascii_plot(result)}" if plot else text
+
+
+def save_result(result: FigureResult | TableResult,
+                out_dir: str | Path) -> Path:
+    """Write ``<id>.csv/.txt/.json`` for either result type."""
+    if isinstance(result, TableResult):
+        return save_table(result, out_dir)
+    return save_figure(result, out_dir)

@@ -1,11 +1,9 @@
 """Result containers shared by the harness and the scenario registry.
 
 These are the leaf dataclasses every layer above the executor speaks:
-figures are labelled series, tables are header+rows.  They live in
-their own module (rather than ``figures.py``/``tables.py``) so that
-``repro.scenarios`` can build them without importing the harness —
-keeping the import graph acyclic now that the harness figure/table
-functions are thin adapters over the scenario registry.
+figures are labelled series, tables are header+rows.  The scenario
+registry (:mod:`repro.scenarios`) builds them; the harness renders and
+saves them (:mod:`repro.harness.report`).
 """
 
 from __future__ import annotations

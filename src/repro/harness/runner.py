@@ -45,12 +45,7 @@ from time import perf_counter
 from ..api import normalize_figure_id, normalize_table_id
 from ..config import ReproConfig
 from ..core.errors import ConfigError
-from ..exec import (
-    ResultCache,
-    available_exec_backends,
-    source_fingerprint,
-    using_executor,
-)
+from ..exec import ResultCache, source_fingerprint, using_executor
 from ..obs import (
     AMBIENT,
     TRACE_SCHEMA_VERSION,
@@ -65,12 +60,11 @@ from ..obs import (
     write_spans_chrome_trace,
     write_trace_chrome_trace,
 )
+from ..scenarios import get_scenario
+from ..scenarios.builtin import PAPER_FIGURE_IDS, PAPER_TABLE_IDS
 from .dashboard import build_run_doc, write_report
-from .figures import ALL_FIGURES
 from .observe import observe_figures
-from .plot import render_ascii_plot
-from .report import render_figure, render_table, save_figure, save_table
-from .tables import ALL_TABLES
+from .report import render_result, save_result
 
 #: Bump when the BENCH_harness.json layout changes incompatibly.
 #: v2: the ``harness`` block records the scheduler backend the run used
@@ -83,12 +77,6 @@ from .tables import ALL_TABLES
 #: v6: ``harness.macro_above`` (``null`` when exact) replaces the
 #: scheduler backend name — there is one scheduler left to record.
 BENCH_SCHEMA_VERSION = 6
-
-# Id normalisation moved to the stable API surface; these aliases keep
-# the historical (internal) names importable.
-_norm_fig = normalize_figure_id
-_norm_table = normalize_table_id
-
 
 class _BadId(Exception):
     """Raised for an unknown/invalid --figure/--table/--scenario id."""
@@ -104,7 +92,7 @@ def _scenario_hint(arg: str) -> str:
     return ""
 
 
-def _resolve_ids(raw: list[str], norm, known: dict, what: str) -> list[str]:
+def _resolve_ids(raw: list[str], norm, known, what: str) -> list[str]:
     """Normalise CLI ids, raising :class:`_BadId` with a clear message.
 
     Unknown ids are also resolved against the scenario registry so a
@@ -213,23 +201,7 @@ def main(argv: list[str] | None = None) -> int:
                     help="directory for CSV/TXT exports")
     ap.add_argument("--plot", action="store_true",
                     help="also render figures as ASCII log-log charts")
-    ap.add_argument("--jobs", "-j", type=int, default=None,
-                    help="worker processes for sweep points "
-                         "(default: REPRO_JOBS env var, else CPU count)")
-    ap.add_argument("--macro-above", default=None, metavar="N",
-                    help="price IMB collectives analytically above N ranks "
-                         "(default: REPRO_MACRO_ABOVE env var, else exact "
-                         "everywhere)")
-    ap.add_argument("--exec-backend", default=None, metavar="NAME",
-                    help="executor backend for sweep points "
-                         f"({', '.join(available_exec_backends())}; "
-                         "default: REPRO_EXEC_BACKEND env var, else pool "
-                         "for --jobs > 1)")
-    ap.add_argument("--no-cache", action="store_true", default=None,
-                    help="disable the on-disk result cache")
-    ap.add_argument("--cache-dir", default=None,
-                    help="result cache directory (default: REPRO_CACHE_DIR "
-                         "env var, else .repro_cache)")
+    ReproConfig.add_arguments(ap)
     ap.add_argument("--cache-clear", action="store_true",
                     help="delete the result cache before running")
     ap.add_argument("--energy", action="store_true", default=None,
@@ -282,15 +254,17 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     try:
-        figures = _resolve_ids(args.figure, _norm_fig, ALL_FIGURES, "figure")
-        tables = _resolve_ids(args.table, _norm_table, ALL_TABLES, "table")
+        figures = _resolve_ids(args.figure, normalize_figure_id,
+                               PAPER_FIGURE_IDS, "figure")
+        tables = _resolve_ids(args.table, normalize_table_id,
+                              PAPER_TABLE_IDS, "table")
         scenarios = _resolve_scenarios(args.scenario)
     except _BadId as exc:
         print(exc, file=sys.stderr)
         return 2
     if args.all:
-        figures = list(ALL_FIGURES)
-        tables = list(ALL_TABLES)
+        figures = list(PAPER_FIGURE_IDS)
+        tables = list(PAPER_TABLE_IDS)
     # Drop scenarios that are already running as figures/tables (the
     # builtin paper items are reachable under either flag).
     scenarios = [s for s in scenarios if s not in figures and s not in tables]
@@ -324,9 +298,8 @@ def main(argv: list[str] | None = None) -> int:
     executor = config.make_executor()
 
     if args.validate:
-        # Deferred import: repro.validate imports the harness figure/table
-        # registries, so the dependency must point this way only at call
-        # time to keep the import graph acyclic.
+        # Deferred import: repro.validate.__main__ imports this module,
+        # so the dependency must point this way only at call time.
         from ..validate.gate import run_validation
 
         # The ledger layer joins the gate whenever a ledger exists: an
@@ -369,6 +342,9 @@ def main(argv: list[str] | None = None) -> int:
               "energy": config.energy, "telemetry": config.telemetry}
     obs = {name: AMBIENT[name]() for name, on in wanted.items() if on}
     spans = SpanRecorder()
+    # One loop over every item, in BENCH order: tables, figures, scenarios.
+    items = ([(t, "table") for t in tables] + [(f, "figure") for f in figures]
+             + [(sid, "scenario") for sid in scenarios])
     bench_items = []
     cp_reports: dict[str, dict] = {}
     observed_doc: dict[str, dict] = {}
@@ -399,69 +375,22 @@ def main(argv: list[str] | None = None) -> int:
         # under it (a no-op on the disabled recorder without telemetry).
         with using(*obs.values()), using_executor(executor), \
                 current("telemetry").span(
-                    "harness.run", "service",
-                    items=len(tables) + len(figures) + len(scenarios)):
-            for t in tables:
-                fn = ALL_TABLES[t]
+                    "harness.run", "service", items=len(items)):
+            for ident, cat in items:
                 before = _snapshot()
-                with spans.span(t, cat="table") as sp:
+                with spans.span(ident, cat=cat) as sp:
                     with spans.span("compute", cat="sweep"):
                         t0 = perf_counter()
-                        table = (fn() if t != "table3"
-                                 else fn(max_cpus=args.max_cpus))
+                        result = get_scenario(ident).run(
+                            max_cpus=args.max_cpus)
                         dt = perf_counter() - t0
                     with spans.span("render", cat="report"):
-                        print(render_table(table))
-                        print(f"[{t} in {dt:.1f}s]\n")
+                        print(render_result(result, plot=args.plot))
+                        print(f"[{ident} in {dt:.1f}s]\n")
                     if args.out:
                         with spans.span("save", cat="report"):
-                            save_table(table, args.out)
-                _record(t, dt, before, sp)
-
-            for f in figures:
-                fn = ALL_FIGURES[f]
-                before = _snapshot()
-                with spans.span(f, cat="figure") as sp:
-                    with spans.span("compute", cat="sweep"):
-                        t0 = perf_counter()
-                        fig = fn(max_cpus=args.max_cpus)
-                        dt = perf_counter() - t0
-                    with spans.span("render", cat="report"):
-                        print(render_figure(fig))
-                        if args.plot:
-                            print()
-                            print(render_ascii_plot(fig))
-                        print(f"[{f} in {dt:.1f}s]\n")
-                    if args.out:
-                        with spans.span("save", cat="report"):
-                            save_figure(fig, args.out)
-                _record(f, dt, before, sp)
-
-            for sid in scenarios:
-                from ..scenarios import run_scenario
-
-                before = _snapshot()
-                with spans.span(sid, cat="scenario") as sp:
-                    with spans.span("compute", cat="sweep"):
-                        t0 = perf_counter()
-                        result = run_scenario(sid, max_cpus=args.max_cpus)
-                        dt = perf_counter() - t0
-                    with spans.span("render", cat="report"):
-                        if hasattr(result, "table_id"):
-                            print(render_table(result))
-                        else:
-                            print(render_figure(result))
-                            if args.plot:
-                                print()
-                                print(render_ascii_plot(result))
-                        print(f"[{sid} in {dt:.1f}s]\n")
-                    if args.out:
-                        with spans.span("save", cat="report"):
-                            if hasattr(result, "table_id"):
-                                save_table(result, args.out)
-                            else:
-                                save_figure(result, args.out)
-                _record(sid, dt, before, sp)
+                            save_result(result, args.out)
+                _record(ident, dt, before, sp)
 
             if want_obs and figures:
                 # Representative traced runs: critical-path verdicts per
@@ -543,7 +472,7 @@ def main(argv: list[str] | None = None) -> int:
               f"{tot['avg_power_w']:.1f} W avg, "
               f"EDP {tot['edp_js']:.3g} J*s]")
 
-    item_ids = tables + figures + scenarios
+    item_ids = [ident for ident, _cat in items]
     sha = git_sha()
     fingerprint = source_fingerprint()
     harness_doc = {

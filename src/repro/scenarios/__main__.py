@@ -35,15 +35,7 @@ DEFAULT_MANIFEST = (Path(__file__).resolve().parents[3]
 def _add_exec_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-cpus", type=int, default=None,
                    help="cap CPU sweeps (default: full scale)")
-    p.add_argument("--jobs", "-j", type=int, default=None,
-                   help="worker processes (default: REPRO_JOBS, else CPUs)")
-    p.add_argument("--macro-above", default=None, metavar="N",
-                   help="price IMB collectives analytically above N ranks "
-                        "(default: REPRO_MACRO_ABOVE, else exact)")
-    p.add_argument("--exec-backend", default=None, metavar="NAME")
-    p.add_argument("--no-cache", action="store_true", default=None,
-                   help="disable the on-disk result cache")
-    p.add_argument("--cache-dir", default=None)
+    ReproConfig.add_arguments(p)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -159,17 +151,11 @@ def _dispatch(args) -> int:
 
 
 def _render(result, out_dir: str | None) -> None:
-    from ..harness.report import (render_figure, render_table, save_figure,
-                                  save_table)
+    from ..harness.report import render_result, save_result
 
-    if hasattr(result, "table_id"):
-        print(render_table(result))
-        if out_dir:
-            save_table(result, out_dir)
-    else:
-        print(render_figure(result))
-        if out_dir:
-            save_figure(result, out_dir)
+    print(render_result(result))
+    if out_dir:
+        save_result(result, out_dir)
     print()
 
 

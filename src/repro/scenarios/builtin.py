@@ -7,12 +7,11 @@ tolerances, and the item's entry in the golden-diff tolerance manifest
 (``results/TOLERANCES.json`` is *generated* from these specs, see
 :mod:`repro.scenarios.manifest_sync`).
 
-The point fan-out and assembly code is byte-for-byte the logic that
-used to live in ``harness/figures.py``/``harness/tables.py``; those
-modules are now thin adapters over this registry.  Scenarios that share
-a sweep (fig01/fig02, fig03/fig04, fig05/table3) go through the same
-module-level ``lru_cache`` memos the harness always used, so running
-both still computes the sweep once and output stays byte-identical.
+This registry is the only way to name and run a paper item: the
+harness CLI, ``repro.run_figure`` / ``run_table``, the service and the
+golden gate all look items up here.  Scenarios that share a sweep
+(fig01/fig02, fig03/fig04, fig05/table3) go through module-level
+``lru_cache`` memos, so running both computes the sweep once.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from functools import lru_cache
 
 from ..analysis.ratios import TABLE3_UNITS, kiviat_normalise
 from ..exec import SimPoint, get_executor
-from ..hpcc.suite import scaled_config  # noqa: F401  (re-exported via harness)
 from ..imb import suite as _imb_suite  # noqa: F401 - benchmark registration
 from ..imb.framework import PAPER_MSG_BYTES, get_benchmark
 from ..machine import PAPER_FIVE, get_machine
@@ -124,10 +122,10 @@ def clear_scenario_caches() -> None:
     flagship_results.cache_clear()
 
 
-# Imported *after* the constants and sweep memos above: when this module
-# is the import entry point, ``repro.harness.__init__`` pulls
-# ``harness.figures``, which re-imports those names from this (then
-# partially initialised) module — so they must already be bound.
+# Imported *after* the constants above: when this module is the import
+# entry point, ``repro.harness.__init__`` pulls ``harness.extended``,
+# which re-imports ``IMB_MACHINES`` from this (then partially
+# initialised) module — so it must already be bound.
 from ..harness.results import FigureResult, FigureSeries, TableResult  # noqa: E402
 
 
@@ -282,7 +280,7 @@ class KiviatScenario(Scenario):
         return points
 
     def run_with_data(self, max_cpus=None):
-        """(FigureResult, KiviatData) — the legacy ``fig05`` contract."""
+        """(FigureResult, KiviatData): the figure plus its kiviat data."""
         results = flagship_results(max_cpus)
         return self._assemble_results(results)
 
@@ -318,25 +316,23 @@ class KiviatScenario(Scenario):
 class IMBFigureScenario(Scenario):
     """One IMB collective/transfer figure across the machine set."""
 
-    def __init__(self, scenario_id, *, benchmark, field, ylabel,
-                 machines=IMB_MACHINES, msg_bytes=PAPER_MSG_BYTES, **kw):
+    def __init__(self, scenario_id, *, benchmark, field, ylabel, **kw):
         kw.setdefault("tags", ("paper", "imb"))
         super().__init__(scenario_id, **kw)
         self.benchmark = benchmark
         self.field = field
         self.ylabel = ylabel
-        self.machines = tuple(machines)
-        # Barrier has no payload; the legacy harness forced 0 bytes.
-        self.msg_bytes = 0 if benchmark == "Barrier" else msg_bytes
+        # Barrier has no payload: its points carry 0 bytes.
+        self.msg_bytes = 0 if benchmark == "Barrier" else PAPER_MSG_BYTES
 
     def machine_names(self):
-        return self.machines
+        return IMB_MACHINES
 
     def _plan(self, max_cpus):
         min_procs = get_benchmark(self.benchmark).min_procs
         plan = []
         points = []
-        for name in self.machines:
+        for name in IMB_MACHINES:
             m = get_machine(name)
             counts = m.cpu_counts(start=min_procs,
                                   maximum=cap_cpus(m, max_cpus))
@@ -499,7 +495,7 @@ class Table4Scenario(StaticTableScenario):
 
 
 # ---------------------------------------------------------------------------
-# Table builders (tables 1, 2, 4 — verbatim from harness/tables.py)
+# Table builders (tables 1, 2, 4)
 # ---------------------------------------------------------------------------
 
 def _build_table1():

@@ -39,7 +39,6 @@ import sys
 from ..api import normalize_item_id
 from ..config import ReproConfig
 from ..core.errors import ConfigError
-from ..exec.backends import available_exec_backends
 from .queue import JOB_STATES, TERMINAL_STATES
 from .spool import Spool, SpoolServer
 
@@ -73,23 +72,7 @@ def _lookup_status(spool: Spool, request_id: str) -> tuple[dict | None, str]:
 
 
 def _add_config_flags(ap: argparse.ArgumentParser) -> None:
-    ap.add_argument("--jobs", "-j", type=int, default=None,
-                    help="worker processes per sweep (default: REPRO_JOBS "
-                         "env var, else CPU count)")
-    ap.add_argument("--macro-above", default=None, metavar="N",
-                    help="price IMB collectives analytically above N ranks "
-                         "(default: REPRO_MACRO_ABOVE env var, else exact "
-                         "everywhere)")
-    ap.add_argument("--exec-backend", default=None, metavar="NAME",
-                    help="executor backend "
-                         f"({', '.join(available_exec_backends())}; "
-                         "default: REPRO_EXEC_BACKEND env var, else pool "
-                         "for --jobs > 1)")
-    ap.add_argument("--cache-dir", default=None,
-                    help="result cache directory (default: REPRO_CACHE_DIR "
-                         "env var, else .repro_cache)")
-    ap.add_argument("--no-cache", action="store_true", default=None,
-                    help="disable the on-disk result cache")
+    ReproConfig.add_arguments(ap)
     ap.add_argument("--energy", action="store_true", default=None,
                     help="account energy-to-solution per job (machine "
                          "power models; adds energy fields to the "

@@ -481,15 +481,10 @@ class JobQueue:
     def _save_artifacts(self, job: Job, ident: str, result) -> list[str]:
         if self.artifacts_dir is None:
             return []
-        from ..harness.report import save_figure, save_table
+        from ..harness.report import save_result
 
         out = self.artifacts_dir / job.id
-        # Route on result type, not the identifier: scenario ids carry no
-        # fig/table prefix yet still render as one or the other.
-        if hasattr(result, "table_id"):
-            save_table(result, out)
-        else:
-            save_figure(result, out)
+        save_result(result, out)
         return sorted(str(p) for p in out.glob(f"{ident}.*"))
 
     def _append_ledger(self, job: Job, *, state: str | None = None) -> None:

@@ -18,13 +18,13 @@ from __future__ import annotations
 import argparse
 import sys
 
+from ..api import normalize_figure_id, normalize_table_id
 from ..config import ReproConfig
 from ..core.errors import ConfigError
-from ..exec import available_exec_backends, using_executor
-from ..harness.figures import ALL_FIGURES
-from ..harness.runner import (_BadId, _norm_fig, _norm_table, _resolve_ids,
-                              _resolve_scenarios, check_output_paths)
-from ..harness.tables import ALL_TABLES
+from ..exec import using_executor
+from ..harness.runner import (_BadId, _resolve_ids, _resolve_scenarios,
+                              check_output_paths)
+from ..scenarios.builtin import PAPER_FIGURE_IDS, PAPER_TABLE_IDS
 from .gate import run_validation
 from .report import EXIT_USAGE
 
@@ -55,22 +55,7 @@ def main(argv: list[str] | None = None) -> int:
                          "<results>/TOLERANCES.json)")
     ap.add_argument("--report", default=None, metavar="PATH",
                     help="write the machine-readable report JSON to PATH")
-    ap.add_argument("--jobs", "-j", type=int, default=None,
-                    help="worker processes for sweep points")
-    ap.add_argument("--macro-above", default=None, metavar="N",
-                    help="price IMB collectives analytically above N ranks "
-                         "(default: REPRO_MACRO_ABOVE env var, else exact "
-                         "everywhere)")
-    ap.add_argument("--exec-backend", default=None, metavar="NAME",
-                    help="executor backend for sweep points "
-                         f"({', '.join(available_exec_backends())}; "
-                         "default: REPRO_EXEC_BACKEND env var, else pool "
-                         "for --jobs > 1)")
-    ap.add_argument("--no-cache", action="store_true", default=None,
-                    help="disable the on-disk result cache")
-    ap.add_argument("--cache-dir", default=None,
-                    help="result cache directory (default: REPRO_CACHE_DIR "
-                         "env var, else .repro_cache)")
+    ReproConfig.add_arguments(ap)
     ap.add_argument("--skip-golden", action="store_true",
                     help="skip the golden regression gate")
     ap.add_argument("--skip-invariants", action="store_true",
@@ -89,8 +74,10 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
 
     try:
-        figures = _resolve_ids(args.figure, _norm_fig, ALL_FIGURES, "figure")
-        tables = _resolve_ids(args.table, _norm_table, ALL_TABLES, "table")
+        figures = _resolve_ids(args.figure, normalize_figure_id,
+                               PAPER_FIGURE_IDS, "figure")
+        tables = _resolve_ids(args.table, normalize_table_id,
+                              PAPER_TABLE_IDS, "table")
         scenarios = _resolve_scenarios(args.scenario)
     except _BadId as exc:
         print(exc, file=sys.stderr)

@@ -18,9 +18,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from ..harness.figures import ALL_FIGURES
-from ..harness.tables import ALL_TABLES
 from ..obs.ledger import RunLedger
+from ..scenarios.builtin import PAPER_FIGURE_IDS, PAPER_TABLE_IDS
 from .golden import run_golden
 from .manifest import load_manifest, manifest_path_for
 from .metamorphic import run_invariants
@@ -68,19 +67,19 @@ def run_validation(
 ) -> ValidationReport:
     """Run the enabled validation layers and collect one report.
 
-    ``figures``/``tables`` default to every known item when the golden
-    layer is on.  ``scenarios`` names registered scenarios whose
-    declarative references are checked (asymmetric tolerances; see
-    :mod:`repro.scenarios`) — reference checks that only hold at full
-    scale report ``uncovered`` under a ``max_cpus`` cap, mirroring the
-    golden layer's ``requires_full`` semantics.  Runs through the
-    ambient executor — install one with
+    ``figures``/``tables`` default to every paper item in the scenario
+    registry when the golden layer is on.  ``scenarios`` names
+    registered scenarios whose declarative references are checked
+    (asymmetric tolerances; see :mod:`repro.scenarios`) — reference
+    checks that only hold at full scale report ``uncovered`` under a
+    ``max_cpus`` cap, mirroring the golden layer's ``requires_full``
+    semantics.  Runs through the ambient executor — install one with
     :func:`repro.exec.using_executor` to parallelise or cache.
     """
     report = ValidationReport(max_cpus=max_cpus)
     if golden:
-        figs = list(ALL_FIGURES) if figures is None else figures
-        tabs = list(ALL_TABLES) if tables is None else tables
+        figs = list(PAPER_FIGURE_IDS) if figures is None else figures
+        tabs = list(PAPER_TABLE_IDS) if tables is None else tables
         manifest = load_manifest(
             manifest_path if manifest_path is not None
             else manifest_path_for(results_dir))

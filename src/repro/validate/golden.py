@@ -27,9 +27,9 @@ import re
 from pathlib import Path
 
 from ..core.errors import ConfigError
-from ..harness.figures import FigureResult, ALL_FIGURES
-from ..harness.tables import ALL_TABLES, TableResult
 from ..harness.report import table_to_csv
+from ..harness.results import FigureResult, TableResult
+from ..scenarios import get_scenario
 from .manifest import Manifest, ToleranceRule
 from .report import (
     FAIL,
@@ -52,8 +52,7 @@ def clear_figure_caches() -> None:
     The golden gate must *recompute*, not replay a value memoised before
     the change under test existed (tests monkeypatch calibration
     constants; long-lived processes may hold pre-edit sweeps).  The
-    memos live in :mod:`repro.scenarios.builtin` now; the harness
-    figure-layer aliases point at the same function objects.
+    memos live in :mod:`repro.scenarios.builtin`.
     """
     from ..scenarios.builtin import clear_scenario_caches
 
@@ -246,25 +245,18 @@ def run_golden(figures: list[str], tables: list[str], *,
     reports: list[ItemReport] = []
     clear_figure_caches()
     try:
-        for t in tables:
-            rule = manifest.rule_for(t)
+        for ident in [*tables, *figures]:
+            rule = manifest.rule_for(ident)
             if rule.requires_full and not full:
-                reports.append(ItemReport(t, rule.mode, UNCOVERED,
+                reports.append(ItemReport(ident, rule.mode, UNCOVERED,
                                           detail="requires full-range run"))
                 continue
-            fn = ALL_TABLES[t]
-            table = fn() if t != "table3" else fn(max_cpus=max_cpus)
-            reports.append(compare_table(
-                table, load_golden_table(results_dir, t), rule, full=full))
-        for f in figures:
-            rule = manifest.rule_for(f)
-            if rule.requires_full and not full:
-                reports.append(ItemReport(f, rule.mode, UNCOVERED,
-                                          detail="requires full-range run"))
-                continue
-            fig = ALL_FIGURES[f](max_cpus=max_cpus)
-            reports.append(compare_figure(
-                fig, load_golden_figure(results_dir, f), rule, full=full))
+            scenario = get_scenario(ident)
+            compare, load = ((compare_table, load_golden_table)
+                             if scenario.kind == "table"
+                             else (compare_figure, load_golden_figure))
+            reports.append(compare(scenario.run(max_cpus=max_cpus),
+                                   load(results_dir, ident), rule, full=full))
     finally:
         # Leave no memoised sweep behind: a perturbed-run cell must never
         # leak into a later figure regeneration in the same process.

@@ -32,18 +32,18 @@ from .report import InvariantResult
 
 def check_kiviat(max_cpus: int | None = 16) -> InvariantResult:
     """Fig 5 columns are properly normalised at this scale."""
-    from ..harness.figures import fig05
+    from ..scenarios import get_scenario
     from .golden import clear_figure_caches
 
     clear_figure_caches()
-    _fig, data = fig05(max_cpus=max_cpus)
+    _fig, data = get_scenario("fig05").run_with_data(max_cpus)
     bad = kiviat_violations(data)
     return InvariantResult("kiviat_normalisation", not bad, "; ".join(bad))
 
 
 def check_balance_monotone(max_cpus: int | None = 16) -> InvariantResult:
     """HPL monotone rising; accumulated STREAM monotone; ring positive."""
-    from ..harness.figures import _ring_hpl_sweep, _stream_hpl_sweep
+    from ..scenarios.builtin import _ring_hpl_sweep, _stream_hpl_sweep
     from .golden import clear_figure_caches
 
     clear_figure_caches()
@@ -67,18 +67,19 @@ def check_balance_monotone(max_cpus: int | None = 16) -> InvariantResult:
 def check_determinism(fig_id: str = "fig06", max_cpus: int | None = 8,
                       jobs: int = 2) -> InvariantResult:
     """Serial == parallel == cache-warm rerun, byte for byte."""
-    from ..harness.figures import imb_figure
     from ..harness.report import figure_to_csv
+    from ..scenarios import get_scenario
 
+    scenario = get_scenario(fig_id)
     with tempfile.TemporaryDirectory(prefix="repro_validate_") as tmp:
         with using_executor(SweepExecutor(jobs=1, cache=None)):
-            serial = figure_to_csv(imb_figure(fig_id, max_cpus=max_cpus))
+            serial = figure_to_csv(scenario.run(max_cpus=max_cpus))
         cache = ResultCache(tmp)
         with SweepExecutor(jobs=jobs, cache=cache) as ex, using_executor(ex):
-            parallel = figure_to_csv(imb_figure(fig_id, max_cpus=max_cpus))
+            parallel = figure_to_csv(scenario.run(max_cpus=max_cpus))
         warm_ex = SweepExecutor(jobs=1, cache=ResultCache(tmp))
         with using_executor(warm_ex):
-            cached = figure_to_csv(imb_figure(fig_id, max_cpus=max_cpus))
+            cached = figure_to_csv(scenario.run(max_cpus=max_cpus))
         stats = warm_ex.stats()
     bad: list[str] = []
     if parallel != serial:

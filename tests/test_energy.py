@@ -12,8 +12,8 @@ import json
 
 import pytest
 
+from repro.api import run_figure, run_table
 from repro.exec import ResultCache, SimPoint, SweepExecutor, using_executor
-from repro.harness.figures import imb_figure
 from repro.machine import ALL_MACHINES, get_machine
 from repro.machine.future import FUTURE_MACHINES
 from repro.obs.context import current, install, using
@@ -173,7 +173,7 @@ def _sweep_energy(*, jobs, backend, cache=None):
     with using(rec), \
             SweepExecutor(jobs=jobs, cache=cache, backend=backend) as ex, \
             using_executor(ex):
-        imb_figure("fig13", max_cpus=CAP)
+        run_figure("fig13", max_cpus=CAP)
     return _energy_blob(rec)
 
 
@@ -258,7 +258,7 @@ def test_sweep_energy_is_physically_plausible():
     rec = EnergyRecorder()
     with using(rec), \
             SweepExecutor(jobs=1, cache=None) as ex, using_executor(ex):
-        imb_figure("fig13", max_cpus=CAP)
+        run_figure("fig13", max_cpus=CAP)
     tot = rec.totals()
     assert tot["runs"] > 0 and tot["total_j"] > 0
     # Average power must land between one idle rank and every swept
@@ -291,10 +291,9 @@ def test_energy_ranking_covers_all_machines_and_is_sorted():
 def test_fig16_matches_committed_golden():
     """fig16 is analytic, so the full-scale golden is cheap to enforce
     here even though the capped CI golden gate must skip it."""
-    from repro.harness.figures import ALL_FIGURES
     from repro.harness.report import figure_to_csv
 
-    regenerated = figure_to_csv(ALL_FIGURES["fig16"](max_cpus=None))
+    regenerated = figure_to_csv(run_figure("fig16", max_cpus=None))
     committed = open("results/fig16.csv", newline="").read()
     assert regenerated == committed
 
@@ -302,7 +301,6 @@ def test_fig16_matches_committed_golden():
 @pytest.mark.requires_full
 def test_table4_matches_committed_golden():
     from repro.harness.report import table_to_csv
-    from repro.harness.tables import table4
 
-    assert table_to_csv(table4()) == open("results/table4.csv",
-                                          newline="").read()
+    committed = open("results/table4.csv", newline="").read()
+    assert table_to_csv(run_table("table4")) == committed

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.api import run_figure
 from repro.exec import (
     PointRecord,
     ResultCache,
@@ -17,7 +18,6 @@ from repro.exec import (
     source_fingerprint,
     using_executor,
 )
-from repro.harness.figures import imb_figure
 from repro.harness.report import figure_to_csv
 from repro.harness.runner import main as runner_main
 
@@ -58,9 +58,9 @@ def test_compute_point_returns_metadata():
 
 def test_serial_and_parallel_runs_are_byte_identical():
     with using_executor(SweepExecutor(jobs=1, cache=None)):
-        serial = imb_figure("fig13", max_cpus=CAP)
+        serial = run_figure("fig13", max_cpus=CAP)
     with SweepExecutor(jobs=2, cache=None) as ex, using_executor(ex):
-        parallel = imb_figure("fig13", max_cpus=CAP)
+        parallel = run_figure("fig13", max_cpus=CAP)
     assert serial == parallel
     assert figure_to_csv(serial) == figure_to_csv(parallel)
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import run_figure
 from repro.core.errors import ConfigError
 from repro.exec import SimPoint, SweepExecutor, compute_point, using_executor
 from repro.exec.backends import (
@@ -22,7 +23,6 @@ from repro.exec.backends import (
     register_exec_backend,
     set_default_exec_backend,
 )
-from repro.harness.figures import imb_figure
 from repro.harness.report import figure_to_csv
 from repro.obs import MetricsRegistry, current, install
 
@@ -44,14 +44,14 @@ def _points(nprocs=(2, 4, 8)):
 def inline_reference():
     with SweepExecutor(jobs=1, cache=None, backend="inline") as ex, \
             using_executor(ex):
-        return imb_figure("fig13", max_cpus=CAP)
+        return run_figure("fig13", max_cpus=CAP)
 
 
 @pytest.mark.parametrize("backend", ALL_BACKENDS)
 def test_backend_figure_byte_identical(backend, inline_reference):
     with SweepExecutor(jobs=2, cache=None, backend=backend) as ex, \
             using_executor(ex):
-        result = imb_figure("fig13", max_cpus=CAP)
+        result = run_figure("fig13", max_cpus=CAP)
     assert result == inline_reference
     assert figure_to_csv(result) == figure_to_csv(inline_reference)
 

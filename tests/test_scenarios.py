@@ -28,7 +28,7 @@ from repro.scenarios.builtin import (
     PAPER_TABLE_IDS,
     clear_scenario_caches,
 )
-from repro.scenarios.registry import SCENARIO_PATH_ENV
+from repro.scenarios.registry import REPO_SCENARIO_DIR, SCENARIO_PATH_ENV
 
 #: Ids of the committed scenarios/*.toml examples.
 REPO_TOML_IDS = ("app_amr", "app_cg", "app_spectral",
@@ -347,6 +347,23 @@ def test_normalize_item_id_accepts_scenario_names():
     with pytest.raises(ValueError, match="not a figure/table id or a "
                                          "registered scenario"):
         normalize_item_id("not_a_scenario")
+
+
+@pytest.mark.parametrize("sid", ["table_cg", "fig1_2"])
+def test_registered_id_wins_over_item_shorthand(scenario_dir, sid):
+    """A registered id shaped like ``table...`` / ``fig<digits>_...``
+    names that scenario, never a (mis)parsed paper table or figure."""
+    from repro.api import normalize_item_id
+
+    toml = (REPO_SCENARIO_DIR / "app_cg.toml").read_text()
+    (scenario_dir / f"{sid}.toml").write_text(
+        toml.replace('id = "app_cg"', f'id = "{sid}"'))
+    reload_scenarios()
+
+    assert normalize_item_id(sid) == sid
+    result = run_item(sid, max_cpus=4)
+    assert result.fig_id == sid
+    assert result.series == run_item("app_cg", max_cpus=4).series
 
 
 def test_job_queue_runs_scenario_and_saves_artifacts(tmp_path):

@@ -7,9 +7,9 @@ import threading
 
 import pytest
 
+from repro.api import run_figure
 from repro.config import ReproConfig
 from repro.exec import ResultCache, SweepExecutor, using_executor
-from repro.harness.figures import imb_figure
 from repro.harness.report import figure_to_csv
 from repro.service import JobQueue, PointCoalescer, Spool
 from repro.service.__main__ import main as service_main
@@ -28,7 +28,7 @@ def _serial_points():
     """How many simulation points one FIG sweep costs, computed serially."""
     with SweepExecutor(jobs=1, cache=None, backend="inline") as ex, \
             using_executor(ex):
-        imb_figure(FIG, max_cpus=CAP)
+        run_figure(FIG, max_cpus=CAP)
         return ex.stats()["points"]
 
 
@@ -185,7 +185,7 @@ def test_cache_warm_second_job_all_hits(tmp_path):
 
 def test_service_output_matches_direct_api(tmp_path):
     with using_executor(SweepExecutor(jobs=1, cache=None)):
-        direct = figure_to_csv(imb_figure(FIG, max_cpus=CAP))
+        direct = figure_to_csv(run_figure(FIG, max_cpus=CAP))
     with JobQueue(_config(tmp_path), workers=1,
                   artifacts_dir=tmp_path / "art") as q:
         job = q.submit([FIG], max_cpus=CAP)

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from repro.exec import worker
-from repro.harness.figures import FigureResult, FigureSeries
+from repro.harness.results import FigureResult, FigureSeries
 from repro.harness.runner import main as runner_main
 from repro.validate import (
     EXIT_REGRESSION,
