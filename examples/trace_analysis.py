@@ -18,12 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from repro import Cluster, get_machine
-from repro.analysis import (
-    fit_report,
-    format_report,
-    utilization_report,
-    write_chrome_trace,
-)
+from repro.analysis import fit_report, format_report, utilization_report
+from repro.obs import write_chrome_trace
 
 MB = 1024 * 1024
 

@@ -10,9 +10,6 @@ from .ratios import (
     ratio_row,
     table3_maxima,
 )
-# Chrome-trace export lives in repro.obs.exporters; re-exported here
-# for backward compatibility.
-from ..obs.exporters import chrome_trace_events, write_chrome_trace
 from .energy import (
     RANKED_MACHINES,
     EnergyProfile,
@@ -47,8 +44,6 @@ __all__ = [
     "fit_loggp",
     "fit_report",
     "measure_one_way",
-    "chrome_trace_events",
-    "write_chrome_trace",
     "EnergyProfile",
     "RANKED_MACHINES",
     "energy_ranking",

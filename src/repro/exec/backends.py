@@ -413,7 +413,7 @@ class SubprocessBackend(ExecBackend):
                             done[i] = record
                             self.health["requests"] += 1
                         nxt = pending.popleft() if pending else None
-                    if trace_ctx is not None and not error:
+                    if trace_ctx is not None:
                         tel.adopt(reply.get("spans"))
                     if nxt is not None:
                         inflight.append(nxt)

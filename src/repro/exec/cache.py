@@ -31,7 +31,7 @@ import shutil
 import tempfile
 from pathlib import Path
 
-from ..config import DEFAULT_CACHE_DIR  # noqa: F401  (re-exported)
+from ..config import DEFAULT_CACHE_DIR
 from ..imb import fastpath
 from .locks import FileLock, LockTimeout
 from .points import SimPoint

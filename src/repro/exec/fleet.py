@@ -10,7 +10,8 @@ parent -> worker          ``{"op": "init", "ctx": {...}}`` (once, first)
                           ``{"op": "shutdown"}``
 worker -> parent          ``{"op": "result", "id": N, "record": <b64>,``
                           ``"spans": [...]?}`` (telemetry spans, optional)
-                          ``{"op": "error", "id": N, "error": "..."}``
+                          ``{"op": "error", "id": N, "error": "...",``
+                          ``"spans": [...]?}``
 ========================  ==================================================
 
 The payloads are base64-pickled :class:`~repro.exec.points.SimPoint` /
@@ -62,30 +63,29 @@ def serve(stdin, stdout) -> int:
         if op == "job":
             job_id = msg.get("id")
             trace = msg.get("trace")
+            # A per-message recorder seeded with the parent's trace
+            # context: the worker's spans are children of the
+            # dispatching span across the process boundary, and travel
+            # home in the reply — result or error alike — never in the
+            # record, which must stay cache-identical whether or not
+            # the run was traced.
+            recorder = (TelemetryRecorder(enabled=True, context=trace)
+                        if trace else None)
             try:
                 point = decode_point(msg["point"])
-                if trace:
-                    # A per-message recorder seeded with the parent's
-                    # trace context: the worker's spans are children of
-                    # the dispatching span across the process boundary,
-                    # and travel home in the reply — never in the
-                    # record, which must stay cache-identical whether
-                    # or not the run was traced.
-                    recorder = TelemetryRecorder(enabled=True,
-                                                 context=trace)
+                if recorder is None:
+                    record = compute_point(point)
+                else:
                     with using(recorder):
                         record = compute_point(point)
-                    spans = recorder.drain()
-                else:
-                    record = compute_point(point)
-                    spans = None
                 reply = {"op": "result", "id": job_id,
                          "record": encode_record(record)}
-                if spans:
-                    reply["spans"] = spans
             except Exception:
                 reply = {"op": "error", "id": job_id,
                          "error": traceback.format_exc(limit=20)}
+            spans = recorder.drain() if recorder is not None else None
+            if spans:
+                reply["spans"] = spans
             print(json.dumps(reply), file=stdout, flush=True)
             continue
         print(json.dumps({"op": "error", "id": msg.get("id"),

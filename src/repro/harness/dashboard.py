@@ -282,7 +282,7 @@ def _timeline_svg(kinds: dict[str, dict], caption: str) -> str:
 
 
 def _spans_svg(spans: list[dict]) -> str:
-    """Waterfall of harness wall spans (two levels deep)."""
+    """Waterfall of the harness stage spans (two levels deep)."""
     rows: list[tuple[int, dict]] = []
     for root in spans:
         rows.append((0, root))
@@ -300,8 +300,9 @@ def _spans_svg(spans: list[dict]) -> str:
         f'viewBox="0 0 {width} {height}" aria-label="harness span waterfall">'
     ]
     for i, (depth, s) in enumerate(rows):
+        dur = (s["t_end"] or s["t_start"]) - s["t_start"]
         x = pad_l + (s["t_start"] - t0) / span_total * (width - pad_l - 8)
-        bw = max(1.5, s["duration_s"] / span_total * (width - pad_l - 8))
+        bw = max(1.5, dur / span_total * (width - pad_l - 8))
         y = i * row_h + 4
         color = _CAT_COLORS.get(s.get("cat", "harness"), _CAT_COLORS["harness"])
         label = (" " * depth) + s["name"]
@@ -310,7 +311,7 @@ def _spans_svg(spans: list[dict]) -> str:
             f'class="tick">{_esc(label)}</text>'
             f'<rect x="{x:.1f}" y="{y}" width="{bw:.1f}" height="{row_h - 5}" '
             f'rx="2" fill="{color}">'
-            f'<title>{_esc(s["name"])}: {_esc(_fmt_s(s["duration_s"]))}'
+            f'<title>{_esc(s["name"])}: {_esc(_fmt_s(dur))}'
             f"</title></rect>"
         )
     parts.append("</svg>")

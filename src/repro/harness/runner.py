@@ -50,15 +50,14 @@ from ..obs import (
     AMBIENT,
     TRACE_SCHEMA_VERSION,
     RunLedger,
-    SpanRecorder,
-    current,
+    TelemetryRecorder,
+    assemble_traces,
     format_critical_path,
     git_sha,
     run_key,
     trace_summary,
     using,
     write_spans_chrome_trace,
-    write_trace_chrome_trace,
 )
 from ..scenarios import get_scenario
 from ..scenarios.builtin import PAPER_FIGURE_IDS, PAPER_TABLE_IDS
@@ -76,7 +75,10 @@ from .report import render_result, save_result
 #: summary, present only when the run had ``--telemetry`` on).
 #: v6: ``harness.macro_above`` (``null`` when exact) replaces the
 #: scheduler backend name — there is one scheduler left to record.
-BENCH_SCHEMA_VERSION = 6
+#: v7: ``items[i].spans`` is the item's telemetry span subtree: trace,
+#: span and parent ids, ``pid`` and ``status`` come in; ``clock`` and
+#: ``duration_s`` go.
+BENCH_SCHEMA_VERSION = 7
 
 class _BadId(Exception):
     """Raised for an unknown/invalid --figure/--table/--scenario id."""
@@ -341,11 +343,16 @@ def main(argv: list[str] | None = None) -> int:
     wanted = {"metrics": want_obs, "comm": want_obs, "timeline": want_obs,
               "energy": config.energy, "telemetry": config.telemetry}
     obs = {name: AMBIENT[name]() for name, on in wanted.items() if on}
-    spans = SpanRecorder()
+    # The stage spans go on the run's telemetry recorder, so executor and
+    # fleet spans nest under each item's compute span; without
+    # --telemetry a private recorder holds them and the ambient one stays
+    # disabled.
+    stages = obs.get("telemetry") or TelemetryRecorder()
     # One loop over every item, in BENCH order: tables, figures, scenarios.
     items = ([(t, "table") for t in tables] + [(f, "figure") for f in figures]
              + [(sid, "scenario") for sid in scenarios])
     bench_items = []
+    item_span_ids: list[str] = []
     cp_reports: dict[str, dict] = {}
     observed_doc: dict[str, dict] = {}
     t_run0 = perf_counter()
@@ -353,7 +360,7 @@ def main(argv: list[str] | None = None) -> int:
     def _snapshot():
         return executor.stats()
 
-    def _record(ident: str, wall: float, before: dict, span) -> None:
+    def _record(ident: str, wall: float, before: dict) -> None:
         after = _snapshot()
         delta = {k: after[k] - before[k] for k in after}
         delta["compute_wall_s"] = round(delta["compute_wall_s"], 6)
@@ -367,35 +374,33 @@ def main(argv: list[str] | None = None) -> int:
             "events": events,
             "events_per_sec": round(events / wall) if wall > 0 else None,
             "compute_wall_s": delta["compute_wall_s"],
-            "spans": span.to_dict(),
         })
 
     try:
-        # One root span covers the whole run; executor/worker spans nest
-        # under it (a no-op on the disabled recorder without telemetry).
         with using(*obs.values()), using_executor(executor), \
-                current("telemetry").span(
-                    "harness.run", "service", items=len(items)):
+                stages.span("harness.run", "harness",
+                            items=len(items)) as run_span:
             for ident, cat in items:
                 before = _snapshot()
-                with spans.span(ident, cat=cat) as sp:
-                    with spans.span("compute", cat="sweep"):
+                with stages.span(ident, cat) as sp:
+                    with stages.span("compute", "sweep"):
                         t0 = perf_counter()
                         result = get_scenario(ident).run(
                             max_cpus=args.max_cpus)
                         dt = perf_counter() - t0
-                    with spans.span("render", cat="report"):
+                    with stages.span("render", "report"):
                         print(render_result(result, plot=args.plot))
                         print(f"[{ident} in {dt:.1f}s]\n")
                     if args.out:
-                        with spans.span("save", cat="report"):
+                        with stages.span("save", "report"):
                             save_result(result, args.out)
-                _record(ident, dt, before, sp)
+                _record(ident, dt, before)
+                item_span_ids.append(sp.span_id)
 
             if want_obs and figures:
                 # Representative traced runs: critical-path verdicts per
                 # (figure, machine) and, with --trace-dir, Perfetto files.
-                with spans.span("observe", cat="observe"):
+                with stages.span("observe", "observe"):
                     reports = observe_figures(figures,
                                               max_cpus=args.max_cpus,
                                               trace_dir=args.trace_dir)
@@ -421,12 +426,19 @@ def main(argv: list[str] | None = None) -> int:
           f"{totals['cache_misses']} misses, "
           f"{totals['events']} events]")
 
+    run_spans = stages.drain()
+    # The stage tree: one subtree per item (plus observe) under the root.
+    (run_root,) = [r for r in assemble_traces(run_spans)[run_span.trace_id]
+                   if r.span_id == run_span.span_id]
+    stage_spans = [c.to_dict() for c in run_root.children]
+    by_id = {d["span_id"]: d for d in stage_spans}
+    for item, span_id in zip(bench_items, item_span_ids):
+        item["spans"] = by_id[span_id]
+
     telemetry_doc = None
-    tel_spans: list[dict] = []
     if "telemetry" in obs:
-        tel_spans = obs["telemetry"].drain()
         telemetry_doc = {"schema_version": TRACE_SCHEMA_VERSION,
-                         **trace_summary(tel_spans)}
+                         **trace_summary(run_spans)}
         n_traces = len(telemetry_doc.get("traces", {}))
         print(f"[telemetry: {telemetry_doc['spans']} spans in "
               f"{n_traces} trace{'s' if n_traces != 1 else ''}]")
@@ -434,10 +446,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.trace_dir is not None:
         trace_dir = Path(args.trace_dir)
         trace_dir.mkdir(parents=True, exist_ok=True)
-        write_spans_chrome_trace(spans.roots, trace_dir / "harness_spans.json")
-        if tel_spans:
-            write_trace_chrome_trace(tel_spans,
-                                     trace_dir / "telemetry_trace.json")
+        write_spans_chrome_trace(run_spans, trace_dir / "harness_spans.json")
         print(f"[traces -> {trace_dir}]")
 
     if args.metrics is not None:
@@ -455,7 +464,7 @@ def main(argv: list[str] | None = None) -> int:
             "critical_path": cp_reports,
             "comm": obs["comm"].snapshot(),
             "timeline": obs["timeline"].snapshot(),
-            "spans": spans.to_dicts(),
+            "spans": stage_spans,
         }
         metrics_path = Path(args.metrics)
         if metrics_path.parent != Path(""):
@@ -567,7 +576,7 @@ def main(argv: list[str] | None = None) -> int:
             comm=obs["comm"].snapshot(),
             timeline=obs["timeline"].snapshot(),
             observed=observed_doc,
-            spans=spans.to_dicts(),
+            spans=stage_spans,
             ledger=ledger_info,
             energy=energy_doc,
             telemetry=telemetry_doc,

@@ -7,11 +7,13 @@ the time it did:
   (counters, gauges, log2-bucket histograms) with hierarchical names
   like ``engine.events`` or ``net.egress.queue_wait``.  Near-zero cost
   when disabled (the default outside the harness).
-* :mod:`repro.obs.spans` — span tracing: wall-time spans for harness
-  stages, virtual-time spans derived from a traced cluster run.
+* :mod:`repro.obs.telemetry` — span tracing: one :class:`Span` type and
+  one :class:`TelemetryRecorder` time the harness stage tree, the
+  executor, the fleet workers and the sweep service, with trace and
+  parent ids that survive thread and process hops.
 * :mod:`repro.obs.exporters` — Chrome ``traceEvents`` JSON (view in
-  ``chrome://tracing`` / Perfetto), newline-delimited JSON, and
-  human-readable summary tables.
+  ``chrome://tracing`` / Perfetto) for a traced cluster run and for
+  recorded spans.
 * :mod:`repro.obs.critical_path` — walks the message/compute records of
   a traced run and reports which resource (compute, NIC, bisection,
   shared memory, wire latency) dominates end-to-end time, and when.
@@ -49,27 +51,21 @@ from .critical_path import (
 from .energy import EnergyRecorder, PowerModel, integrate_energy
 from .exporters import (
     chrome_trace_events,
-    spans_to_chrome_events,
-    summary_table,
     write_chrome_trace,
-    write_ndjson,
     write_spans_chrome_trace,
-    write_trace_chrome_trace,
 )
 from .ledger import LEDGER_SCHEMA_VERSION, RunLedger, git_sha, run_key
 from .telemetry import (
     TRACE_SCHEMA_VERSION,
+    Span,
     TelemetryRecorder,
-    TraceSpan,
     assemble_traces,
     mint_span_id,
     mint_trace_id,
     trace_summary,
-    traces_to_spans,
 )
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .recorder import Recorder
-from .spans import Span, SpanRecorder, spans_from_tracer
 from .timeline import TimelineRecorder, TimelineSeries, straggler_profile
 
 # perfbench imports these four names; they are the one ``using``.
@@ -92,12 +88,10 @@ __all__ = [
     "Recorder",
     "RunLedger",
     "Span",
-    "SpanRecorder",
     "TRACE_SCHEMA_VERSION",
     "TelemetryRecorder",
     "TimelineRecorder",
     "TimelineSeries",
-    "TraceSpan",
     "assemble_traces",
     "chrome_trace_events",
     "critical_path_report",
@@ -109,15 +103,9 @@ __all__ = [
     "install",
     "integrate_energy",
     "run_key",
-    "spans_from_tracer",
-    "spans_to_chrome_events",
     "straggler_profile",
-    "summary_table",
     "trace_summary",
-    "traces_to_spans",
     "using",
     "write_chrome_trace",
-    "write_ndjson",
     "write_spans_chrome_trace",
-    "write_trace_chrome_trace",
 ]

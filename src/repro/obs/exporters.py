@@ -1,9 +1,10 @@
-"""Exporters: Chrome trace JSON, newline-delimited JSON, summary tables.
+"""Exporters: Chrome trace JSON for traced cluster runs and for spans.
 
 Chrome ``traceEvents`` files open in ``chrome://tracing`` or
 https://ui.perfetto.dev: one row per rank, compute phases as duration
-(``X``) events, messages as flow arrows between ranks.  Wall-time span
-trees from the harness export the same way, one row per nesting depth.
+(``X``) events, messages as flow arrows between ranks.  Recorded spans
+(the harness stage tree, executor and fleet spans) export the same way,
+one row per process, nested by parentage.
 
 Usage::
 
@@ -18,7 +19,7 @@ import json
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
-from .spans import Span
+from .telemetry import Span, assemble_traces
 
 if TYPE_CHECKING:  # avoid importing the model layers at module level
     from ..mpi.cluster import Cluster
@@ -87,13 +88,19 @@ def write_chrome_trace(cluster: "Cluster", path: str | Path) -> Path:
 
 # -- span export --------------------------------------------------------------
 
-def spans_to_chrome_events(spans: Iterable[Span]) -> list[dict]:
-    """Chrome ``X`` (complete) events for a list or tree of spans.
+def write_spans_chrome_trace(span_dicts: Iterable[dict],
+                             path: str | Path) -> Path:
+    """Serialise span dicts (wire form) to a Chrome trace JSON file.
 
-    Wall spans are assumed to be seconds from an arbitrary epoch;
-    virtual spans are virtual seconds from t=0.  Children are emitted
-    recursively, so passing ``recorder.roots`` exports a whole tree.
+    The flat spans are reassembled into per-trace trees first, so
+    parent/child causality shows up as nesting in Perfetto, and every
+    timestamp is rebased so the trace starts at t=0.  Each span becomes
+    one complete (``X``) event on its process's row (``tid`` = pid),
+    with its attrs, ids and status as ``args``.
     """
+    roots = [r for rs in assemble_traces(list(span_dicts)).values()
+             for r in rs]
+    t0 = min((r.t_start for r in roots), default=0.0)
     events: list[dict] = []
 
     def emit(span: Span) -> None:
@@ -103,75 +110,19 @@ def spans_to_chrome_events(spans: Iterable[Span]) -> list[dict]:
             "cat": span.cat,
             "ph": "X",
             "pid": 0,
-            "tid": span.tid,
-            "ts": span.t_start * _US,
+            "tid": span.pid,
+            "ts": (span.t_start - t0) * _US,
             "dur": max((end - span.t_start) * _US, 0.001),
-            "args": span.args,
+            "args": {**span.attrs, "trace_id": span.trace_id,
+                     "span_id": span.span_id, "parent_id": span.parent_id,
+                     "status": span.status},
         })
         for child in span.children:
             emit(child)
 
-    for s in spans:
-        emit(s)
-    return events
-
-
-def write_spans_chrome_trace(spans: Iterable[Span], path: str | Path) -> Path:
-    """Serialise spans (trees allowed) to a Chrome trace JSON file."""
+    for r in sorted(roots, key=lambda s: (s.t_start, s.span_id)):
+        emit(r)
     path = Path(path)
-    # Rebase wall timestamps so the trace starts at t=0.
-    spans = list(spans)
-    events = spans_to_chrome_events(spans)
-    if events:
-        t0 = min(e["ts"] for e in events)
-        for e in events:
-            e["ts"] -= t0
-    payload = {"traceEvents": events, "displayTimeUnit": "ms"}
-    path.write_text(json.dumps(payload))
+    path.write_text(json.dumps({"traceEvents": events,
+                                "displayTimeUnit": "ms"}))
     return path
-
-
-def write_trace_chrome_trace(span_dicts: Iterable[dict],
-                             path: str | Path) -> Path:
-    """Serialise telemetry span dicts (wire form) to a Chrome trace file.
-
-    Reassembles the flat spans into per-trace trees first, so parent /
-    child causality shows up as nesting in Perfetto.
-    """
-    from .telemetry import traces_to_spans
-
-    return write_spans_chrome_trace(traces_to_spans(list(span_dicts)), path)
-
-
-def write_ndjson(records: Iterable[dict], path: str | Path) -> Path:
-    """Write one JSON object per line (for log shippers / jq pipelines)."""
-    path = Path(path)
-    with path.open("w") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True))
-            fh.write("\n")
-    return path
-
-
-def summary_table(spans: Iterable[Span], indent: int = 2) -> str:
-    """Human-readable nested span summary with durations and shares."""
-    lines = [f"{'span':<44} {'time':>12} {'share':>7}"]
-    spans = list(spans)
-    total = sum(s.duration for s in spans) or 1.0
-
-    def fmt_time(seconds: float) -> str:
-        if seconds >= 1.0:
-            return f"{seconds:.2f} s"
-        return f"{seconds * 1e3:.2f} ms"
-
-    def emit(span: Span, depth: int, parent_total: float) -> None:
-        share = span.duration / parent_total if parent_total else 0.0
-        label = " " * (indent * depth) + span.name
-        lines.append(f"{label:<44} {fmt_time(span.duration):>12} "
-                     f"{share * 100:>6.1f}%")
-        for child in span.children:
-            emit(child, depth + 1, span.duration or parent_total)
-
-    for s in spans:
-        emit(s, 0, total)
-    return "\n".join(lines)

@@ -1,11 +1,10 @@
-"""Distributed tracing for the serving path: jobs, sweeps, workers.
+"""Span tracing for the harness, the executor, the fleet and the service.
 
-Where :mod:`repro.obs.spans` times the *harness* (a single process, a
-single thread, a strict stack of phases), this module traces the *sweep
-service*: one submitted job fans out through queue worker threads, an
-executor, and — under the ``subprocess`` backend — a fleet of worker
-processes speaking line-delimited JSON.  A trace must therefore survive
-three boundaries the span recorder never crosses:
+One span type, :class:`Span`, and one recorder, :class:`TelemetryRecorder`,
+time every phase: the harness stage tree (``harness.run`` → item →
+``compute`` / ``render`` / ``save``), the sweep executor's batches and
+dispatches, fleet-worker point computes, and sweep-service jobs.  A
+trace must survive three boundaries:
 
 * **concurrency** — several jobs trace simultaneously through one
   shared :class:`TelemetryRecorder`; the open-span stack is
@@ -25,9 +24,7 @@ three boundaries the span recorder never crosses:
 Timestamps are ``time.time()`` (shared epoch) so spans from different
 processes land on one comparable timeline; a trace reassembles into a
 tree with :func:`assemble_traces` and exports to Chrome ``traceEvents``
-through the existing :mod:`repro.obs.exporters` machinery
-(:meth:`TraceSpan.to_span` lifts telemetry spans into the exporter's
-:class:`~repro.obs.spans.Span` type).
+with :func:`repro.obs.exporters.write_spans_chrome_trace`.
 
 The module follows the ``repro.obs`` no-op discipline: a shared
 *disabled* recorder is ambient by default, every recording entry point
@@ -47,7 +44,6 @@ import threading
 import time
 from typing import Iterator
 
-from .spans import Span
 
 #: Bump when the span-dict layout changes incompatibly.
 TRACE_SCHEMA_VERSION = 1
@@ -80,7 +76,7 @@ def mint_span_id() -> str:
     return _mint(6)
 
 
-class TraceSpan:
+class Span:
     """One timed operation within a trace.
 
     Mutable while open (the recorder stamps ``t_end`` on exit), then
@@ -107,11 +103,7 @@ class TraceSpan:
         self.pid = os.getpid() if pid is None else pid
         self.attrs = attrs or {}
         self.status = status
-        self.children: list["TraceSpan"] = []
-
-    @property
-    def duration(self) -> float:
-        return 0.0 if self.t_end is None else self.t_end - self.t_start
+        self.children: list["Span"] = []
 
     def to_dict(self) -> dict:
         """Flat JSON-able form — the wire/event-log representation."""
@@ -128,10 +120,12 @@ class TraceSpan:
         }
         if self.attrs:
             d["attrs"] = self.attrs
+        if self.children:
+            d["children"] = [c.to_dict() for c in self.children]
         return d
 
     @classmethod
-    def from_dict(cls, d: dict) -> "TraceSpan":
+    def from_dict(cls, d: dict) -> "Span":
         return cls(d["trace_id"], d["span_id"], d.get("parent_id"),
                    d.get("name", "?"), d.get("cat", "service"),
                    t_start=float(d.get("t_start", 0.0)),
@@ -140,25 +134,9 @@ class TraceSpan:
                    attrs=d.get("attrs") or {},
                    status=d.get("status", "ok"))
 
-    def to_span(self, t0: float = 0.0) -> Span:
-        """Lift into the exporter :class:`~repro.obs.spans.Span` type.
-
-        ``t0`` rebases the epoch timestamps (pass the trace's earliest
-        start so exports begin at zero); children convert recursively,
-        so an assembled tree exports as one waterfall.
-        """
-        s = Span(name=self.name, cat=self.cat, clock="wall",
-                 t_start=self.t_start - t0,
-                 t_end=None if self.t_end is None else self.t_end - t0,
-                 tid=self.pid,
-                 args={"trace_id": self.trace_id, "span_id": self.span_id,
-                       "status": self.status, **self.attrs})
-        s.children = [c.to_span(t0) for c in self.children]
-        return s
-
 
 class TelemetryRecorder:
-    """Shared, thread-safe recorder of :class:`TraceSpan` trees.
+    """Shared, thread-safe recorder of :class:`Span` trees.
 
     One recorder serves every concurrent job of a service (or one whole
     harness run): each thread keeps its own open-span stack, finished
@@ -178,58 +156,58 @@ class TelemetryRecorder:
         self._ctx_parent = (context or {}).get("parent_span_id")
         self._lock = threading.Lock()
         self._tls = threading.local()
-        self.spans: list[TraceSpan] = []
+        self.spans: list[Span] = []
 
     # -- recording -----------------------------------------------------------
 
-    def _stack(self) -> list[TraceSpan]:
+    def _stack(self) -> list[Span]:
         stack = getattr(self._tls, "stack", None)
         if stack is None:
             stack = self._tls.stack = []
         return stack
 
-    def begin(self, name: str, cat: str = "service", *,
-              trace_id: str | None = None,
-              parent: dict | None = None, **attrs) -> TraceSpan | None:
-        """Open a span; returns None (recording nothing) when disabled.
+    def _parent_of(self, parent: dict | None) -> tuple[str, str | None]:
+        """``(trace_id, parent_id)`` for a new span, most specific first.
 
-        Parentage, most specific wins: an explicit ``parent`` trace
-        context, else the innermost open span on *this thread*, else
-        the recorder's remote context, else a fresh root (minting
-        ``trace_id`` unless one is given).
+        An explicit ``parent`` trace context, else the innermost open
+        span on *this thread*, else the recorder's remote context, else
+        a fresh root with a fresh trace id.
         """
+        if parent is not None:
+            return (parent.get("trace_id") or mint_trace_id(),
+                    parent.get("parent_span_id") or parent.get("span_id"))
+        stack = self._stack()
+        if stack:
+            return stack[-1].trace_id, stack[-1].span_id
+        if self._ctx_trace is not None:
+            return self._ctx_trace, self._ctx_parent
+        return mint_trace_id(), None
+
+    def begin(self, name: str, cat: str = "service", *,
+              parent: dict | None = None, **attrs) -> Span | None:
+        """Open a span; returns None (recording nothing) when disabled."""
         if not self.enabled:
             return None
-        stack = self._stack()
-        if parent is not None:
-            tid = parent.get("trace_id") or trace_id or mint_trace_id()
-            pid = parent.get("parent_span_id") or parent.get("span_id")
-        elif stack:
-            tid = stack[-1].trace_id
-            pid = stack[-1].span_id
-        elif self._ctx_trace is not None:
-            tid = self._ctx_trace
-            pid = self._ctx_parent
-        else:
-            tid = trace_id or mint_trace_id()
-            pid = None
-        span = TraceSpan(tid, mint_span_id(), pid, name, cat,
-                         t_start=time.time(), attrs=attrs)
-        stack.append(span)
+        tid, pid = self._parent_of(parent)
+        span = Span(tid, mint_span_id(), pid, name, cat,
+                    t_start=time.time(), attrs=attrs)
+        self._stack().append(span)
         return span
 
-    def end(self, span: TraceSpan | None, status: str = "ok") -> None:
-        """Close ``span`` (a no-op for the disabled-recorder None)."""
+    def end(self, span: Span | None, status: str = "ok") -> None:
+        """Close ``span`` (a no-op for the disabled-recorder None).
+
+        The span is always kept.  Closing a span that is not the
+        innermost open one unwinds this thread's stack down to it, so
+        any spans opened inside it and never closed stop being parents.
+        """
         if span is None or not self.enabled:
             return
         stack = self._stack()
-        if stack and stack[-1] is span:
-            stack.pop()
-        else:  # pragma: no cover - misnested close, keep the data anyway
-            try:
-                stack.remove(span)
-            except ValueError:
-                pass
+        for k in range(len(stack) - 1, -1, -1):
+            if stack[k] is span:
+                del stack[k:]
+                break
         span.t_end = time.time()
         span.status = status
         with self._lock:
@@ -237,7 +215,7 @@ class TelemetryRecorder:
 
     @contextlib.contextmanager
     def span(self, name: str, cat: str = "service", *,
-             parent: dict | None = None, **attrs) -> Iterator[TraceSpan | None]:
+             parent: dict | None = None, **attrs) -> Iterator[Span | None]:
         """Context-manager span; yields None when the recorder is off."""
         s = self.begin(name, cat, parent=parent, **attrs)
         try:
@@ -252,7 +230,7 @@ class TelemetryRecorder:
                t_start: float, t_end: float,
                parent: dict | None = None,
                span_id: str | None = None,
-               status: str = "ok", **attrs) -> TraceSpan | None:
+               status: str = "ok", **attrs) -> Span | None:
         """Record a span retroactively with explicit epoch timestamps.
 
         For phases whose boundaries were observed rather than lived —
@@ -263,26 +241,17 @@ class TelemetryRecorder:
         """
         if not self.enabled:
             return None
-        stack = self._stack()
-        if parent is not None:
-            tid = parent.get("trace_id") or mint_trace_id()
-            pid = parent.get("parent_span_id") or parent.get("span_id")
-        elif stack:
-            tid, pid = stack[-1].trace_id, stack[-1].span_id
-        elif self._ctx_trace is not None:
-            tid, pid = self._ctx_trace, self._ctx_parent
-        else:
-            tid, pid = mint_trace_id(), None
-        span = TraceSpan(tid, span_id or mint_span_id(), pid, name, cat,
-                         t_start=t_start, t_end=t_end, attrs=attrs,
-                         status=status)
+        tid, pid = self._parent_of(parent)
+        span = Span(tid, span_id or mint_span_id(), pid, name, cat,
+                    t_start=t_start, t_end=t_end, attrs=attrs,
+                    status=status)
         with self._lock:
             self.spans.append(span)
         return span
 
     # -- propagation ---------------------------------------------------------
 
-    def inject(self, span: TraceSpan | None = None) -> dict | None:
+    def inject(self, span: Span | None = None) -> dict | None:
         """Trace context for a child in another thread/process.
 
         Serialises the causal position of ``span`` (default: this
@@ -310,7 +279,7 @@ class TelemetryRecorder:
         """
         if not self.enabled or not span_dicts:
             return 0
-        adopted = [TraceSpan.from_dict(d) for d in span_dicts]
+        adopted = [Span.from_dict(d) for d in span_dicts]
         with self._lock:
             self.spans.extend(adopted)
         return len(adopted)
@@ -328,12 +297,6 @@ class TelemetryRecorder:
         with self._lock:
             return [s.to_dict() for s in self.spans]
 
-    def trace_spans(self, trace_id: str) -> list[dict]:
-        """Finished spans belonging to one trace, as dicts."""
-        with self._lock:
-            return [s.to_dict() for s in self.spans
-                    if s.trace_id == trace_id]
-
     def take_trace(self, trace_id: str) -> list[dict]:
         """Remove and return one trace's finished spans as dicts.
 
@@ -350,7 +313,7 @@ class TelemetryRecorder:
 # -- reassembly ---------------------------------------------------------------
 
 
-def assemble_traces(span_dicts: list[dict]) -> dict[str, list[TraceSpan]]:
+def assemble_traces(span_dicts: list[dict]) -> dict[str, list[Span]]:
     """Rebuild span trees: ``{trace_id: [root spans]}``.
 
     Children attach to their parent (sorted by start time); a span
@@ -358,9 +321,9 @@ def assemble_traces(span_dicts: list[dict]) -> dict[str, list[TraceSpan]]:
     extra root rather than dropped — incomplete traces should be
     *visibly* incomplete.
     """
-    spans = [TraceSpan.from_dict(d) for d in span_dicts]
+    spans = [Span.from_dict(d) for d in span_dicts]
     by_id = {s.span_id: s for s in spans}
-    out: dict[str, list[TraceSpan]] = {}
+    out: dict[str, list[Span]] = {}
     for s in spans:
         parent = by_id.get(s.parent_id) if s.parent_id else None
         if parent is not None and parent.trace_id == s.trace_id:
@@ -387,7 +350,7 @@ def trace_summary(span_dicts: list[dict]) -> dict:
     trees = assemble_traces(span_dicts)
     doc: dict = {"spans": len(span_dicts), "traces": {}}
     for trace_id, roots in sorted(trees.items()):
-        flat: list[TraceSpan] = []
+        flat: list[Span] = []
         stack = list(roots)
         while stack:
             s = stack.pop()
@@ -407,17 +370,3 @@ def trace_summary(span_dicts: list[dict]) -> dict:
             "by_cat": dict(sorted(by_cat.items())),
         }
     return doc
-
-
-def traces_to_spans(span_dicts: list[dict]) -> list[Span]:
-    """Assembled trace trees as exporter spans, rebased to t=0.
-
-    Feed the result straight to
-    :func:`repro.obs.exporters.write_spans_chrome_trace`.
-    """
-    trees = assemble_traces(span_dicts)
-    all_roots = [r for roots in trees.values() for r in roots]
-    if not all_roots:
-        return []
-    t0 = min(r.t_start for r in all_roots)
-    return [r.to_span(t0) for r in all_roots]

@@ -258,9 +258,9 @@ class SpoolServer:
         spans = self.queue.job_trace(job_id)
         if not spans:
             return
-        from ..obs.exporters import write_trace_chrome_trace
+        from ..obs.exporters import write_spans_chrome_trace
         self.spool.traces_dir.mkdir(parents=True, exist_ok=True)
-        write_trace_chrome_trace(spans, self.spool.traces_dir
+        write_spans_chrome_trace(spans, self.spool.traces_dir
                                  / f"{rid}.json")
 
     def _write_metrics(self) -> None:

@@ -133,6 +133,20 @@ def test_serve_traced_job_ships_spans_home():
     assert traced.events == plain.events
 
 
+def test_serve_traced_failing_job_ships_spans_home():
+    bad = SimPoint.make("imb", "xeon", 2, benchmark="NoSuchBench",
+                        msg_bytes=8)
+    ctx = {"trace_id": "T", "parent_span_id": "P"}
+    (reply,) = _serve_lines(
+        _INIT,
+        {"op": "job", "id": 4, "point": encode_point(bad), "trace": ctx},
+        {"op": "shutdown"})
+    assert reply["op"] == "error" and reply["id"] == 4
+    # The failed attempt is part of the trace, as it is inline.
+    assert [(s["name"], s["status"], s["trace_id"], s["parent_id"])
+            for s in reply["spans"]] == [("point.compute", "error", "T", "P")]
+
+
 # -- parent side: crash/restart accounting ------------------------------------
 
 

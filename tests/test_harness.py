@@ -159,6 +159,32 @@ def test_runner_bench_items_keep_table_figure_scenario_order(tmp_path):
         "table", "figure", "scenario"]
 
 
+def test_traced_run_nests_executor_spans_under_items(tmp_path):
+    import json
+
+    rc = runner_main(["--figure", "6", "--max-cpus", "8", "--jobs", "2",
+                      "--exec-backend", "subprocess", "--telemetry",
+                      "--no-cache", "--no-ledger",
+                      "--bench-json", str(tmp_path / "bench.json"),
+                      "--trace-dir", str(tmp_path / "traces")])
+    assert rc == 0
+    doc = json.loads((tmp_path / "traces" / "harness_spans.json").read_text())
+    spans = {e["args"]["span_id"]: e for e in doc["traceEvents"]}
+
+    def ancestors(e):
+        while e["args"]["parent_id"] in spans:
+            e = spans[e["args"]["parent_id"]]
+            yield e["name"]
+
+    batches = [e for e in spans.values() if e["name"] == "sweep.batch"]
+    assert batches
+    assert all("fig06" in ancestors(e) for e in batches)
+    # One trace, one root: the whole run is one tree.
+    (trace,) = json.loads((tmp_path / "bench.json").read_text())[
+        "telemetry"]["traces"].values()
+    assert trace["roots"] == 1 and trace["root_name"] == "harness.run"
+
+
 def test_runner_cli_table(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # bench/ledger artifacts default to cwd
     rc = runner_main(["--table", "2"])

@@ -12,21 +12,18 @@ import json
 
 import pytest
 
-from repro.core.trace import NULL_TRACER, ComputeRecord, MessageRecord, Tracer
+from repro.core.trace import NULL_TRACER, MessageRecord, Tracer
 from repro.exec import SimPoint, SweepExecutor
 from repro.mpi.cluster import Cluster
 from repro.obs import (
     MetricsRegistry,
-    SpanRecorder,
+    TelemetryRecorder,
+    assemble_traces,
     critical_path_report,
     current,
     format_critical_path,
-    spans_from_tracer,
-    spans_to_chrome_events,
-    summary_table,
     using,
     write_chrome_trace,
-    write_ndjson,
     write_spans_chrome_trace,
 )
 from repro.obs.metrics import log2_bucket
@@ -107,81 +104,71 @@ def test_snapshot_merge_commutative():
 
 # -- spans --------------------------------------------------------------------
 
-def _fake_clock():
-    t = [0.0]
+@pytest.fixture
+def fake_clock(monkeypatch):
+    """Each ``time.time()`` the span recorder reads ticks one second."""
+    import repro.obs.telemetry as telemetry
 
-    def clock():
-        t[0] += 1.0
-        return t[0]
+    class _Clock:
+        t = 0.0
 
-    return clock
+        def time(self):
+            self.t += 1.0
+            return self.t
+
+    monkeypatch.setattr(telemetry, "time", _Clock())
 
 
-def test_span_nesting_and_durations():
-    rec = SpanRecorder(clock=_fake_clock())
-    with rec.span("outer") as outer:
-        with rec.span("inner", cat="sweep", detail=42) as inner:
+def test_span_nesting_and_durations(fake_clock):
+    rec = TelemetryRecorder()
+    with rec.span("outer", "harness") as outer:
+        with rec.span("inner", "sweep", detail=42) as inner:
             pass
-    assert rec.depth == 0
-    assert rec.roots == [outer]
-    assert outer.children == [inner]
-    assert inner.args == {"detail": 42}
+    assert rec.inject() is None  # nothing left open
+    assert inner.parent_id == outer.span_id
+    assert inner.trace_id == outer.trace_id and outer.parent_id is None
+    assert inner.attrs == {"detail": 42}
     # fake clock ticks once per begin/end call
-    assert inner.duration == 1.0
-    assert outer.duration == 3.0
-    d = outer.to_dict()
-    assert d["children"][0]["name"] == "inner"
-    assert d["duration_s"] == 3.0
+    assert inner.t_end - inner.t_start == 1.0
+    assert outer.t_end - outer.t_start == 3.0
+    (root,) = assemble_traces(rec.drain())[outer.trace_id]
+    d = root.to_dict()
+    assert d["name"] == "outer" and d["t_end"] - d["t_start"] == 3.0
+    (child,) = d["children"]
+    assert child["name"] == "inner" and child["attrs"] == {"detail": 42}
+    assert "children" not in child  # a leaf keeps the flat wire form
 
 
-def test_span_end_order_enforced():
-    rec = SpanRecorder(clock=_fake_clock())
+def test_span_misnested_end_keeps_span_and_unwinds(fake_clock):
+    rec = TelemetryRecorder()
     a = rec.begin("a")
-    rec.begin("b")
-    with pytest.raises(ValueError):
-        rec.end(a)
+    b = rec.begin("b")
+    rec.end(a)  # b is still open inside a
+    assert rec.inject() is None  # the stack unwound past b
+    c = rec.begin("c")  # no longer nests under the closed a or b
+    assert c.parent_id is None
+    rec.end(c)
+    rec.end(b)  # already unwound: still kept
+    names = [d["name"] for d in rec.drain()]
+    assert names == ["a", "c", "b"]
+    assert b.parent_id == a.span_id and b.t_end is not None
 
 
-def test_span_chrome_export_round_trip(tmp_path):
-    rec = SpanRecorder(clock=_fake_clock())
-    with rec.span("root"):
+def test_span_chrome_export_round_trip(tmp_path, fake_clock):
+    rec = TelemetryRecorder()
+    with rec.span("root") as root:
         with rec.span("child"):
             pass
-    path = write_spans_chrome_trace(rec.roots, tmp_path / "spans.json")
+    path = write_spans_chrome_trace(rec.drain(), tmp_path / "spans.json")
     data = json.loads(path.read_text())
     events = data["traceEvents"]
     assert [e["name"] for e in events] == ["root", "child"]
     # all complete events, non-negative, zero-based timestamps
     assert all(e["ph"] == "X" and e["dur"] > 0 for e in events)
     assert min(e["ts"] for e in events) == 0
-
-
-def test_summary_table_renders_shares():
-    rec = SpanRecorder(clock=_fake_clock())
-    with rec.span("root"):
-        with rec.span("child"):
-            pass
-    text = summary_table(rec.roots)
-    assert "root" in text and "  child" in text
-    assert "100.0%" in text
-
-
-def test_spans_from_tracer_virtual_clock():
-    tr = Tracer()
-    tr.record_compute(ComputeRecord(0, 1e6, 0, "dgemm", 0.0, 2.0))
-    tr.record_message(MessageRecord(0, 1, 100, 0, 1.0, 3.0, False))
-    spans = spans_from_tracer(tr)
-    assert [s.clock for s in spans] == ["virtual", "virtual"]
-    assert spans[0].cat == "compute" and spans[0].tid == 0
-    assert spans[1].cat == "message" and spans[1].tid == 1
-    events = spans_to_chrome_events(spans)
-    assert all(e["ph"] == "X" for e in events)
-
-
-def test_ndjson_writer(tmp_path):
-    path = write_ndjson([{"a": 1}, {"b": 2}], tmp_path / "out.ndjson")
-    lines = path.read_text().splitlines()
-    assert [json.loads(ln) for ln in lines] == [{"a": 1}, {"b": 2}]
+    assert events[1]["ts"] == 1e6 and events[0]["dur"] == 3e6
+    assert events[1]["args"]["parent_id"] == root.span_id
+    assert all(e["tid"] == root.pid for e in events)
 
 
 # -- critical path ------------------------------------------------------------
@@ -346,8 +333,3 @@ def test_null_tracer_cannot_be_enabled():
     with pytest.raises(ValueError):
         NULL_TRACER.enabled = True
     assert not NULL_TRACER.enabled
-
-
-def test_analysis_reexports_obs_exporters():
-    from repro.analysis import write_chrome_trace as legacy
-    assert legacy is write_chrome_trace

@@ -572,6 +572,13 @@ def _tiny_doc():
         "traffic": {"message_count": 2, "total_bytes": 3 << 19,
                     "inter_node_bytes": 1 << 20},
     }}}
+    item_span = {"trace_id": "t", "span_id": "a", "parent_id": "r",
+                 "name": "fig12", "cat": "figure", "t_start": 0.0,
+                 "t_end": 0.5, "pid": 1, "status": "ok",
+                 "children": [{"trace_id": "t", "span_id": "b",
+                               "parent_id": "a", "name": "compute",
+                               "cat": "sweep", "t_start": 0.0,
+                               "t_end": 0.4, "pid": 1, "status": "ok"}]}
     return build_run_doc(
         harness={"schema_version": 1, "git_sha": "abc1234",
                  "fingerprint": "deadbeef", "max_cpus": 16, "jobs": 2,
@@ -581,16 +588,9 @@ def _tiny_doc():
         items=[{"id": "fig12", "wall_s": 0.5, "points": 4,
                 "cache_hits": 1, "cache_misses": 3, "events": 1000,
                 "events_per_sec": 2000, "compute_wall_s": 0.5,
-                "spans": {"name": "fig12", "cat": "figure",
-                          "clock": "wall", "t_start": 0.0, "t_end": 0.5,
-                          "duration_s": 0.5, "children": []}}],
+                "spans": item_span}],
         comm=comm.snapshot(), timeline=tl.snapshot(), observed=observed,
-        spans=[{"name": "fig12", "cat": "figure", "clock": "wall",
-                "t_start": 0.0, "t_end": 0.5, "duration_s": 0.5,
-                "children": [{"name": "compute", "cat": "sweep",
-                              "clock": "wall", "t_start": 0.0,
-                              "t_end": 0.4, "duration_s": 0.4,
-                              "children": []}]}],
+        spans=[item_span],
         ledger={"path": "BENCH_ledger.jsonl", "entries": 4,
                 "trend": [["a1", 1.0], ["b2", 1.1], ["c3", 1.05]],
                 "regression": {"checked": True, "history": 3,

@@ -16,15 +16,15 @@ import threading
 import pytest
 
 from repro.obs.context import current, install, using
+from repro.obs.exporters import write_spans_chrome_trace
 from repro.obs.telemetry import (
     TRACE_SCHEMA_VERSION,
+    Span,
     TelemetryRecorder,
-    TraceSpan,
     assemble_traces,
     mint_span_id,
     mint_trace_id,
     trace_summary,
-    traces_to_spans,
 )
 
 
@@ -185,32 +185,35 @@ def test_trace_summary_counts_by_cat_and_errors():
     assert t["errors"] == 1
 
 
-def test_traces_to_spans_rebases_to_zero():
+def test_chrome_trace_rebases_to_zero(tmp_path):
     rec = TelemetryRecorder()
-    root = rec.begin("job", "service")
-    rec.end(root)
-    (span,) = traces_to_spans(rec.drain())
-    assert span.t_start == 0.0
-    assert span.args["trace_id"] == root.trace_id
+    root = rec.begin("job", "service", k="v")
+    rec.end(root, status="error")
+    path = write_spans_chrome_trace(rec.drain(), tmp_path / "trace.json")
+    (event,) = json.loads(path.read_text())["traceEvents"]
+    assert event["ts"] == 0.0
+    assert event["args"] == {"k": "v", "trace_id": root.trace_id,
+                             "span_id": root.span_id, "parent_id": None,
+                             "status": "error"}
 
 
 def test_trace_span_dict_round_trip():
-    s = TraceSpan("t", "s", "p", "name", "cat", t_start=1.5, t_end=2.5,
-                  pid=42, attrs={"k": "v"}, status="error")
-    back = TraceSpan.from_dict(json.loads(json.dumps(s.to_dict())))
-    assert back.to_dict() == s.to_dict()
-    assert back.duration == pytest.approx(1.0)
+    s = Span("t", "s", "p", "name", "cat", t_start=1.5, t_end=2.5,
+             pid=42, attrs={"k": "v"}, status="error")
+    wire = s.to_dict()
+    assert "children" not in wire  # the flat wire form
+    back = Span.from_dict(json.loads(json.dumps(wire)))
+    assert back.to_dict() == wire
+    assert back.t_end - back.t_start == pytest.approx(1.0)
 
 
 def test_chrome_trace_export(tmp_path):
-    from repro.obs.exporters import write_trace_chrome_trace
-
     rec = TelemetryRecorder()
     with rec.span("job", "service"):
         with rec.span("point", "point"):
             pass
     path = tmp_path / "trace.json"
-    write_trace_chrome_trace(rec.drain(), path)
+    write_spans_chrome_trace(rec.drain(), path)
     doc = json.loads(path.read_text())
     names = {e["name"] for e in doc["traceEvents"]}
     assert {"job", "point"} <= names

@@ -6,15 +6,11 @@ import numpy as np
 import pytest
 
 from repro import Cluster, SUM, get_machine
-from repro.analysis import (
-    fit_report,
-    format_report,
-    utilization_report,
-    write_chrome_trace,
-)
+from repro.analysis import fit_report, format_report, utilization_report
 from repro.hpcc import run_hpcc
 from repro.imb import run_benchmark
 from repro.machine.faults import slow_node
+from repro.obs import write_chrome_trace
 
 
 def dot_product(comm, n):
