@@ -31,6 +31,9 @@ step that yields ``None`` or an already-triggered event, and
 Events run in place count as events (``events_processed``) and sample
 the queue high-water mark as the batch they would have started, so
 every observable result is what the queued dispatch would produce.
+The transport goes one step further for an exchange's eager send
+completion, which provably fires unobserved: it is never queued at all
+and only counted (:meth:`repro.mpi.pt2pt.Transport.sendrecv`).
 """
 
 from __future__ import annotations
@@ -270,8 +273,11 @@ class Engine:
         #: True while the running event is the last of its batch — the
         #: first half of the in-place test in :meth:`_run_here`.
         self._tail = False
-        #: Events run in place during the current run() call.
-        self._inplace = 0
+        #: Events counted without a queue round trip during the current
+        #: run() call: those run in place, and the send completions
+        #: :meth:`repro.mpi.pt2pt.Transport.sendrecv` elides (counted
+        #: when reserved, as each would have been dispatched).
+        self._logical = 0
         #: Events executed by this engine across all run() calls,
         #: including those run in place.
         self.events_processed = 0
@@ -326,7 +332,7 @@ class Engine:
             raise SimulationError("engine.run() is not reentrant")
         self._running = True
         self._tail = True
-        self._inplace = 0
+        self._logical = 0
         sched = self._sched
         pop_batch = sched.pop_batch
         n_events = 0
@@ -372,7 +378,7 @@ class Engine:
         finally:
             self._running = False
             self._tail = False
-            n_events += self._inplace
+            n_events += self._logical
             self.events_processed += n_events
             EVENT_STATS["processed"] += n_events
             if track:
@@ -423,7 +429,7 @@ class Engine:
         """
         if not self._tail or self._pending_at(self._now):
             return False
-        self._inplace += 1
+        self._logical += 1
         if self._metrics is not None:
             pending = len(self._sched) + 1
             if pending > self.heap_high_water:

@@ -53,6 +53,7 @@ from ..obs import (
     TelemetryRecorder,
     assemble_traces,
     format_critical_path,
+    git_dirty,
     git_sha,
     run_key,
     trace_summary,
@@ -483,10 +484,12 @@ def main(argv: list[str] | None = None) -> int:
 
     item_ids = [ident for ident, _cat in items]
     sha = git_sha()
+    dirty = git_dirty()
     fingerprint = source_fingerprint()
     harness_doc = {
         "schema_version": BENCH_SCHEMA_VERSION,
         "git_sha": sha,
+        "dirty": dirty,
         "fingerprint": fingerprint,
         "max_cpus": args.max_cpus,
         "jobs": executor.jobs,
@@ -522,6 +525,7 @@ def main(argv: list[str] | None = None) -> int:
         row = {
             "when": round(time.time(), 3),
             "git_sha": sha,
+            "dirty": dirty,
             "fingerprint": fingerprint,
             "run_key": key,
             "items": item_ids,

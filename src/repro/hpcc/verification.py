@@ -14,7 +14,6 @@ formality: a broken allgather or mis-sliced transpose fails here.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,12 +151,3 @@ def run_verification(machine: MachineSpec,
     return VerificationReport(machine=machine.name, nprocs=nprocs,
                               items=items)
 
-
-def verify_machines(machines: Sequence[MachineSpec],
-                    nprocs: int = 4) -> list[VerificationReport]:
-    """Run the battery over several machine models, serially.
-
-    (The validation gate fans the same work out through the executor as
-    ``hpcc_verify`` points; this helper is the direct path for scripts.)
-    """
-    return [run_verification(m, nprocs=nprocs) for m in machines]

@@ -62,10 +62,13 @@ def _irecv(comm, source: int, tag: int):
 def _sendrecv(comm, dest: int, source: int, nbytes: int, tag: int,
               data: Any = None):
     """Concurrent exchange; returns the received :class:`RecvResult`."""
-    rreq = _irecv(comm, source, tag)
-    sreq = _isend(comm, dest, nbytes, tag, data)
+    ranks = comm._world_ranks
+    rreq, sreq = comm.cluster.transport.sendrecv(
+        ranks[comm._rank], ranks[dest], ranks[source], int(nbytes), tag, tag,
+        data, comm._coll_channel,
+    )
     res = yield rreq
-    yield sreq
+    yield sreq  # None when elided: the same resume as the fired event
     return res
 
 
@@ -142,13 +145,10 @@ class _SubGroup:
         self._rank = self.rank
         self._world_ranks = tuple(map(comm._world_ranks.__getitem__,
                                       self._members))
-        self._coll_channel = comm._channel("coll")
+        self._coll_channel = comm._coll_channel
 
     def _global(self, sub_rank: int) -> int:
         return self._comm._global(self._members[sub_rank])
-
-    def _channel(self, kind: str):
-        return self._comm._channel(kind)
 
     def compute(self, **kw):
         return self._comm.compute(**kw)
@@ -164,10 +164,7 @@ def _barrier_dissemination(comm, base_tag: int):
     while step < size:
         dst = (rank + step) % size
         src = (rank - step) % size
-        rreq = _irecv(comm, src, base_tag + rnd)
-        sreq = _isend(comm, dst, 0, base_tag + rnd)
-        yield rreq
-        yield sreq
+        yield from _sendrecv(comm, dst, src, 0, base_tag + rnd)
         step <<= 1
         rnd += 1
 

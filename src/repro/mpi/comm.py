@@ -82,9 +82,6 @@ class Comm:
             raise MPIError(f"rank {rank} outside communicator of size {self.size}")
         return self._world_ranks[rank]
 
-    def _channel(self, kind: str) -> tuple:
-        return (self._comm_key, kind)
-
     # -- point-to-point -----------------------------------------------------------
 
     def isend(
@@ -121,7 +118,7 @@ class Comm:
         n = resolve_nbytes(data, nbytes)
         return self.cluster.transport.isend(
             self.world_rank, self._global(dest), n, tag, data,
-            self._channel("p2p"), force_rendezvous=True,
+            self._p2p_channel, force_rendezvous=True,
         )
 
     def ssend(self, dest: int, data: Any = None, nbytes: int | None = None,
@@ -138,7 +135,7 @@ class Comm:
         """
         gsrc = source if source == ANY_SOURCE else self._global(source)
         hit = self.cluster.transport.probe(
-            self.world_rank, gsrc, tag, self._channel("p2p")
+            self.world_rank, gsrc, tag, self._p2p_channel
         )
         if hit is None:
             return None
@@ -172,10 +169,22 @@ class Comm:
         """Concurrent send+recv (generator); returns the :class:`RecvResult`."""
         if recvtag is None:
             recvtag = sendtag
-        rreq = self.irecv(source, recvtag)
-        sreq = self.isend(dest, data, nbytes, sendtag)
+        ranks = self._world_ranks
+        size = len(ranks)
+        if source != ANY_SOURCE:
+            if not (0 <= source < size):
+                raise MPIError(f"rank {source} outside communicator of size {size}")
+            source = ranks[source]
+        # Hot path (RandomAccess): sizes are almost always plain ints.
+        if nbytes.__class__ is not int or nbytes < 0:
+            nbytes = resolve_nbytes(data, nbytes)
+        if not (0 <= dest < size):
+            raise MPIError(f"rank {dest} outside communicator of size {size}")
+        rreq, sreq = self.cluster.transport.sendrecv(
+            ranks[self._rank], ranks[dest], source, nbytes, sendtag, recvtag,
+            data, self._p2p_channel)
         result: RecvResult = yield rreq
-        yield sreq
+        yield sreq  # None when elided: the same resume as the fired event
         return self._localise(result)
 
     def wait(self, request: Event):

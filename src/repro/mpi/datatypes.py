@@ -107,7 +107,7 @@ def copy_payload(data: Any) -> Any:
     return data
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RecvResult:
     """What a completed receive hands back."""
 

@@ -33,15 +33,14 @@ from .datatypes import ANY_SOURCE, ANY_TAG, RecvResult, copy_payload
 _CTRL_BYTES = 64
 
 
-@dataclass
+@dataclass(slots=True)
 class _PostedRecv:
     source: int
     tag: int
     event: Event
-    t_post: float
 
 
-@dataclass
+@dataclass(slots=True)
 class _Arrival:
     source: int
     tag: int
@@ -51,7 +50,7 @@ class _Arrival:
     seq: int = 0            # per-(src, dst, channel) send order
 
 
-@dataclass
+@dataclass(slots=True)
 class _PendingRendezvous:
     """Sender-side state parked at the receiver until the recv posts."""
 
@@ -60,7 +59,6 @@ class _PendingRendezvous:
     nbytes: int
     data: Any
     send_done: Event
-    recv_done_cb: Any  # callable(recv_event, t_match)
     seq: int = 0            # per-(src, dst, channel) send order
 
 
@@ -120,6 +118,10 @@ class Transport:
         # one flag fetched here (twin-path: zero cost when off).
         self._energy_on = current("energy").enabled
         self.cpu_busy_s = 0.0
+        # An exchange's eager send completion is never queued (see
+        # sendrecv) unless the engine samples its queue high-water mark,
+        # which counts pending events, elidable ones included.
+        self._elide_sends = engine._metrics is None
 
     # -- CPU bookkeeping -----------------------------------------------------
 
@@ -179,17 +181,71 @@ class Transport:
             raise MPIError(f"destination rank {dst} out of range")
         if tag < 0:
             raise MPIError(f"application tags must be >= 0, got {tag}")
-        # Hot path: one isend per simulated message.  Everything below
+        return self._post_send(src, dst, nbytes, tag, data, channel,
+                               force_rendezvous, False)
+
+    def sendrecv(
+        self,
+        me: int,
+        dst: int,
+        source: int,
+        nbytes: int,
+        sendtag: int,
+        recvtag: int,
+        data: Any,
+        channel: Any,
+    ) -> tuple[Event, Event | None]:
+        """One exchange (MPI_Sendrecv): post the receive, then the send.
+
+        Returns ``(recv_event, send_event)``; the caller yields both, in
+        that order.  ``send_event`` is ``None`` when the send is eager
+        and the receive was still outstanding once posted (left posted,
+        or matched a parked rendezvous).  That receive is charged after
+        the send on ``me``'s CPU and queued later, so the send
+        completion would always fire first, unwaited; yielding ``None``
+        resumes exactly as yielding the fired event would.  The elided
+        event is counted as processed but never allocated or queued.
+        A receive that matched a queued eager message at once was
+        charged *before* the send, and with the metrics registry on the
+        queue high-water mark counts every pending event: both keep the
+        queued send event.  docs/MODEL.md §3 has the proof.
+        """
+        if source != ANY_SOURCE and not (0 <= source < self.nprocs):
+            raise MPIError(f"source rank {source} out of range")
+        if not (0 <= dst < self.nprocs):
+            raise MPIError(f"destination rank {dst} out of range")
+        if sendtag < 0:
+            raise MPIError(f"application tags must be >= 0, got {sendtag}")
+        if nbytes < 0:  # the elision rule needs a monotone CPU timeline
+            raise MPIError(f"nbytes must be >= 0, got {nbytes}")
+        box = self._boxes.get((channel, me)) or self._box(channel, me)
+        unexpected = box.unexpected
+        queued = len(unexpected)
+        recv = self._post_recv(box, me, source, recvtag)
+        # Only an immediate eager match takes from ``unexpected``.
+        return recv, self._post_send(
+            me, dst, nbytes, sendtag, data, channel, False,
+            self._elide_sends and len(unexpected) == queued)
+
+    def _post_send(self, src: int, dst: int, nbytes: int, tag: int,
+                   data: Any, channel: Any, force_rendezvous: bool,
+                   elide: bool) -> Event | None:
+        """The send protocols behind :meth:`isend` and :meth:`sendrecv`.
+
+        ``elide`` drops an eager send's completion event and returns
+        ``None``; only :meth:`sendrecv` may ask, under its rule.
+        """
+        # Hot path: one call per simulated message.  Everything below
         # sticks to pre-bound locals, absolute-time pushes (provably not
-        # in the past), and plain additions for the latency-only control
-        # lane — the generic helpers (`engine.schedule`, `control_timing`,
-        # `charge_cpu`) cost a call + allocation each that this path pays
-        # millions of times per sweep.
+        # in the past), cached latencies and plain additions for the
+        # latency-only control lane — the generic helpers
+        # (`engine.schedule`, `control_timing`, `charge_cpu`) cost a
+        # call + allocation each that this path pays millions of times
+        # per sweep.
         engine = self.engine
         fabric = self.fabric
         params = fabric.params
         now = engine._now
-        send_done = Event(engine)
         cpu = self._cpu_free
         begin = cpu[src]
         if begin < now:
@@ -211,6 +267,9 @@ class Transport:
                 self._m_bytes[inter].inc(nbytes)
             if self._commrec is not None:
                 self._commrec.record(src, dst, nbytes, inter)
+        latency = fabric._lat_cache.get((src_node, dst_node))
+        if latency is None:
+            latency = fabric.latency(src_node, dst_node)
 
         if nbytes <= params.eager_threshold and not force_rendezvous:
             # Stage through a local bounce-buffer copy; the sender is free
@@ -223,16 +282,19 @@ class Transport:
                 # Overhead + staging copy occupied the sending CPU.
                 self.cpu_busy_s += t_free - begin
             timing = fabric.message_timing(src_node, dst_node, nbytes, t_free)
-            engine._push(t_free, send_done.fire, (None,))
+            if elide:
+                send_done = None
+                engine._logical += 1  # counted as dispatched, never queued
+            else:
+                send_done = Event(engine)
+                engine._push(t_free, send_done.fire, (None,))
             payload = None if data is None else copy_payload(data)
             # The envelope (header) travels on the control lane and keeps
             # send order; the payload completes at the bandwidth-queued
             # time.  Matching happens at envelope arrival, receive
             # completion waits for the payload.
-            env_arrival = t_cpu_done + fabric.latency(src_node, dst_node)
-            arrival = _Arrival(src, tag, nbytes, payload, timing.arrival,
-                               seq=seq)
-            engine._push(env_arrival, self._deliver_eager,
+            arrival = _Arrival(src, tag, nbytes, payload, timing.arrival, seq)
+            engine._push(t_cpu_done + latency, self._deliver_eager,
                          (dst, arrival, channel))
             if self.tracer._enabled:
                 self._trace(src, dst, nbytes, tag, t_cpu_done, timing.arrival)
@@ -240,17 +302,16 @@ class Transport:
             # Rendezvous: RTS -> (recv posted) -> CTS -> bulk transfer.
             if self._energy_on:
                 self.cpu_busy_s += params.send_overhead
-            rts_arrival = t_cpu_done + fabric.latency(src_node, dst_node)
+            send_done = Event(engine)
             pending = _PendingRendezvous(
                 source=src,
                 tag=tag,
                 nbytes=nbytes,
                 data=data,
                 send_done=send_done,
-                recv_done_cb=None,
                 seq=seq,
             )
-            engine._push(rts_arrival, self._rts_arrive,
+            engine._push(t_cpu_done + latency, self._rts_arrive,
                          (dst, pending, channel))
         return send_done
 
@@ -270,19 +331,35 @@ class Transport:
         return False
 
     def _deliver_eager(self, dst: int, arr: _Arrival, channel: Any) -> None:
-        now = self.engine._now
-        box = self._box(channel, dst)
-        for i, pr in enumerate(box.posted):
-            if _match(pr.source, pr.tag, arr.source, arr.tag):
-                if self._earlier_queued(box, arr.source, arr.seq,
-                                        pr.source, pr.tag):
+        box = self._boxes.get((channel, dst)) or self._box(channel, dst)
+        posted = box.posted
+        source = arr.source
+        tag = arr.tag
+        for i, pr in enumerate(posted):
+            want_source = pr.source
+            want_tag = pr.tag
+            if ((want_source == source or want_source == ANY_SOURCE)
+                    and (want_tag == tag or want_tag == ANY_TAG)):
+                if ((box.unexpected or box.pending_rndv)
+                        and self._earlier_queued(box, source, arr.seq,
+                                                 want_source, want_tag)):
                     break  # an older sibling is queued; join the queue
-                del box.posted[i]
-                # recv completes once the payload has fully landed
-                done = self.charge_cpu(dst, max(now, arr.t_arrive),
-                                       self.fabric.params.recv_overhead)
-                self._complete_recv(pr.event, arr.data, arr.source, arr.tag,
-                                    arr.nbytes, done)
+                del posted[i]
+                # The recv completes once the payload has fully landed
+                # (charge_cpu inlined; its end is never in the past).
+                engine = self.engine
+                t = arr.t_arrive
+                if t < engine._now:
+                    t = engine._now
+                cpu = self._cpu_free
+                if cpu[dst] > t:
+                    t = cpu[dst]
+                recv_overhead = self.fabric.params.recv_overhead
+                done = cpu[dst] = t + recv_overhead
+                if self._energy_on:
+                    self.cpu_busy_s += recv_overhead
+                engine._push(done, pr.event.fire, (
+                    RecvResult(arr.data, source, tag, arr.nbytes),))
                 return
         box.unexpected.append(arr)
 
@@ -349,10 +426,15 @@ class Transport:
         """Post a non-blocking receive; returns the recv-complete event."""
         if source != ANY_SOURCE and not (0 <= source < self.nprocs):
             raise MPIError(f"source rank {source} out of range")
-        engine = self.engine
-        now = engine._now
-        event = Event(engine)
-        box = self._box(channel, dst)
+        return self._post_recv(self._box(channel, dst), dst, source, tag)
+
+    def _post_recv(self, box: _Mailbox, dst: int, source: int,
+                   tag: int) -> Event:
+        """Match the oldest queued envelope, or post the receive."""
+        event = Event(self.engine)
+        if not box.unexpected and not box.pending_rndv:
+            box.posted.append(_PostedRecv(source, tag, event))
+            return event
 
         # Collect every queued envelope (eager arrivals + parked
         # rendezvous) that matches, then take the oldest by send order —
@@ -380,7 +462,8 @@ class Transport:
                     self.fabric.params.recv_overhead
                     + self.fabric.memcpy_time(arr.nbytes)
                 )
-                done = self.charge_cpu(dst, max(now, arr.t_arrive), cost)
+                start = max(self.engine._now, arr.t_arrive)
+                done = self.charge_cpu(dst, start, cost)
                 self._complete_recv(
                     event, arr.data, arr.source, arr.tag, arr.nbytes, done
                 )
@@ -389,7 +472,7 @@ class Transport:
                 self._start_bulk(dst, pending, event)
             return event
 
-        box.posted.append(_PostedRecv(source, tag, event, now))
+        box.posted.append(_PostedRecv(source, tag, event))
         return event
 
     # -- tracing ----------------------------------------------------------------

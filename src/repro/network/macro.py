@@ -165,11 +165,6 @@ def alltoall_time(ctx: MacroContext, nbytes: float) -> float:
     return t
 
 
-def alltoallv_time(ctx: MacroContext, avg_nbytes: float) -> float:
-    """Pairwise alltoallv with mean per-pair size ``avg_nbytes``."""
-    return alltoall_time(ctx, avg_nbytes)
-
-
 def allgather_ring_time(ctx: MacroContext, block_nbytes: float) -> float:
     """Ring allgather: P-1 steps; one inter-node flow per node boundary."""
     p = ctx.nprocs

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from ..core.errors import ConfigError
 from ..obs.context import current
-from .resources import BandwidthResource, ResourceMetrics, reserve_joint
+from .resources import BandwidthResource, ResourceMetrics
 from .topology import Topology
 
 
@@ -88,7 +88,7 @@ class FabricParams:
         return self.base_latency + hops * self.per_hop_latency
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MessageTiming:
     """When a message occupies the sender and reaches the receiver."""
 
@@ -283,10 +283,21 @@ class Fabric:
         resources = self._route_cache.get(key)
         if resources is None:
             resources = self._route_cache[key] = self._route(src_node, dst_node)
-        start, end = reserve_joint(resources, nbytes, t_ready)
+        # reserve_joint, inlined: one message per call on the hot path.
+        start = None
+        end = t_ready
+        for r in resources:
+            s, e = r.reserve(nbytes, t_ready)
+            if start is None:
+                start = s
+            if e > end:
+                end = e
         # A single stream cannot exceed its link's burst bandwidth.
         end = max(end, start + nbytes / (params.link_bw * params.bw_efficiency))
-        return MessageTiming(start, end, end + self.latency(src_node, dst_node))
+        latency = self._lat_cache.get(key)
+        if latency is None:
+            latency = self.latency(src_node, dst_node)
+        return MessageTiming(start, end, end + latency)
 
     def control_timing(self, src_node: int, dst_node: int,
                        t_ready: float) -> MessageTiming:

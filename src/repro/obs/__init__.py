@@ -54,7 +54,8 @@ from .exporters import (
     write_chrome_trace,
     write_spans_chrome_trace,
 )
-from .ledger import LEDGER_SCHEMA_VERSION, RunLedger, git_sha, run_key
+from .ledger import (LEDGER_SCHEMA_VERSION, RunLedger, git_dirty, git_sha,
+                     run_key)
 from .telemetry import (
     TRACE_SCHEMA_VERSION,
     Span,
@@ -97,6 +98,7 @@ __all__ = [
     "critical_path_report",
     "current",
     "format_critical_path",
+    "git_dirty",
     "git_sha",
     "mint_span_id",
     "mint_trace_id",

@@ -43,6 +43,8 @@ from pathlib import Path
 #: Still v5 since the scheduler backends went: rows carry ``macro_above``
 #: (``null`` when exact) instead of the backend name, a field swap the
 #: lenient readers absorb, so no reader needs to tell the layouts apart.
+#: Rows also carry ``dirty`` (tracked files differ from ``git_sha``;
+#: ``null`` outside git), an added field older rows simply lack.
 LEDGER_SCHEMA_VERSION = 5
 
 #: Comparable runs required before regression flagging switches on.
@@ -52,18 +54,34 @@ MIN_HISTORY = 3
 DEFAULT_TOLERANCE = 0.5
 
 
-def git_sha(repo_dir: str | Path | None = None) -> str:
-    """Short git SHA of ``repo_dir`` (or cwd); ``"unknown"`` outside git."""
+def _git(args: list[str], repo_dir: str | Path | None) -> str | None:
+    """Stdout of ``git <args>`` in ``repo_dir`` (or cwd); None on failure."""
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
+            ["git", *args],
             cwd=str(repo_dir) if repo_dir is not None else None,
             capture_output=True, text=True, timeout=10,
         )
     except (OSError, subprocess.TimeoutExpired):
-        return "unknown"
-    sha = out.stdout.strip()
-    return sha if out.returncode == 0 and sha else "unknown"
+        return None
+    return out.stdout if out.returncode == 0 else None
+
+
+def git_sha(repo_dir: str | Path | None = None) -> str:
+    """Short git SHA of ``repo_dir`` (or cwd); ``"unknown"`` outside git."""
+    sha = (_git(["rev-parse", "--short", "HEAD"], repo_dir) or "").strip()
+    return sha or "unknown"
+
+
+def git_dirty(repo_dir: str | Path | None = None) -> bool | None:
+    """Do tracked files of ``repo_dir`` (or cwd) differ from ``HEAD``?
+
+    A row measured on uncommitted edits carries its parent's SHA; this
+    flag tells it apart.  Untracked files do not count.  ``None``
+    outside git.
+    """
+    out = _git(["status", "--porcelain", "--untracked-files=no"], repo_dir)
+    return None if out is None else bool(out.strip())
 
 
 def run_key(items: list[str], max_cpus: int | None) -> str:

@@ -18,7 +18,7 @@ import json
 from pathlib import Path
 
 from .registry import paper_scenarios
-from .spec import Reference, ScenarioError
+from .spec import Reference
 
 #: Manifest schema version written by the generator (v1 was hand-written).
 MANIFEST_VERSION = 2
@@ -113,8 +113,3 @@ def check_manifest_sync(path: str | Path) -> tuple[bool, str]:
                            f"{c_items[item]!r}, generated {g_items[item]!r})")
     return False, f"{path} differs from the generated manifest"
 
-
-def require_manifest_sync(path: str | Path) -> None:
-    ok, msg = check_manifest_sync(path)
-    if not ok:
-        raise ScenarioError(msg)

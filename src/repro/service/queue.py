@@ -492,13 +492,14 @@ class JobQueue:
         if self.ledger_path is None:
             return
         from ..exec.cache import source_fingerprint
-        from ..obs import RunLedger, git_sha, run_key
+        from ..obs import RunLedger, git_dirty, git_sha, run_key
 
         stats = job.stats
         wall = job.wall_s or 0.0
         row = {
             "when": round(time.time(), 3),
             "git_sha": git_sha(),
+            "dirty": git_dirty(),
             "fingerprint": source_fingerprint(),
             "run_key": run_key(list(job.items), job.max_cpus),
             "service": job.id,

@@ -13,6 +13,7 @@ analyser's verdict verbatim.
 from __future__ import annotations
 
 import json
+import subprocess
 
 import pytest
 
@@ -41,7 +42,7 @@ from repro.obs import (
     straggler_profile,
     using,
 )
-from repro.obs.ledger import git_sha
+from repro.obs.ledger import git_dirty, git_sha
 from repro.obs.timeline import COLL_TAGSPAN, RESOLUTION
 from tests.conftest import make_test_machine
 
@@ -406,6 +407,23 @@ def test_git_sha_shape():
     assert git_sha("/nonexistent/dir") == "unknown"
 
 
+def test_git_dirty_tracks_modified_tracked_files(tmp_path):
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t",
+                        *args], cwd=tmp_path, check=True, capture_output=True)
+
+    git("init", "-q")
+    (tmp_path / "a.txt").write_text("one\n")
+    git("add", "a.txt")
+    git("commit", "-q", "-m", "seed")
+    assert git_dirty(tmp_path) is False
+    (tmp_path / "new.txt").write_text("untracked\n")
+    assert git_dirty(tmp_path) is False      # untracked files do not count
+    (tmp_path / "a.txt").write_text("two\n")
+    assert git_dirty(tmp_path) is True
+    assert git_dirty("/nonexistent/dir") is None
+
+
 # -- validation gate ledger layer ----------------------------------------------
 
 def test_gate_ledger_layer_lenient_vs_strict(tmp_path):
@@ -648,6 +666,7 @@ def test_runner_report_and_ledger_cli(tmp_path, capsys):
     bench_doc = json.loads(bench.read_text())
     assert bench_doc["schema_version"] == BENCH_SCHEMA_VERSION
     assert bench_doc["harness"]["git_sha"]
+    assert bench_doc["harness"]["dirty"] in (True, False, None)
     assert bench_doc["harness"]["macro_above"] is None
     assert bench_doc["totals"]["points"] > 0
 
@@ -656,6 +675,7 @@ def test_runner_report_and_ledger_cli(tmp_path, capsys):
     assert entries[0]["items"] == ["fig12"]
     assert entries[0]["schema_version"] == LEDGER_SCHEMA_VERSION
     assert entries[0]["macro_above"] is None
+    assert entries[0]["dirty"] == bench_doc["harness"]["dirty"]
 
     doc = read_report_doc(report)
     assert doc["schema_version"] == REPORT_SCHEMA_VERSION

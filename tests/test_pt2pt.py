@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import DeadlockError, MPIError
 from repro.mpi import ANY_SOURCE, ANY_TAG
+from repro.mpi.cluster import Cluster
+from repro.obs import MetricsRegistry, using
 from tests.conftest import arange_payload, make_test_machine, run_ranks
 
 
@@ -178,10 +182,14 @@ def test_recv_without_send_deadlocks(m):
 
 def test_bad_ranks_rejected(m):
     def prog(comm):
-        with pytest.raises(MPIError):
+        with pytest.raises(MPIError, match="rank 5 outside communicator"):
             comm.isend(5, nbytes=8)
-        with pytest.raises(MPIError):
+        with pytest.raises(MPIError, match="rank 7 outside communicator"):
             comm.irecv(source=7)
+        with pytest.raises(MPIError, match="rank 5 outside communicator"):
+            yield from comm.sendrecv(5, 0, nbytes=8)
+        with pytest.raises(MPIError, match="rank 7 outside communicator"):
+            yield from comm.sendrecv(0, 7, nbytes=8)
         yield 0.0
 
     run_ranks(m, 2, prog)
@@ -191,6 +199,8 @@ def test_negative_user_tag_rejected(m):
     def prog(comm):
         with pytest.raises(MPIError):
             comm.isend(0, nbytes=8, tag=-3)
+        with pytest.raises(MPIError, match="tags must be >= 0"):
+            yield from comm.sendrecv(0, 0, nbytes=8, sendtag=-3)
         yield 0.0
 
     run_ranks(m, 2, prog)
@@ -214,6 +224,10 @@ def test_missing_nbytes_rejected(m):
     def prog(comm):
         with pytest.raises(MPIError):
             comm.isend(0)  # no data, no nbytes
+        with pytest.raises(MPIError, match="either data or nbytes"):
+            yield from comm.sendrecv(0, 0)
+        with pytest.raises(MPIError, match="nbytes must be >= 0"):
+            yield from comm.sendrecv(0, 0, nbytes=-1)
         yield 0.0
 
     run_ranks(m, 2, prog)
@@ -318,3 +332,121 @@ def test_eager_recv_waits_for_payload_not_just_envelope(m):
     t = run_ranks(eager_m, 4, prog).results[2]
     wire_time = nbytes / eager_m.fabric_params().effective_point_bw
     assert t >= wire_time  # cannot complete before the bytes moved
+
+
+# -- the exchange path: elided send completions against queued ones -----------
+#
+# Transport.sendrecv never queues an exchange's eager send completion when
+# it provably fires before the receive completes; with the metrics
+# registry on (the engine then samples its queue high-water mark) every
+# completion is queued.  The two paths must be indistinguishable.
+
+#: Around the test machine's 8192-byte eager threshold.
+SIZES = (0, 8, 64, 4096, 8192, 8193, 40000)
+DELAYS = (0.0, 1e-7, 1e-6, 5e-6, 3e-5)
+MAX_RANKS = 6
+
+_round = st.fixed_dictionaries({
+    # sendrecv; irecv then isend; isend then irecv (late posting)
+    "kind": st.sampled_from(("sendrecv", "recv_first", "send_first")),
+    "shift": st.integers(0, MAX_RANKS - 1),   # dest = rank + shift
+    "any_source": st.booleans(),
+    "wait_send_first": st.booleans(),
+    "nbytes": st.lists(st.sampled_from(SIZES), min_size=MAX_RANKS,
+                       max_size=MAX_RANKS),
+    "delay": st.lists(st.sampled_from(DELAYS), min_size=MAX_RANKS,
+                      max_size=MAX_RANKS),
+})
+exchange_programs = st.fixed_dictionaries({
+    "nprocs": st.integers(2, MAX_RANKS),
+    "rounds": st.lists(_round, min_size=1, max_size=6),
+})
+
+
+def exchange_program(comm, rounds):
+    """Round ``r`` sends to ``rank + shift`` with tag ``r``; every rank
+    posts both halves before blocking, so no program deadlocks.  Returns
+    the completion time and received envelope of every round."""
+    p, me = comm.size, comm.rank
+    log = []
+    for r, rnd in enumerate(rounds):
+        yield from comm.elapse(rnd["delay"][me])
+        dest = (me + rnd["shift"]) % p
+        source = (ANY_SOURCE if rnd["any_source"]
+                  else (me - rnd["shift"]) % p)
+        nbytes = rnd["nbytes"][me]
+        if rnd["kind"] == "sendrecv":
+            res = yield from comm.sendrecv(dest, source, nbytes=nbytes,
+                                           sendtag=r)
+        else:
+            if rnd["kind"] == "recv_first":
+                rreq = comm.irecv(source, tag=r)
+                sreq = comm.isend(dest, nbytes=nbytes, tag=r)
+            else:
+                sreq = comm.isend(dest, nbytes=nbytes, tag=r)
+                rreq = comm.irecv(source, tag=r)
+            if rnd["wait_send_first"]:
+                yield from comm.wait(sreq)
+            res = yield from comm.wait(rreq)
+            yield from comm.wait(sreq)
+        log.append((comm.now, (res.source, res.tag, res.nbytes)))
+    return log
+
+
+def run_both_paths(machine, nprocs, program, *args):
+    """``(elided, queued)`` observations of one program: per-rank
+    results, end time and the engine's event count."""
+    out = []
+    for queued in (False, True):
+        with using(MetricsRegistry(enabled=queued)):
+            cluster = Cluster(machine, nprocs)
+            run = cluster.run(program, *args)
+        assert cluster.transport._elide_sends is not queued
+        out.append((run.results, run.elapsed,
+                    cluster.engine.events_processed))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(program=exchange_programs)
+def test_elided_exchange_matches_queued(program):
+    elided, queued = run_both_paths(make_test_machine(), program["nprocs"],
+                                    exchange_program, program["rounds"])
+    assert elided == queued
+
+
+def test_exchange_elides_send_event_only_while_recv_outstanding(m):
+    """Rank 0's second exchange matches a message already queued, so its
+    receive is charged *before* the send and completes before the send's
+    buffer is free: that send event must stay queued.  Eliding it too
+    would resume rank 0 at the receive's completion, early."""
+    seen = []
+
+    def prog(comm):
+        if comm.rank == 1:
+            yield from comm.sendrecv(0, 0, nbytes=8, sendtag=0)
+            yield from comm.send(0, nbytes=64, tag=1)
+            yield from comm.recv(0, tag=1)
+            return comm.now
+        transport, channel = comm.cluster.transport, comm._p2p_channel
+        # Posted before rank 1's message lands: the receive is outstanding.
+        rreq, sreq = transport.sendrecv(0, 1, 1, 8, 0, 0, None, channel)
+        seen.append(sreq)
+        yield rreq
+        yield sreq
+        yield from comm.elapse(30e-6)  # rank 1's tag-1 message is queued
+        rreq, sreq = transport.sendrecv(0, 1, 1, 4096, 1, 1, None, channel)
+        seen.append(sreq)
+        yield rreq
+        t_recv = comm.now
+        yield sreq
+        return t_recv, comm.now
+
+    elided, queued = run_both_paths(m, 2, prog)
+    assert elided == queued
+    outstanding, early = seen[:2]          # the elided run's two exchanges
+    assert outstanding is None
+    assert early is not None
+    assert all(ev is not None for ev in seen[2:])   # the queued run
+    t_recv, t_done = elided[0][0]
+    assert t_done > t_recv
