@@ -22,6 +22,11 @@ from .datatypes import ANY_SOURCE, ANY_TAG, SUM, Op, RecvResult, resolve_nbytes
 from . import collectives as _coll
 
 
+def _tag_error(tag: int) -> MPIError:
+    """The error for a negative application tag."""
+    return MPIError(f"application tags must be >= 0, got {tag}")
+
+
 @lru_cache(maxsize=8)
 def _iota(n: int) -> tuple[int, ...]:
     """``tuple(range(n))``, shared by every communicator of size ``n``."""
@@ -93,8 +98,11 @@ class Comm:
     ) -> Event:
         """Non-blocking send; returns the completion request (Event)."""
         n = resolve_nbytes(data, nbytes)
+        gdest = self._global(dest)
+        if tag < 0:
+            raise _tag_error(tag)
         return self.cluster.transport.isend(
-            self._world_ranks[self._rank], self._global(dest), n, tag, data,
+            self._world_ranks[self._rank], gdest, n, tag, data,
             self._p2p_channel
         )
 
@@ -116,8 +124,11 @@ class Comm:
         """Non-blocking synchronous send: always rendezvous, so the
         request only completes once the matching receive exists."""
         n = resolve_nbytes(data, nbytes)
+        gdest = self._global(dest)
+        if tag < 0:
+            raise _tag_error(tag)
         return self.cluster.transport.isend(
-            self.world_rank, self._global(dest), n, tag, data,
+            self.world_rank, gdest, n, tag, data,
             self._p2p_channel, force_rendezvous=True,
         )
 
@@ -180,6 +191,8 @@ class Comm:
             nbytes = resolve_nbytes(data, nbytes)
         if not (0 <= dest < size):
             raise MPIError(f"rank {dest} outside communicator of size {size}")
+        if sendtag < 0:
+            raise _tag_error(sendtag)
         rreq, sreq = self.cluster.transport.sendrecv(
             ranks[self._rank], ranks[dest], source, nbytes, sendtag, recvtag,
             data, self._p2p_channel)
@@ -221,22 +234,24 @@ class Comm:
     def compute(self, flops: float = 0.0, nbytes: float = 0.0,
                 kernel: str = "generic"):
         """Charge roofline compute time to this rank (generator)."""
-        t = self.cluster.compute_time(flops, nbytes, kernel)
-        engine = self.cluster.engine
-        end = self.cluster.transport.charge_cpu(self.world_rank, engine.now, t)
-        tracer = self.cluster.tracer
-        if tracer.enabled:
+        cluster = self.cluster
+        t = cluster.compute_time(flops, nbytes, kernel)
+        now = cluster.engine._now
+        rank = self._world_ranks[self._rank]
+        end = cluster.transport.charge_cpu(rank, now, t)
+        tracer = cluster.tracer
+        if tracer._enabled:
             from ..core.trace import ComputeRecord
 
             tracer.record_compute(ComputeRecord(
-                rank=self.world_rank,
+                rank=rank,
                 flops=flops,
                 bytes_moved=nbytes,
                 kernel=kernel,
                 t_start=end - t,
                 t_end=end,
             ))
-        yield end - engine.now
+        yield end - now
 
     def elapse(self, seconds: float):
         """Charge a fixed delay to this rank (generator)."""

@@ -19,35 +19,17 @@ linear CPU time even though the calls are non-blocking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from ..core.engine import Engine, Event
-from ..core.errors import MPIError
 from ..core.trace import MessageRecord, Tracer
-from ..network.netmodel import Fabric
+from ..network.netmodel import Fabric, reserve_route
 from ..obs.context import current
 from .datatypes import ANY_SOURCE, ANY_TAG, RecvResult, copy_payload
 
 #: Logical size of rendezvous control messages (RTS/CTS).
 _CTRL_BYTES = 64
-
-
-@dataclass(slots=True)
-class _PostedRecv:
-    source: int
-    tag: int
-    event: Event
-
-
-@dataclass(slots=True)
-class _Arrival:
-    source: int
-    tag: int
-    nbytes: int
-    data: Any
-    t_arrive: float
-    seq: int = 0            # per-(src, dst, channel) send order
 
 
 @dataclass(slots=True)
@@ -62,13 +44,28 @@ class _PendingRendezvous:
     seq: int = 0            # per-(src, dst, channel) send order
 
 
-@dataclass
 class _Mailbox:
-    """Per-(channel, rank) matching state."""
+    """Per-(channel, rank) matching state.
 
-    posted: list[_PostedRecv] = field(default_factory=list)
-    unexpected: list[_Arrival] = field(default_factory=list)
-    pending_rndv: list[_PendingRendezvous] = field(default_factory=list)
+    Posted receives and queued eager arrivals are plain tuples, unpacked
+    where they are read (one is built per message):
+
+    * ``posted``: ``(source, tag, event)``;
+    * ``unexpected``: ``(source, tag, nbytes, data, t_arrive, seq)``.
+
+    ``seq`` maps a sending rank to the count of messages it has sent to
+    this (channel, rank): MPI's non-overtaking rule is enforced on that
+    order, not on arrival order (an eager payload can physically land
+    after a later message's RTS).
+    """
+
+    __slots__ = ("posted", "unexpected", "pending_rndv", "seq")
+
+    def __init__(self) -> None:
+        self.posted: list[tuple] = []
+        self.unexpected: list[tuple] = []
+        self.pending_rndv: list[_PendingRendezvous] = []
+        self.seq: dict[int, int] = {}
 
 
 def _match(source_want: int, tag_want: int, source: int, tag: int) -> bool:
@@ -93,10 +90,8 @@ class Transport:
         self._boxes: dict[tuple[Any, int], _Mailbox] = {}
         # Per-rank CPU availability for serialising software overheads.
         self._cpu_free = [0.0] * self.nprocs
-        # Per-(src, dst, channel) send sequence: MPI's non-overtaking rule
-        # is enforced on this order, not on arrival order (an eager
-        # payload can physically land after a later message's RTS).
-        self._send_seq: dict[tuple[int, int, Any], int] = {}
+        self._params = fabric.params
+        self._route = fabric.route  # memoised per node pair
         registry = current("metrics")
         if registry.enabled:
             # (intra, inter) instrument pairs, indexed by bool(inter).
@@ -154,11 +149,11 @@ class Transport:
         """
         box = self._box(channel, dst)
         best = None
-        for arr in box.unexpected:
-            if _match(source, tag, arr.source, arr.tag):
-                key = (arr.seq, arr.source)
+        for a_source, a_tag, a_nbytes, _data, _t, a_seq in box.unexpected:
+            if _match(source, tag, a_source, a_tag):
+                key = (a_seq, a_source)
                 if best is None or key < best[0]:
-                    best = (key, (arr.source, arr.tag, arr.nbytes))
+                    best = (key, (a_source, a_tag, a_nbytes))
         for pen in box.pending_rndv:
             if _match(source, tag, pen.source, pen.tag):
                 key = (pen.seq, pen.source)
@@ -176,11 +171,12 @@ class Transport:
         channel: Any,
         force_rendezvous: bool = False,
     ) -> Event:
-        """Post a non-blocking send; returns the send-complete event."""
-        if not (0 <= dst < self.nprocs):
-            raise MPIError(f"destination rank {dst} out of range")
-        if tag < 0:
-            raise MPIError(f"application tags must be >= 0, got {tag}")
+        """Post a non-blocking send; returns the send-complete event.
+
+        Callers pass a valid world rank and size and a tag >= 0: the
+        user-facing checks live at the API edge (:class:`Comm`), and the
+        collectives' peers and tags are valid by construction.
+        """
         return self._post_send(src, dst, nbytes, tag, data, channel,
                                force_rendezvous, False)
 
@@ -209,17 +205,19 @@ class Transport:
         charged *before* the send, and with the metrics registry on the
         queue high-water mark counts every pending event: both keep the
         queued send event.  docs/MODEL.md §3 has the proof.
+
+        As for :meth:`isend`, the arguments are valid world ranks, a size
+        >= 0 and a send tag >= 0 (the elision rule needs a monotone CPU
+        timeline); :meth:`Comm.sendrecv` checks them.
         """
-        if source != ANY_SOURCE and not (0 <= source < self.nprocs):
-            raise MPIError(f"source rank {source} out of range")
-        if not (0 <= dst < self.nprocs):
-            raise MPIError(f"destination rank {dst} out of range")
-        if sendtag < 0:
-            raise MPIError(f"application tags must be >= 0, got {sendtag}")
-        if nbytes < 0:  # the elision rule needs a monotone CPU timeline
-            raise MPIError(f"nbytes must be >= 0, got {nbytes}")
         box = self._boxes.get((channel, me)) or self._box(channel, me)
         unexpected = box.unexpected
+        if not unexpected and not box.pending_rndv:
+            # Nothing queued can match: post the receive inline.
+            recv = Event(self.engine)
+            box.posted.append((source, recvtag, recv))
+            return recv, self._post_send(me, dst, nbytes, sendtag, data,
+                                         channel, False, self._elide_sends)
         queued = len(unexpected)
         recv = self._post_recv(box, me, source, recvtag)
         # Only an immediate eager match takes from ``unexpected``.
@@ -237,14 +235,13 @@ class Transport:
         """
         # Hot path: one call per simulated message.  Everything below
         # sticks to pre-bound locals, absolute-time pushes (provably not
-        # in the past), cached latencies and plain additions for the
-        # latency-only control lane — the generic helpers
-        # (`engine.schedule`, `control_timing`, `charge_cpu`) cost a
-        # call + allocation each that this path pays millions of times
-        # per sweep.
+        # in the past), the pair's cached route record and plain
+        # additions for the latency-only control lane — the generic
+        # helpers (`engine.schedule`, `control_timing`, `charge_cpu`)
+        # cost a call + allocation each that this path pays millions of
+        # times per sweep.
         engine = self.engine
-        fabric = self.fabric
-        params = fabric.params
+        params = self._params
         now = engine._now
         cpu = self._cpu_free
         begin = cpu[src]
@@ -253,9 +250,10 @@ class Transport:
         t_cpu_done = begin + params.send_overhead
         cpu[src] = t_cpu_done
 
-        seq_key = (src, dst, channel)
-        seq = self._send_seq.get(seq_key, 0) + 1
-        self._send_seq[seq_key] = seq
+        box = self._boxes.get((channel, dst)) or self._box(channel, dst)
+        seqs = box.seq
+        seq = seqs.get(src, 0) + 1
+        seqs[src] = seq
 
         placement = self.placement
         src_node = placement[src]
@@ -267,9 +265,7 @@ class Transport:
                 self._m_bytes[inter].inc(nbytes)
             if self._commrec is not None:
                 self._commrec.record(src, dst, nbytes, inter)
-        latency = fabric._lat_cache.get((src_node, dst_node))
-        if latency is None:
-            latency = fabric.latency(src_node, dst_node)
+        route = self._route(src_node, dst_node)
 
         if nbytes <= params.eager_threshold and not force_rendezvous:
             # Stage through a local bounce-buffer copy; the sender is free
@@ -281,7 +277,7 @@ class Transport:
             if self._energy_on:
                 # Overhead + staging copy occupied the sending CPU.
                 self.cpu_busy_s += t_free - begin
-            timing = fabric.message_timing(src_node, dst_node, nbytes, t_free)
+            arrival = reserve_route(route, nbytes, t_free)[2]
             if elide:
                 send_done = None
                 engine._logical += 1  # counted as dispatched, never queued
@@ -293,11 +289,11 @@ class Transport:
             # send order; the payload completes at the bandwidth-queued
             # time.  Matching happens at envelope arrival, receive
             # completion waits for the payload.
-            arrival = _Arrival(src, tag, nbytes, payload, timing.arrival, seq)
-            engine._push(t_cpu_done + latency, self._deliver_eager,
-                         (dst, arrival, channel))
+            engine._push(t_cpu_done + route.latency, self._deliver_eager,
+                         (box, dst, (src, tag, nbytes, payload, arrival,
+                                     seq)))
             if self.tracer._enabled:
-                self._trace(src, dst, nbytes, tag, t_cpu_done, timing.arrival)
+                self._trace(src, dst, nbytes, tag, t_cpu_done, arrival)
         else:
             # Rendezvous: RTS -> (recv posted) -> CTS -> bulk transfer.
             if self._energy_on:
@@ -311,8 +307,8 @@ class Transport:
                 send_done=send_done,
                 seq=seq,
             )
-            engine._push(t_cpu_done + latency, self._rts_arrive,
-                         (dst, pending, channel))
+            engine._push(t_cpu_done + route.latency, self._rts_arrive,
+                         (box, dst, pending))
         return send_done
 
     def _earlier_queued(self, box: _Mailbox, src: int, seq: int,
@@ -320,9 +316,9 @@ class Transport:
         """Is an earlier (lower-seq) message from ``src`` queued that the
         posted pattern would also match?  If so, the newcomer must wait —
         matching it now would violate non-overtaking."""
-        for arr in box.unexpected:
-            if (arr.source == src and arr.seq < seq
-                    and _match(want_source, want_tag, arr.source, arr.tag)):
+        for a_source, a_tag, _nbytes, _data, _t, a_seq in box.unexpected:
+            if (a_source == src and a_seq < seq
+                    and _match(want_source, want_tag, a_source, a_tag)):
                 return True
         for pen in box.pending_rndv:
             if (pen.source == src and pen.seq < seq
@@ -330,48 +326,45 @@ class Transport:
                 return True
         return False
 
-    def _deliver_eager(self, dst: int, arr: _Arrival, channel: Any) -> None:
-        box = self._boxes.get((channel, dst)) or self._box(channel, dst)
+    def _deliver_eager(self, box: _Mailbox, dst: int, arr: tuple) -> None:
         posted = box.posted
-        source = arr.source
-        tag = arr.tag
-        for i, pr in enumerate(posted):
-            want_source = pr.source
-            want_tag = pr.tag
+        source, tag, nbytes, data, t_arrive, seq = arr
+        for i, (want_source, want_tag, event) in enumerate(posted):
             if ((want_source == source or want_source == ANY_SOURCE)
                     and (want_tag == tag or want_tag == ANY_TAG)):
                 if ((box.unexpected or box.pending_rndv)
-                        and self._earlier_queued(box, source, arr.seq,
+                        and self._earlier_queued(box, source, seq,
                                                  want_source, want_tag)):
                     break  # an older sibling is queued; join the queue
                 del posted[i]
                 # The recv completes once the payload has fully landed
                 # (charge_cpu inlined; its end is never in the past).
                 engine = self.engine
-                t = arr.t_arrive
+                t = t_arrive
                 if t < engine._now:
                     t = engine._now
                 cpu = self._cpu_free
                 if cpu[dst] > t:
                     t = cpu[dst]
-                recv_overhead = self.fabric.params.recv_overhead
+                recv_overhead = self._params.recv_overhead
                 done = cpu[dst] = t + recv_overhead
                 if self._energy_on:
                     self.cpu_busy_s += recv_overhead
-                engine._push(done, pr.event.fire, (
-                    RecvResult(arr.data, source, tag, arr.nbytes),))
+                engine._push(done, event.fire, (
+                    RecvResult(data, source, tag, nbytes),))
                 return
         box.unexpected.append(arr)
 
-    def _rts_arrive(self, dst: int, pending: _PendingRendezvous, channel: Any) -> None:
-        box = self._box(channel, dst)
-        for i, pr in enumerate(box.posted):
-            if _match(pr.source, pr.tag, pending.source, pending.tag):
+    def _rts_arrive(self, box: _Mailbox, dst: int,
+                    pending: _PendingRendezvous) -> None:
+        posted = box.posted
+        for i, (want_source, want_tag, event) in enumerate(posted):
+            if _match(want_source, want_tag, pending.source, pending.tag):
                 if self._earlier_queued(box, pending.source, pending.seq,
-                                        pr.source, pr.tag):
+                                        want_source, want_tag):
                     break
-                del box.posted[i]
-                self._start_bulk(dst, pending, pr.event)
+                del posted[i]
+                self._start_bulk(dst, pending, event)
                 return
         box.pending_rndv.append(pending)
 
@@ -403,7 +396,7 @@ class Transport:
                      recv_event: Event, payload: Any) -> None:
         """Bulk payload landed: charge recv overhead, complete the recv."""
         t = self.engine._now
-        done = self.charge_cpu(dst, t, self.fabric.params.recv_overhead)
+        done = self.charge_cpu(dst, t, self._params.recv_overhead)
         self._complete_recv(
             recv_event, payload, pending.source, pending.tag,
             pending.nbytes, done
@@ -423,9 +416,11 @@ class Transport:
     # -- receive -----------------------------------------------------------------
 
     def irecv(self, dst: int, source: int, tag: int, channel: Any) -> Event:
-        """Post a non-blocking receive; returns the recv-complete event."""
-        if source != ANY_SOURCE and not (0 <= source < self.nprocs):
-            raise MPIError(f"source rank {source} out of range")
+        """Post a non-blocking receive; returns the recv-complete event.
+
+        ``source`` is a valid world rank or ``ANY_SOURCE`` (see
+        :meth:`isend`).
+        """
         return self._post_recv(self._box(channel, dst), dst, source, tag)
 
     def _post_recv(self, box: _Mailbox, dst: int, source: int,
@@ -433,7 +428,7 @@ class Transport:
         """Match the oldest queued envelope, or post the receive."""
         event = Event(self.engine)
         if not box.unexpected and not box.pending_rndv:
-            box.posted.append(_PostedRecv(source, tag, event))
+            box.posted.append((source, tag, event))
             return event
 
         # Collect every queued envelope (eager arrivals + parked
@@ -441,9 +436,10 @@ class Transport:
         # per source, the non-overtaking rule; across sources, the
         # earliest sequence is a deterministic legal choice.
         best = None  # (seq, kind, index)
-        for i, arr in enumerate(box.unexpected):
-            if _match(source, tag, arr.source, arr.tag):
-                key = (arr.seq, arr.source)
+        for i, (a_source, a_tag, _nbytes, _data, _t,
+                a_seq) in enumerate(box.unexpected):
+            if _match(source, tag, a_source, a_tag):
+                key = (a_seq, a_source)
                 if best is None or key < best[0]:
                     best = (key, "eager", i)
         for i, pending in enumerate(box.pending_rndv):
@@ -455,24 +451,25 @@ class Transport:
         if best is not None:
             _key, kind, i = best
             if kind == "eager":
-                arr = box.unexpected.pop(i)
+                a_source, a_tag, a_nbytes, a_data, t_arrive, _seq = (
+                    box.unexpected.pop(i))
                 # Pay the unexpected-buffer copy on a late match; a
                 # payload still in flight delays completion further.
                 cost = (
-                    self.fabric.params.recv_overhead
-                    + self.fabric.memcpy_time(arr.nbytes)
+                    self._params.recv_overhead
+                    + self.fabric.memcpy_time(a_nbytes)
                 )
-                start = max(self.engine._now, arr.t_arrive)
+                start = max(self.engine._now, t_arrive)
                 done = self.charge_cpu(dst, start, cost)
                 self._complete_recv(
-                    event, arr.data, arr.source, arr.tag, arr.nbytes, done
+                    event, a_data, a_source, a_tag, a_nbytes, done
                 )
             else:
                 pending = box.pending_rndv.pop(i)
                 self._start_bulk(dst, pending, event)
             return event
 
-        box.posted.append(_PostedRecv(source, tag, event))
+        box.posted.append((source, tag, event))
         return event
 
     # -- tracing ----------------------------------------------------------------

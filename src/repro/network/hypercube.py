@@ -47,14 +47,23 @@ class Hypercube(Topology):
         return int(a ^ b).bit_count()
 
     def average_hops_analytic(self) -> float:
+        """Mean Hamming distance over ordered distinct pairs.
+
+        Every cube, full or partial (nodes ``0..n-1``), sums an exact
+        integer total per bit — ``2·ones·(n−ones)`` ordered pairs differ
+        there — and divides once by ``n*(n-1)``, the same float
+        :meth:`average_hops` gives.
+        """
         n = self.n_nodes
         if n < 2:
             return 0.0
-        if n & (n - 1) == 0:
-            # Mean Hamming distance over distinct pairs of a full cube.
-            dim = n.bit_length() - 1
-            return dim * n / (2 * (n - 1))
-        return self.average_hops()
+        total = 0
+        for bit in range((n - 1).bit_length()):
+            # nodes below n with this bit set: full periods, then the tail
+            period = 2 << bit
+            ones = (n // period) * (1 << bit) + max(0, n % period - (1 << bit))
+            total += 2 * ones * (n - ones)
+        return total / (n * (n - 1))
 
     def level_capacity_links(self, level: int) -> float:
         if level != 1:

@@ -18,10 +18,11 @@ queueing from concurrent traffic is reflected in those times.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..core.errors import ConfigError
 from ..obs.context import current
-from .resources import BandwidthResource, ResourceMetrics
+from .resources import BandwidthResource, ResourceMetrics, reserve_joint
 from .topology import Topology
 
 
@@ -97,6 +98,34 @@ class MessageTiming:
     arrival: float       # last byte at the destination
 
 
+class Route(NamedTuple):
+    """One node pair's route record (built by :meth:`Fabric.route`)."""
+
+    latency: float  # zero-byte latency
+    resources: tuple[BandwidthResource, ...]  # servers, in reserve order
+    stream_bw: float  # single-stream bandwidth cap
+
+
+def reserve_route(route: Route, nbytes: float,
+                  t_ready: float) -> tuple[float, float, float]:
+    """Reserve one ``nbytes`` transfer over a :meth:`Fabric.route` record.
+
+    Returns ``(inject_start, inject_end, arrival)`` as plain floats: the
+    one copy of the timing arithmetic, shared by the eager send path and
+    :meth:`Fabric.message_timing`.  The route's servers are reserved
+    independently from ``t_ready`` (:func:`~repro.network.resources.
+    reserve_joint`), the transfer ends no earlier than the single-stream
+    cap allows, and the payload lands ``latency`` later.  ``nbytes``
+    must be >= 0.
+    """
+    latency, resources, stream_bw = route
+    start, end = reserve_joint(resources, nbytes, t_ready)
+    capped = start + nbytes / stream_bw
+    if capped > end:  # max(end, capped), without the builtin call
+        end = capped
+    return start, end, end + latency
+
+
 class Fabric:
     """Topology + parameters + live contention state for one cluster."""
 
@@ -149,14 +178,14 @@ class Fabric:
         #: Per-kind reservation logs, folded by flush_observations().
         self._observed = [m for m in (egress_m, ingress_m, bus_m, core_m,
                                       shm_m) if m is not None]
-        # Lazily filled per-(src, dst) route cache: zero-byte latency and
-        # the joint resource list for inter-node transfers.  Topology
+        # Lazily filled route records, one per (src, dst) node pair under
+        # the key ``src * n_nodes + dst`` (see :meth:`route`).  Topology
         # geometry is immutable for the life of a fabric, and fault
         # injectors mutate the *shared resource objects* in place (so
-        # cached lists stay truthful) — except latency faults, which call
-        # :meth:`invalidate_route_cache`.
-        self._lat_cache: dict[tuple[int, int], float] = {}
-        self._route_cache: dict[tuple[int, int], list[BandwidthResource]] = {}
+        # cached records stay truthful) — except latency faults, which
+        # call :meth:`invalidate_route_cache`.
+        self._n_nodes = topology.n_nodes
+        self._routes: dict[int, Route] = {}
 
     # -- introspection used by analysis/tests -------------------------------
 
@@ -227,40 +256,53 @@ class Fabric:
 
     # -- timing ----------------------------------------------------------------
 
-    def latency(self, src_node: int, dst_node: int) -> float:
-        """Zero-byte latency between two nodes (intra-node uses shm).
+    def route(self, src_node: int, dst_node: int) -> Route:
+        """The :class:`Route` record of a node pair.
 
-        Hot path: memoised per node pair — hop counts are pure topology
-        geometry, and the paper's machines have at most a few hundred
-        nodes, so the cache stays small while removing a topology walk
-        from every message and every RTS/CTS control packet.
+        ``latency`` is the zero-byte latency (``shm_latency`` within a
+        node), ``resources`` the bandwidth servers one transfer reserves,
+        in order (the node's shm; or source egress, the core level the
+        path crosses, destination ingress and, with ``duplex_factor < 2``,
+        both NIC buses), and ``stream_bw`` the single-stream cap
+        (``shm_flow_bw``, or the link's burst bandwidth).  Memoised per
+        node pair: hop counts are pure topology geometry, and the paper's
+        machines have at most a few hundred nodes.
         """
-        cached = self._lat_cache.get((src_node, dst_node))
-        if cached is not None:
-            return cached
+        key = src_node * self._n_nodes + dst_node
+        record = self._routes.get(key)
+        if record is not None:
+            return record
+        params = self.params
         if src_node == dst_node:
-            lat = self.params.shm_latency
+            # The node-wide shm resource models memory-bus sharing between
+            # concurrent intra-node streams; a single stream is additionally
+            # capped at shm_flow_bw (per-CPU copy rate).
+            record = Route(params.shm_latency, (self._shm[src_node],),
+                           params.shm_flow_bw)
         else:
-            lat = self.params.latency(self.topology.hops(src_node, dst_node))
-        self._lat_cache[(src_node, dst_node)] = lat
-        return lat
+            resources = [
+                self._egress[src_node],
+                self._core[self.topology.path_level(src_node, dst_node)],
+                self._ingress[dst_node],
+            ]
+            if self._bus is not None:
+                resources.append(self._bus[src_node])
+                resources.append(self._bus[dst_node])
+            # A single stream cannot exceed its link's burst bandwidth.
+            record = Route(
+                params.latency(self.topology.hops(src_node, dst_node)),
+                tuple(resources),
+                params.link_bw * params.bw_efficiency)
+        self._routes[key] = record
+        return record
+
+    def latency(self, src_node: int, dst_node: int) -> float:
+        """Zero-byte latency between two nodes (intra-node uses shm)."""
+        return self.route(src_node, dst_node).latency
 
     def invalidate_route_cache(self) -> None:
-        """Drop memoised latencies/routes after a parameter mutation."""
-        self._lat_cache.clear()
-        self._route_cache.clear()
-
-    def _route(self, src_node: int, dst_node: int) -> list[BandwidthResource]:
-        """The joint resource list one inter-node transfer reserves."""
-        resources = [
-            self._egress[src_node],
-            self._core[self.topology.path_level(src_node, dst_node)],
-            self._ingress[dst_node],
-        ]
-        if self._bus is not None:
-            resources.append(self._bus[src_node])
-            resources.append(self._bus[dst_node])
-        return resources
+        """Drop memoised route records after a parameter mutation."""
+        self._routes.clear()
 
     def message_timing(
         self, src_node: int, dst_node: int, nbytes: float, t_ready: float
@@ -269,35 +311,10 @@ class Fabric:
 
         Intra-node messages go through the node's shared-memory resource;
         inter-node messages jointly reserve source egress, the core level
-        the path crosses, and destination ingress.
+        the path crosses, and destination ingress (:func:`reserve_route`).
         """
-        params = self.params
-        if src_node == dst_node:
-            # The node-wide shm resource models memory-bus sharing between
-            # concurrent intra-node streams; a single stream is additionally
-            # capped at shm_flow_bw (per-CPU copy rate).
-            start, end = self._shm[src_node].reserve(nbytes, t_ready)
-            end = max(end, start + nbytes / params.shm_flow_bw)
-            return MessageTiming(start, end, end + params.shm_latency)
-        key = (src_node, dst_node)
-        resources = self._route_cache.get(key)
-        if resources is None:
-            resources = self._route_cache[key] = self._route(src_node, dst_node)
-        # reserve_joint, inlined: one message per call on the hot path.
-        start = None
-        end = t_ready
-        for r in resources:
-            s, e = r.reserve(nbytes, t_ready)
-            if start is None:
-                start = s
-            if e > end:
-                end = e
-        # A single stream cannot exceed its link's burst bandwidth.
-        end = max(end, start + nbytes / (params.link_bw * params.bw_efficiency))
-        latency = self._lat_cache.get(key)
-        if latency is None:
-            latency = self.latency(src_node, dst_node)
-        return MessageTiming(start, end, end + latency)
+        return MessageTiming(*reserve_route(self.route(src_node, dst_node),
+                                            nbytes, t_ready))
 
     def control_timing(self, src_node: int, dst_node: int,
                        t_ready: float) -> MessageTiming:

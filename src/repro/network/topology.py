@@ -81,14 +81,13 @@ class Topology(ABC):
                     total += self.hops(a, b)
         return total / (n * (n - 1))
 
+    @abstractmethod
     def average_hops_analytic(self) -> float:
-        """Closed-form/cheap mean hop count; subclasses override.
+        """Closed-form/cheap mean hop count over ordered distinct pairs.
 
-        The base implementation falls back to the exact O(n^2) scan, which
-        is fine for small systems; large topologies provide O(levels)
-        formulas (validated against this scan in the tests).
+        Every topology provides a formula or exact count without the
+        O(n^2) pair scan; :meth:`average_hops` is the test oracle.
         """
-        return self.average_hops()
 
     def check_pair(self, a: int, b: int) -> None:
         n = self.n_nodes

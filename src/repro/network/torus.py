@@ -86,19 +86,33 @@ class Torus3D(Topology):
         return 4.0 * area if longest > 1 else 2.0 * self.n_nodes
 
     def average_hops_analytic(self) -> float:
-        """Exact for full grids: per-axis mean ring distances add up."""
+        """Mean hops over ordered distinct pairs, without the pair scan.
+
+        Full grids use the per-axis mean ring distances.  A partial
+        (lexicographic) fill sums exact integer hop totals per axis from
+        the coordinate histogram — Σ c(x)·c(y)·ring(x, y) — and divides
+        once by ``n*(n-1)``, as :meth:`average_hops` does, so the result
+        is the same float.
+        """
         n = self.n_nodes
         if n < 2:
             return 0.0
-        if math.prod(self.dims) != n:
-            return self.average_hops()  # partial fill: brute force
+        if math.prod(self.dims) == n:
+            def ring_mean(k: int) -> float:
+                if k == 1:
+                    return 0.0
+                total = sum(min(d, k - d) for d in range(k))
+                return total / k
 
-        def ring_mean(k: int) -> float:
-            if k == 1:
-                return 0.0
-            total = sum(min(d, k - d) for d in range(k))
-            return total / k
-
-        mean = sum(ring_mean(k) for k in self.dims)
-        # condition on the pair being distinct
-        return mean * n / (n - 1)
+            mean = sum(ring_mean(k) for k in self.dims)
+            # condition on the pair being distinct
+            return mean * n / (n - 1)
+        total = 0
+        for axis, k in enumerate(self.dims):
+            counts = [0] * k
+            for node in range(n):
+                counts[self._coords(node)[axis]] += 1
+            for x in range(k):
+                for y in range(k):
+                    total += counts[x] * counts[y] * _axis_distance(x, y, k)
+        return total / (n * (n - 1))

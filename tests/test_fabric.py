@@ -1,9 +1,13 @@
 """Unit tests for the fabric model (message timing + contention)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import ConfigError
-from repro.network import CrossbarSwitch, Fabric, FabricParams
+from repro.network import CrossbarSwitch, Fabric, FabricParams, FatTree
+from repro.network.netmodel import reserve_route
+from repro.network.resources import reserve_joint
 
 
 def make_params(**kw) -> FabricParams:
@@ -145,3 +149,53 @@ def test_bw_efficiency_derates_link():
     f = make_fabric(bw_efficiency=0.5)
     t = f.message_timing(0, 1, 1e9, 0.0)
     assert t.inject_end == pytest.approx(2.0)
+
+
+def reference_timing(f: Fabric, src: int, dst: int, nbytes: float,
+                     t_ready: float) -> tuple[float, float, float]:
+    """The fabric's timing rule written out from its parts: the shm
+    server with the per-flow cap within a node; egress, core, ingress
+    (and both NIC buses) reserved jointly, with the burst cap, between
+    nodes."""
+    p = f.params
+    if src == dst:
+        start, end = f.shm_resource(src).reserve(nbytes, t_ready)
+        end = max(end, start + nbytes / p.shm_flow_bw)
+        return start, end, end + p.shm_latency
+    resources = [f.egress_resource(src),
+                 f.core_resource(f.topology.path_level(src, dst)),
+                 f.ingress_resource(dst)]
+    if f._bus is not None:
+        resources += [f._bus[src], f._bus[dst]]
+    start, end = reserve_joint(resources, nbytes, t_ready)
+    end = max(end, start + nbytes / (p.link_bw * p.bw_efficiency))
+    return start, end, end + p.latency(f.topology.hops(src, dst))
+
+
+transfers = st.lists(
+    st.tuples(st.integers(0, 7), st.integers(0, 7),
+              st.integers(0, 1 << 20), st.floats(0.0, 1e-3)),
+    min_size=1, max_size=40)
+
+
+@settings(max_examples=60, deadline=None)
+@given(batch=transfers, duplex=st.sampled_from([2.0, 1.5, 1.0]),
+       eff=st.sampled_from([1.0, 0.8]))
+def test_route_helper_matches_message_timing_bit_for_bit(batch, duplex, eff):
+    """The eager path's helper (``reserve_route`` over a route record) and
+    ``message_timing`` give bit-identical ``(start, end, arrival)`` from
+    the same fabric state, and both equal the rule built from the parts:
+    shm routes, inter-node routes over two core levels, and NIC-bus
+    routes (``duplex_factor < 2``)."""
+    def build():
+        return Fabric(FatTree(8, group_sizes=(4, 2)),
+                      make_params(duplex_factor=duplex, bw_efficiency=eff,
+                                  nic_bw=5e8))
+
+    eager, timed, ref = build(), build(), build()
+    assert (eager._bus is None) == (duplex == 2.0)
+    for src, dst, nbytes, t_ready in batch:
+        a = reserve_route(eager.route(src, dst), nbytes, t_ready)
+        mt = timed.message_timing(src, dst, nbytes, t_ready)
+        b = (mt.inject_start, mt.inject_end, mt.arrival)
+        assert a == b == reference_timing(ref, src, dst, nbytes, t_ready)

@@ -102,3 +102,44 @@ def test_faults_do_not_leak_across_runs():
                             setup=lambda f: slow_node(f, node=0, factor=8.0))
     clean_after = timed_collective(allreduce)
     assert clean_after < hurt
+
+
+def test_latency_fault_mid_run_reaches_cached_routes():
+    """A latency fault applied after traffic has already cached a node
+    pair's route still reaches the next eager message, the fabric's
+    ``message_timing`` and the control lane's ``latency``."""
+    extra = 50e-6
+
+    def run(fault: bool):
+        cluster = Cluster(M, 4, trace=True)  # ranks 0, 1 | 2, 3 on two nodes
+        seen = {}
+
+        def prog(comm):
+            if comm.rank == 0:
+                yield from comm.send(2, nbytes=64, tag=1)
+                fabric = comm.cluster.fabric
+                before = fabric.message_timing(0, 1, 64, comm.now)
+                if fault:
+                    add_latency(fabric, extra)
+                after = fabric.message_timing(0, 1, 64, comm.now)
+                seen["timing"] = (before.arrival - before.inject_end,
+                                  after.arrival - after.inject_end)
+                seen["latency"] = fabric.latency(0, 1)
+                yield from comm.send(2, nbytes=64, tag=2)
+            elif comm.rank == 2:
+                yield from comm.recv(0, tag=1)
+                yield from comm.recv(0, tag=2)
+
+        res = cluster.run(prog)
+        eager = {m.tag: m.t_deliver - m.t_inject
+                 for m in res.tracer.messages_between(0, 2)}
+        return eager, seen
+
+    clean, clean_seen = run(False)
+    hurt, hurt_seen = run(True)
+    assert hurt[1] == clean[1]                    # sent before the fault
+    assert hurt[2] == pytest.approx(clean[2] + extra)
+    lat_before, lat_after = hurt_seen["timing"]
+    assert lat_after == pytest.approx(lat_before + extra)
+    assert hurt_seen["latency"] == pytest.approx(
+        clean_seen["latency"] + extra)

@@ -111,6 +111,14 @@ def test_hypercube_analytic_avg_hops():
         assert t.average_hops_analytic() == pytest.approx(t.average_hops())
 
 
+def test_hypercube_partial_cube_is_exact():
+    """Full and partial cubes sum exact per-bit totals: the very float the
+    O(n^2) pair scan gives."""
+    for n in range(2, 140):
+        t = Hypercube(n)
+        assert t.average_hops_analytic() == t.average_hops(), n
+
+
 def test_hypercube_diameter():
     assert Hypercube(16).diameter() == 4
 

@@ -47,9 +47,19 @@ def test_torus_analytic_hops_match_bruteforce():
         assert t.average_hops_analytic() == pytest.approx(t.average_hops())
 
 
-def test_torus_partial_fill_falls_back():
-    t = Torus3D(30, dims=(4, 4, 2))
-    assert t.average_hops_analytic() == pytest.approx(t.average_hops())
+def test_torus_partial_fill_is_exact():
+    """Partial fills sum exact integer hop totals: the very float the
+    O(n^2) pair scan gives, not an approximation of it."""
+    shapes = [(n, None) for n in range(2, 100)]
+    shapes += [(n, dims) for n in range(2, 40)
+               for dims in ((4, 4, -(-n // 16)), (n + 1, 1, 1))]
+    checked = 0
+    for n, dims in shapes:
+        t = Torus3D(n, dims=dims)
+        if t.dims[0] * t.dims[1] * t.dims[2] != n:
+            assert t.average_hops_analytic() == t.average_hops(), t.dims
+            checked += 1
+    assert checked > 100
 
 
 def test_torus_bad_dims():
