@@ -19,7 +19,10 @@ swapped without touching sweep semantics:
 
 Every backend honours the same contract: :meth:`ExecBackend.compute`
 takes a sequence of points and returns their records **in input order**
-— which is what keeps figures byte-identical across backends.  Worker
+— which is what keeps figures byte-identical across backends.  It also
+hands each record to an ``on_record(index, record)`` callback as soon
+as the record lands, on the calling thread, so the executor can write
+it to the cache while the rest of the batch is still computing.  Worker
 *transport* failures (a killed worker process, a broken pool) raise
 :class:`ExecBackendError` carrying any already-completed records so the
 executor can requeue only the unfinished points; simulation errors
@@ -37,6 +40,7 @@ import base64
 import json
 import os
 import pickle
+import queue
 import subprocess
 import sys
 import threading
@@ -55,6 +59,10 @@ from ..obs.context import RECORDERS, current, install
 from .points import SimPoint
 from .worker import PointRecord, compute_point
 
+#: ``on_record(index, record)``: called once per landed record, on the
+#: thread that called :meth:`ExecBackend.compute`.
+OnRecord = Callable[[int, PointRecord], None]
+
 #: Backend name used when nothing is configured anywhere (the serial
 #: library default; CLIs resolve ``--jobs N > 1`` to ``pool``).
 FALLBACK_EXEC_BACKEND = "inline"
@@ -65,7 +73,8 @@ class ExecBackendError(RuntimeError):
 
     ``done`` maps the indices of points that *did* finish (within the
     failed :meth:`ExecBackend.compute` call) to their records, so the
-    caller can requeue only what is missing.  Never raised for errors in
+    caller can requeue only what is missing.  Every record in ``done``
+    has already been handed to ``on_record``.  Never raised for errors in
     the simulated points themselves — those propagate as-is.
     """
 
@@ -136,6 +145,21 @@ def init_worker(ctx: WorkerContext) -> None:
         install(RECORDERS[name]())
 
 
+def _ignore(index: int, record: PointRecord) -> None:
+    """Default ``on_record``: the caller wants only the returned list."""
+
+
+def compute_inline(points: Sequence[SimPoint],
+                   on_record: OnRecord = _ignore) -> list[PointRecord]:
+    """Compute ``points`` serially here, handing each record on as it lands."""
+    out = []
+    for i, pt in enumerate(points):
+        rec = compute_point(pt)
+        on_record(i, rec)
+        out.append(rec)
+    return out
+
+
 class ExecBackend:
     """How a batch of simulation points gets computed.
 
@@ -144,12 +168,16 @@ class ExecBackend:
     * :meth:`compute` returns one :class:`PointRecord` per point, in
       input order.  A transport failure raises :class:`ExecBackendError`
       with the partial ``done`` map; a point's own exception propagates.
+    * Each record is passed to ``on_record(index, record)`` exactly
+      once, as it lands (in any order), on the thread that called
+      :meth:`compute`.
     * :meth:`close` releases worker resources (idempotent).
     """
 
     name: str = "?"
 
-    def compute(self, points: Sequence[SimPoint]) -> list[PointRecord]:
+    def compute(self, points: Sequence[SimPoint],
+                on_record: OnRecord = _ignore) -> list[PointRecord]:
         raise NotImplementedError
 
     def close(self) -> None:  # pragma: no cover - trivial default
@@ -168,8 +196,9 @@ class InlineBackend(ExecBackend):
         # ``jobs`` accepted for factory uniformity; inline ignores it.
         self.jobs = 1
 
-    def compute(self, points: Sequence[SimPoint]) -> list[PointRecord]:
-        return [compute_point(pt) for pt in points]
+    def compute(self, points: Sequence[SimPoint],
+                on_record: OnRecord = _ignore) -> list[PointRecord]:
+        return compute_inline(points, on_record)
 
 
 class PoolBackend(ExecBackend):
@@ -196,20 +225,26 @@ class PoolBackend(ExecBackend):
             )
         return self._pool
 
-    def compute(self, points: Sequence[SimPoint]) -> list[PointRecord]:
+    def compute(self, points: Sequence[SimPoint],
+                on_record: OnRecord = _ignore) -> list[PointRecord]:
         if self.jobs <= 1 or len(points) <= 1:
-            return [compute_point(pt) for pt in points]
+            return compute_inline(points, on_record)
         pool = self._get_pool()
+        out: list[PointRecord] = []
         try:
-            return list(pool.map(compute_point, points))
+            for i, rec in enumerate(pool.map(compute_point, points)):
+                on_record(i, rec)
+                out.append(rec)
         except BrokenProcessPool as exc:
             # The pool is unusable from here on; drop it so a retry can
-            # spawn a fresh one.  ``map`` yields no partial results, so
-            # nothing is salvaged.
+            # spawn a fresh one.  ``map`` yields in input order, so the
+            # records it yielded before breaking are the salvage.
             self._pool = None
             raise ExecBackendError(
                 f"process pool broke while computing "
-                f"{len(points)} points: {exc}") from exc
+                f"{len(points)} points: {exc}",
+                done=dict(enumerate(out))) from exc
+        return out
 
     def close(self) -> None:
         if self._pool is not None:
@@ -300,6 +335,10 @@ class SubprocessBackend(ExecBackend):
     reply must carry the id of the worker's oldest in-flight job; a
     mismatch is a transport failure like a dead worker.
 
+    One pump thread per worker drives its pipe and puts each decoded
+    record on a queue; the calling thread drains that queue, handing
+    every record to ``on_record`` as it lands, until the pumps finish.
+
     When a worker fails, its oldest in-flight point is lost and the
     points queued behind it go back to the shared queue for the rest of
     the fleet.  The batch then surfaces as :class:`ExecBackendError`
@@ -336,14 +375,15 @@ class SubprocessBackend(ExecBackend):
                 self.health["restarts"] += 1
         return self._fleet[:n]
 
-    def compute(self, points: Sequence[SimPoint]) -> list[PointRecord]:
+    def compute(self, points: Sequence[SimPoint],
+                on_record: OnRecord = _ignore) -> list[PointRecord]:
         if not points:
             return []
         n_workers = min(self.jobs, len(points))
         if n_workers <= 1:
             # A single worker fleet would just add IPC overhead on top
             # of a serial computation; short-circuit like ``pool`` does.
-            return [compute_point(pt) for pt in points]
+            return compute_inline(points, on_record)
         fleet = self._ensure_fleet(n_workers)
         pending = deque(sorted(range(len(points)),
                                key=lambda i: -points[i].nprocs))
@@ -358,6 +398,7 @@ class SubprocessBackend(ExecBackend):
         trace_ctx = tel.inject() if tel.enabled else None
 
         done: dict[int, PointRecord] = {}
+        landed: queue.Queue = queue.Queue()  # (index, record); None = pump done
         failures: list[str] = []
         failed: list[_FleetWorker] = []
         lock = threading.Lock()
@@ -401,6 +442,8 @@ class SubprocessBackend(ExecBackend):
                     error = reply.get("op") == "error"
                     record = None if error else decode_record(reply["record"])
                     inflight.popleft()
+                    if not error:
+                        landed.put((i, record))
                     with lock:
                         if error:
                             # The point's own failure: the worker stays
@@ -409,9 +452,6 @@ class SubprocessBackend(ExecBackend):
                             failures.append(
                                 f"point {points[i]} failed in worker: "
                                 f"{reply.get('error')}")
-                        else:
-                            done[i] = record
-                            self.health["requests"] += 1
                         nxt = pending.popleft() if pending else None
                     if trace_ctx is not None:
                         tel.adopt(reply.get("spans"))
@@ -420,6 +460,8 @@ class SubprocessBackend(ExecBackend):
                         send(worker, nxt)
             except (OSError, ValueError, pickle.UnpicklingError) as exc:
                 lose(worker, inflight, f"worker i/o failed: {exc}")
+            finally:
+                landed.put(None)
 
         live = fleet
         while pending and live:
@@ -435,8 +477,22 @@ class SubprocessBackend(ExecBackend):
                        for w, q in zip(live, queues) if q]
             for t in threads:
                 t.start()
-            for t in threads:
-                t.join()
+            running = len(threads)
+            try:
+                while running:
+                    item = landed.get()
+                    if item is None:
+                        running -= 1
+                        continue
+                    i, record = item
+                    done[i] = record
+                    self.health["requests"] += 1
+                    on_record(i, record)
+            except BaseException:
+                # The pumps are still driving the fleet: drop it, so they
+                # stop at their closed pipes and the next batch respawns.
+                self.close()
+                raise
             # Survivors take over the points a failed worker handed back.
             live = [w for w in live if w not in failed]
 

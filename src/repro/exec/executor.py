@@ -33,7 +33,8 @@ from typing import Any
 from ..config import default_jobs
 from ..imb import fastpath
 from ..obs.context import RECORDERS, current
-from .backends import ExecBackend, ExecBackendError, make_exec_backend
+from .backends import (ExecBackend, ExecBackendError, OnRecord,
+                       make_exec_backend)
 from .cache import ResultCache
 from .points import SimPoint
 from .worker import PointRecord, compute_point
@@ -165,15 +166,16 @@ class SweepExecutor:
         executor wait for the sibling's record instead of recomputing;
         owned points are published for those siblings once done.
 
-        Records are written to the cache *here*, before their flight is
-        retired — a claim is only ever granted ownership when the point
-        is durably absent, so a sibling arriving at any moment finds the
-        point either in the cache or in flight, never in between.
+        Each record is written to the cache as it lands, on this thread,
+        while the backend computes the rest of the batch — and, with a
+        coalescer, before its flight is retired: a claim is only ever
+        granted ownership when the point is durably absent, so a sibling
+        arriving at any moment finds the point either in the cache or
+        in flight, never in between.
         """
         if self.coalescer is None:
-            records = self._compute_with_requeue(pts)
-            for pt, rec in zip(pts, records):
-                self._cache_put(pt, rec)
+            records = self._compute_with_requeue(
+                pts, lambda k, rec: self._cache_put(pts[k], rec))
             return records, [True] * len(pts)
 
         tel = current("telemetry")
@@ -200,17 +202,20 @@ class SweepExecutor:
                     # spans to the computation they piggybacked on.
                     claim.set_owner_ctx(tel.inject())
                 owned_pairs.append((j, pt))
-        try:
-            owned_records = self._compute_with_requeue(
-                [pt for _j, pt in owned_pairs])
-        except BaseException as exc:
-            for j, _pt in owned_pairs:
-                claims[j].fail(exc)
-            raise
-        for (j, pt), rec in zip(owned_pairs, owned_records):
-            records[j] = rec
+
+        def land(k: int, rec: PointRecord) -> None:
+            j, pt = owned_pairs[k]
             self._cache_put(pt, rec)  # durable before the flight retires
             claims[j].publish(rec)
+            records[j] = rec
+
+        try:
+            self._compute_with_requeue([pt for _j, pt in owned_pairs], land)
+        except BaseException as exc:
+            for j, _pt in owned_pairs:
+                if records[j] is None:  # not yet published
+                    claims[j].fail(exc)
+            raise
         for j, claim in enumerate(claims):
             if records[j] is not None or claim.owner:
                 continue
@@ -232,17 +237,21 @@ class SweepExecutor:
             records[j] = rec
         return records, owned_flags
 
-    def _compute_with_requeue(self, pts: list[SimPoint]) -> list[PointRecord]:
+    def _compute_with_requeue(self, pts: list[SimPoint],
+                              on_record: OnRecord) -> list[PointRecord]:
         """Backend compute with inline requeue of transport casualties.
 
         A worker-fleet/pool crash loses some points but not the batch:
         whatever finished is kept, the rest are recomputed inline so the
         sweep still completes (and ``requeued`` counts the casualties).
+        ``on_record`` sees every record once: the backend hands on the
+        ones that landed, and only the recomputed ones are handed on
+        here.
         """
         if not pts:
             return []
         try:
-            return list(self.backend.compute(pts))
+            return list(self.backend.compute(pts, on_record))
         except ExecBackendError as exc:
             tel = current("telemetry")
             out: list[PointRecord] = []
@@ -259,6 +268,7 @@ class SweepExecutor:
                     else:
                         rec = compute_point(pt)
                     self.requeued += 1
+                    on_record(i, rec)
                 out.append(rec)
             return out
 

@@ -18,6 +18,8 @@ results against serial references.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import accumulate
 from typing import Any, Sequence
 
 import numpy as np
@@ -99,15 +101,45 @@ def split_payload(data: Any, parts: int) -> list[Any]:
     return [None] * parts
 
 
+@lru_cache(maxsize=64)
+def _balanced_prefix(nbytes: int, parts: int) -> tuple[int, ...]:
+    """Prefix sums of :func:`balanced_split`, shared by every rank."""
+    return tuple(accumulate(balanced_split(nbytes, parts), initial=0))
+
+
 class _Blocks:
-    """Per-rank blocks of one buffer: real slices and/or byte sizes."""
+    """Per-rank blocks of one buffer: real slices and their byte sizes.
+
+    ``arrs`` holds the slices of an array payload and is None without
+    one, so a timing-only call never builds a per-block list.  Block
+    sizes are kept as prefix sums: the bytes of blocks ``[lo, hi)`` are
+    one subtraction of ints, the exact value of the slice sum.
+    """
 
     def __init__(self, data: Any, nbytes: int, parts: int) -> None:
-        self.arrs = split_payload(data, parts)
         if isinstance(data, np.ndarray):
-            self.sizes = [a.nbytes for a in self.arrs]
+            self.arrs = split_payload(data, parts)
+            self._prefix = tuple(accumulate((a.nbytes for a in self.arrs),
+                                            initial=0))
         else:
-            self.sizes = balanced_split(nbytes, parts)
+            self.arrs = None
+            self._prefix = _balanced_prefix(int(nbytes), parts)
+
+    def nbytes(self, lo: int, hi: int) -> int:
+        """Total bytes of blocks ``lo .. hi-1``."""
+        return self._prefix[hi] - self._prefix[lo]
+
+    def arr(self, i: int) -> Any:
+        """Block ``i`` of the payload, or None without one."""
+        return None if self.arrs is None else self.arrs[i]
+
+
+def _window(acc: list | None, lo: int, hi: int) -> list | None:
+    """Blocks ``lo .. hi-1`` of ``acc`` as a payload; None if none holds data."""
+    if acc is None:
+        return None
+    window = acc[lo:hi]
+    return window if any(a is not None for a in window) else None
 
 
 def _pow2_below(n: int) -> int:
@@ -127,6 +159,14 @@ def _pick(algorithm: str | None, table: dict[str, Any], default: str):
         raise MPIError(f"unknown algorithm {name!r}; known: {known}") from None
 
 
+@lru_cache(maxsize=32)
+def _survivors(size: int) -> tuple[int, ...]:
+    """Local ranks left after :func:`_fold_down` pairs off the first
+    ``2*rem`` ranks: the even ones of those, then every rank above."""
+    rem = size - _pow2_below(size)
+    return tuple(range(0, 2 * rem, 2)) + tuple(range(2 * rem, size))
+
+
 class _SubGroup:
     """A comm view over a subset of ranks, renumbered 0..len-1.
 
@@ -134,17 +174,19 @@ class _SubGroup:
     subgroup numbering, messaging forwarded to the parent transport.
     """
 
-    def __init__(self, comm, member_local_ranks: Sequence[int]) -> None:
+    def __init__(self, comm, members: tuple[int, ...], rank: int) -> None:
         self._comm = comm
-        self._members = list(member_local_ranks)
-        self.rank = self._members.index(comm.rank)
-        self.size = len(self._members)
+        self._members = members
+        self.rank = rank
+        self.size = len(members)
         self.cluster = comm.cluster
         self.world_rank = comm.world_rank
         # Mirror the Comm attributes the hot _isend/_irecv funnel reads.
-        self._rank = self.rank
-        self._world_ranks = tuple(map(comm._world_ranks.__getitem__,
-                                      self._members))
+        # On an identity communicator the members are their world ranks.
+        self._rank = rank
+        self._world_ranks = (members if comm._identity else
+                             tuple(map(comm._world_ranks.__getitem__,
+                                       members)))
         self._coll_channel = comm._coll_channel
 
     def _global(self, sub_rank: int) -> int:
@@ -319,9 +361,8 @@ def _fold_down(comm, base_tag: int, data: Any, nbytes: int, op: Op):
     """Non-power-of-two preamble.
 
     The first ``2*rem`` ranks pair up; odd ranks ship their contribution
-    to the even partner and drop out.  Returns
-    ``(active, survivors, folded_data)`` where ``survivors`` is the
-    deterministic list of surviving local ranks (length a power of two).
+    to the even partner and drop out.  Returns ``(active, folded_data)``;
+    the active ranks form :func:`_survivor_group`.
     """
     size = comm.size
     p2 = _pow2_below(size)
@@ -331,12 +372,24 @@ def _fold_down(comm, base_tag: int, data: Any, nbytes: int, op: Op):
     if rem and rank < 2 * rem:
         if rank % 2 == 1:
             yield _isend(comm, rank - 1, nbytes, base_tag, acc)
-            return False, None, None
+            return False, None
         res = yield _irecv(comm, rank + 1, base_tag)
         yield from _reduce_compute(comm, nbytes)
         acc = _combine(op, acc, res.data)
-    survivors = [r for r in range(size) if r >= 2 * rem or r % 2 == 0]
-    return True, survivors, acc
+    return True, acc
+
+
+def _survivor_group(comm) -> _SubGroup:
+    """The power-of-two subgroup of the ranks :func:`_fold_down` keeps.
+
+    The subgroup rank is arithmetic: survivor ``g`` is local rank ``2g``
+    below ``2*rem`` and ``g + rem`` above.  On a power-of-two
+    communicator every rank survives under its own number.
+    """
+    size, rank = comm.size, comm.rank
+    rem = size - _pow2_below(size)
+    return _SubGroup(comm, _survivors(size),
+                     rank // 2 if rank < 2 * rem else rank - rem)
 
 
 def _unfold_up(comm, base_tag: int, result: Any, nbytes: int):
@@ -358,11 +411,11 @@ def _reduce_scatter_halving(sub, base_tag: int, blocks: _Blocks, op: Op):
 
     On return, subgroup rank ``g`` holds the fully reduced block ``g``:
     returns ``(g, acc_blocks)`` where ``acc_blocks[g]`` is the value.
+    ``acc_blocks`` is None while no payload has reached this rank.
     """
     vr, p2 = sub.rank, sub.size
     lo, hi = 0, p2
-    acc = list(blocks.arrs)
-    sizes = blocks.sizes
+    acc = blocks.arrs
     step = 0
     while hi - lo > 1:
         half = (hi - lo) // 2
@@ -375,15 +428,14 @@ def _reduce_scatter_halving(sub, base_tag: int, blocks: _Blocks, op: Op):
             partner = vr - half
             keep_lo, keep_hi = mid, hi
             give_lo, give_hi = lo, mid
-        send_nb = sum(sizes[give_lo:give_hi])
-        recv_nb = sum(sizes[keep_lo:keep_hi])
-        payload = None
-        if any(a is not None for a in acc[give_lo:give_hi]):
-            payload = acc[give_lo:give_hi]
+        send_nb = blocks.nbytes(give_lo, give_hi)
+        recv_nb = blocks.nbytes(keep_lo, keep_hi)
         res = yield from _sendrecv(sub, partner, partner, send_nb,
-                                   base_tag + step, payload)
+                                   base_tag + step,
+                                   _window(acc, give_lo, give_hi))
         yield from _reduce_compute(sub, recv_nb)
         if res.data is not None:
+            acc = acc or [None] * p2
             for j, i in enumerate(range(keep_lo, keep_hi)):
                 acc[i] = _combine(op, acc[i], res.data[j])
         lo, hi = keep_lo, keep_hi
@@ -391,11 +443,12 @@ def _reduce_scatter_halving(sub, base_tag: int, blocks: _Blocks, op: Op):
     return lo, acc
 
 
-def _gather_segments_binomial(sub, base_tag: int, acc: list,
-                              sizes: list[int]):
+def _gather_segments_binomial(sub, base_tag: int, acc: list | None,
+                              blocks: _Blocks):
     """Reverse-halving gather of per-rank segments to subgroup rank 0.
 
-    Returns the full block list at rank 0, ``None`` elsewhere.
+    Returns the full block list at rank 0 (None if no payload ever
+    reached it), ``None`` elsewhere.
     """
     vr, p2 = sub.rank, sub.size
     seg_lo, seg_hi = vr, vr + 1
@@ -403,17 +456,17 @@ def _gather_segments_binomial(sub, base_tag: int, acc: list,
     while mask < p2:
         if vr & mask:
             dst = vr - mask
-            nb = sum(sizes[seg_lo:seg_hi])
-            payload = None
-            if any(a is not None for a in acc[seg_lo:seg_hi]):
-                payload = (seg_lo, acc[seg_lo:seg_hi])
-            yield _isend(sub, dst, nb, base_tag + mask, payload)
+            nb = blocks.nbytes(seg_lo, seg_hi)
+            window = _window(acc, seg_lo, seg_hi)
+            yield _isend(sub, dst, nb, base_tag + mask,
+                         None if window is None else (seg_lo, window))
             return None
         src = vr + mask
         if src < p2:
             res = yield _irecv(sub, src, base_tag + mask)
             if res.data is not None:
                 in_lo, in_blocks = res.data
+                acc = acc or [None] * p2
                 for j, i in enumerate(range(in_lo, in_lo + len(in_blocks))):
                     acc[i] = in_blocks[j]
             seg_hi = min(seg_hi + mask, p2)
@@ -425,24 +478,23 @@ def _reduce_rabenseifner(comm, base_tag: int, data: Any, nbytes: int, op: Op,
                          root: int):
     """Large-message reduce: fold to 2^m, halving reduce-scatter, binomial
     gather to survivor 0, then forward to ``root`` if it differs."""
-    active, survivors, acc = yield from _fold_down(comm, base_tag, data,
-                                                   nbytes, op)
+    active, acc = yield from _fold_down(comm, base_tag, data, nbytes, op)
     result = None
     if active:
-        sub = _SubGroup(comm, survivors)
+        sub = _survivor_group(comm)
         blocks = _Blocks(acc, nbytes, sub.size)
         seg_lo, accb = yield from _reduce_scatter_halving(
             sub, base_tag + 16, blocks, op
         )
         full = yield from _gather_segments_binomial(
-            sub, base_tag + 2048, accb, blocks.sizes
+            sub, base_tag + 2048, accb, blocks
         )
         if sub.rank == 0 and full is not None:
             arrs = [a for a in full if a is not None]
             result = np.concatenate(arrs) if arrs else None
-    # survivors is None on folded-out ranks; survivor 0 is always local
-    # rank 0 by construction (rank 0 is even), so the gathered result
-    # lands at rank 0 and is forwarded when the root differs.
+    # Survivor 0 is always local rank 0 (rank 0 is even), so the
+    # gathered result lands at rank 0 and is forwarded when the root
+    # differs.
     if root != 0:
         if comm.rank == 0:
             yield _isend(comm, root, nbytes, base_tag + 4096, result)
@@ -479,10 +531,9 @@ def reduce(comm, seq: int, data: Any, nbytes: int | None, op: Op, root: int,
 
 def _allreduce_recursive_doubling(comm, base_tag: int, data: Any, nbytes: int,
                                   op: Op):
-    active, survivors, acc = yield from _fold_down(comm, base_tag, data,
-                                                   nbytes, op)
+    active, acc = yield from _fold_down(comm, base_tag, data, nbytes, op)
     if active:
-        sub = _SubGroup(comm, survivors)
+        sub = _survivor_group(comm)
         gidx, p2 = sub.rank, sub.size
         mask, step = 1, 0
         while mask < p2:
@@ -502,10 +553,9 @@ def _allreduce_recursive_doubling(comm, base_tag: int, data: Any, nbytes: int,
 def _allreduce_rabenseifner(comm, base_tag: int, data: Any, nbytes: int,
                             op: Op):
     """Reduce-scatter (recursive halving) + allgather (recursive doubling)."""
-    active, survivors, acc = yield from _fold_down(comm, base_tag, data,
-                                                   nbytes, op)
+    active, acc = yield from _fold_down(comm, base_tag, data, nbytes, op)
     if active:
-        sub = _SubGroup(comm, survivors)
+        sub = _survivor_group(comm)
         gidx, p2 = sub.rank, sub.size
         blocks = _Blocks(acc, nbytes, p2)
         seg_lo, accb = yield from _reduce_scatter_halving(
@@ -519,18 +569,17 @@ def _allreduce_rabenseifner(comm, base_tag: int, data: Any, nbytes: int,
             partner = gidx ^ mask
             lo = (gidx // mask) * mask
             other_lo = (partner // mask) * mask
-            send_nb = sum(blocks.sizes[lo:lo + mask])
-            payload = None
-            if any(a is not None for a in accb[lo:lo + mask]):
-                payload = accb[lo:lo + mask]
+            send_nb = blocks.nbytes(lo, lo + mask)
             res = yield from _sendrecv(sub, partner, partner, send_nb,
-                                       base_tag + 1024 + step, payload)
+                                       base_tag + 1024 + step,
+                                       _window(accb, lo, lo + mask))
             if res.data is not None:
+                accb = accb or [None] * p2
                 for j, i in enumerate(range(other_lo, other_lo + mask)):
                     accb[i] = res.data[j]
             mask <<= 1
             step += 1
-        arrs = [a for a in accb if a is not None]
+        arrs = [a for a in accb or () if a is not None]
         acc = np.concatenate(arrs) if arrs else None
     else:
         acc = None
@@ -848,10 +897,10 @@ def _reduce_scatter_rechalving(comm, base_tag: int, data: Any, nbytes: int,
                                op: Op):
     if not _is_pow2(comm.size):
         raise MPIError("recursive_halving reduce_scatter needs 2^k ranks")
-    sub = _SubGroup(comm, list(range(comm.size)))
     blocks = _Blocks(data, nbytes, comm.size)
-    seg_lo, acc = yield from _reduce_scatter_halving(sub, base_tag, blocks, op)
-    return acc[seg_lo]
+    seg_lo, acc = yield from _reduce_scatter_halving(
+        _survivor_group(comm), base_tag, blocks, op)
+    return None if acc is None else acc[seg_lo]
 
 
 def _reduce_scatter_via_reduce(comm, base_tag: int, data: Any, nbytes: int,
@@ -871,13 +920,14 @@ def _reduce_scatter_pairwise(comm, base_tag: int, data: Any, nbytes: int,
     """P-1 steps; each step exchanges one block and folds it in."""
     rank, size = comm.rank, comm.size
     blocks = _Blocks(data, nbytes, size)
-    acc = blocks.arrs[rank]
+    acc = blocks.arr(rank)
     for i in range(1, size):
         dst = (rank + i) % size
         src = (rank - i) % size
-        res = yield from _sendrecv(comm, dst, src, blocks.sizes[dst],
-                                   base_tag + i, blocks.arrs[dst])
-        yield from _reduce_compute(comm, blocks.sizes[rank])
+        res = yield from _sendrecv(comm, dst, src,
+                                   blocks.nbytes(dst, dst + 1),
+                                   base_tag + i, blocks.arr(dst))
+        yield from _reduce_compute(comm, blocks.nbytes(rank, rank + 1))
         acc = _combine(op, acc, res.data)
     return acc
 

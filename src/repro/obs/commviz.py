@@ -98,13 +98,16 @@ class PhaseMatrix:
         self.intra_bytes += snap["intra"]["bytes"]
         self.inter_msgs += snap["inter"]["msgs"]
         self.inter_bytes += snap["inter"]["bytes"]
+        cells = self.cells
         for key, (msgs, nbytes) in snap["cells"].items():
             s, d = key.split(",")
-            cell = self.cells.get((int(s), int(d)))
+            pair = (int(s), int(d))
+            cell = cells.get(pair)
             if cell is None:
-                cell = self.cells[(int(s), int(d))] = [0, 0]
-            cell[0] += msgs
-            cell[1] += nbytes
+                cells[pair] = [msgs, nbytes]  # == [0 + msgs, 0 + nbytes]
+            else:
+                cell[0] += msgs
+                cell[1] += nbytes
 
 
 class CommRecorder(Recorder):

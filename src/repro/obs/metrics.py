@@ -258,10 +258,13 @@ def fold_reservations(log: list, queue_wait: Histogram, nbytes: Counter,
     ``nbytes.inc(nbytes)`` and ``busy_s.inc(end - start)`` would make,
     in the same order: explicit sequential ``+=`` (never ``sum()``,
     whose float result is compensated on Python 3.12), so snapshots stay
-    bit-identical and an all-int byte counter stays ``int``.
+    bit-identical and an all-int byte counter stays ``int``.  The bucket
+    is :func:`log2_bucket` written out: ``value == 2**(e-1)`` exactly
+    when ``frexp``'s mantissa is 0.5.
     """
     buckets = queue_wait.buckets
     get = buckets.get
+    frexp = math.frexp
     total = queue_wait.sum
     lo = queue_wait.min
     hi = queue_wait.max
@@ -269,7 +272,16 @@ def fold_reservations(log: list, queue_wait: Histogram, nbytes: Counter,
     busy = busy_s.value
     for start, end, earliest, n in log:
         wait = start - earliest
-        b = log2_bucket(wait)
+        if wait <= 0:
+            b = _MIN_EXP
+        else:
+            m, b = frexp(wait)
+            if m == 0.5:
+                b -= 1
+            if b < _MIN_EXP:
+                b = _MIN_EXP
+            elif b > _MAX_EXP:
+                b = _MAX_EXP
         buckets[b] = get(b, 0) + 1
         total += wait
         if wait < lo:

@@ -2,13 +2,15 @@
 
 :class:`TimelineSeries` turns the ``(start, end)`` busy intervals that
 :class:`~repro.network.resources.BandwidthResource` reserves into a
-bounded-memory, time-bucketed occupancy series: each bucket holds the
-busy virtual-seconds that fell inside it, summed over every resource
-instance of the kind.  Bucket width is an exact power of two seconds and
-doubles (folding pairs of buckets) whenever the run outgrows
-``RESOLUTION`` buckets — the HdrHistogram auto-ranging trick.  Because
-folds are exact halvings and merges fold both sides to the coarser
-width before adding cells in sorted index order, serial, ``--jobs N``,
+bounded-memory, time-bucketed occupancy series: a dense list of
+``RESOLUTION`` cells, each holding the busy virtual-seconds that fell
+inside its bucket, summed over every resource instance of the kind.
+Bucket width is an exact power of two seconds and doubles (adding pairs
+of cells) whenever the run outgrows the ``RESOLUTION`` cells — the
+HdrHistogram auto-ranging trick.  Snapshots list only the touched
+(non-zero) cells, keyed by index.  Because folds are exact halvings and
+merges fold both sides to the coarser width, summing the snapshot cells
+that land in one cell in ascending index order, serial, ``--jobs N``,
 and cache-warm sweeps produce byte-identical series.
 
 :func:`straggler_profile` answers the imbalance question from the other
@@ -45,13 +47,19 @@ COLL_TAGSPAN = 8192
 
 
 class TimelineSeries:
-    """Busy-time occupancy in power-of-two-width time buckets."""
+    """Busy-time occupancy in power-of-two-width time buckets.
 
-    __slots__ = ("exp", "buckets", "count", "busy_s", "bytes")
+    Cell ``i`` of the dense ``cells`` covers ``[i*w, (i+1)*w)``; no
+    interval reaches index ``RESOLUTION``, because :meth:`fold` doubles
+    the width while an end reaches ``RESOLUTION * w``.  A touched cell
+    is always > 0, so the untouched cells are exactly the zeros.
+    """
+
+    __slots__ = ("exp", "cells", "count", "busy_s", "bytes")
 
     def __init__(self) -> None:
         self.exp = _START_EXP
-        self.buckets: dict[int, float] = {}
+        self.cells = [0.0] * RESOLUTION
         self.count = 0
         self.busy_s = 0.0
         self.bytes = 0.0
@@ -62,18 +70,15 @@ class TimelineSeries:
         return 2.0 ** self.exp
 
     def _rescale(self) -> None:
-        """Double the bucket width, folding bucket pairs exactly.
+        """Double the bucket width, folding cell pairs exactly.
 
-        A folded cell sums at most two positive cells, and IEEE addition
-        commutes, so the cells need not be visited in index order.
+        A folded cell is ``c[2j] + c[2j+1]``: IEEE addition commutes and
+        ``0.0 + x == x``, so this is the sum any visiting order gives.
         """
         self.exp += 1
-        folded: dict[int, float] = {}
-        get = folded.get
-        for i, v in self.buckets.items():
-            j = i >> 1
-            folded[j] = get(j, 0.0) + v
-        self.buckets = folded
+        c = self.cells
+        c[:] = ([a + b for a, b in zip(c[0::2], c[1::2])]
+                + [0.0] * (RESOLUTION // 2))
 
     def add(self, start: float, end: float, nbytes: float = 0.0) -> None:
         """Record one busy interval ``[start, end)``."""
@@ -92,8 +97,7 @@ class TimelineSeries:
         count = self.count
         total_bytes = self.bytes
         busy = self.busy_s
-        buckets = self.buckets
-        get = buckets.get
+        cells = self.cells
         w = 2.0 ** self.exp
         limit = RESOLUTION * w
         for start, end, _earliest, nbytes in log:
@@ -103,13 +107,10 @@ class TimelineSeries:
             if dur <= 0:
                 continue
             busy += dur
-            if end >= limit:
-                while end >= limit:
-                    self._rescale()
-                    w = 2.0 ** self.exp
-                    limit = RESOLUTION * w
-                buckets = self.buckets
-                get = buckets.get
+            while end >= limit:
+                self._rescale()
+                w = 2.0 ** self.exp
+                limit = RESOLUTION * w
             # Cell ``i`` covers [i*w, (i+1)*w) and gains the overlap
             # ``min(end, (i+1)*w) - max(start, i*w)``.  Multiples of the
             # power-of-two width are exact, so the overlap is ``dur``
@@ -118,17 +119,17 @@ class TimelineSeries:
             i0 = int(start / w)
             i1 = int(end / w)
             if i0 == i1:
-                buckets[i0] = get(i0, 0.0) + dur
+                cells[i0] += dur
                 continue
             lo = i0 * w
             if start > lo:
                 lo = start
-            buckets[i0] = get(i0, 0.0) + ((i0 + 1) * w - lo)
+            cells[i0] += (i0 + 1) * w - lo
             for i in range(i0 + 1, i1):
-                buckets[i] = get(i, 0.0) + w
+                cells[i] += w
             lo = i1 * w
             if end > lo:
-                buckets[i1] = get(i1, 0.0) + (end - lo)
+                cells[i1] += end - lo
         self.count = count
         self.bytes = total_bytes
         self.busy_s = busy
@@ -136,9 +137,9 @@ class TimelineSeries:
     # -- views ---------------------------------------------------------------
 
     def series(self) -> list[tuple[float, float]]:
-        """``(bucket_start_s, busy_s)`` pairs, sorted by time."""
+        """``(bucket_start_s, busy_s)`` pairs of the touched cells, by time."""
         w = 2.0 ** self.exp
-        return [(i * w, v) for i, v in sorted(self.buckets.items())]
+        return [(i * w, v) for i, v in enumerate(self.cells) if v]
 
     def to_dict(self) -> dict:
         return {
@@ -147,15 +148,18 @@ class TimelineSeries:
             "count": self.count,
             "busy_s": self.busy_s,
             "bytes": self.bytes,
-            "buckets": {str(i): v for i, v in sorted(self.buckets.items())},
+            "buckets": {str(i): v for i, v in enumerate(self.cells) if v},
         }
 
     def merge(self, snap: dict) -> None:
         """Fold one :meth:`to_dict` snapshot into this series.
 
         Both sides are first folded to the coarser of the two widths
-        (exact halvings), then cells add in sorted index order, so a
-        fixed fan-in order gives bit-identical results.
+        (exact halvings).  At equal widths each snapshot cell adds to
+        its own cell; otherwise the snapshot cells landing in one cell
+        are first summed in ascending index order (JSON round trips
+        sort keys as strings), so a fixed fan-in order gives
+        bit-identical results.
         """
         self.count += snap["count"]
         self.busy_s += snap["busy_s"]
@@ -163,12 +167,15 @@ class TimelineSeries:
         while self.exp < snap["exp"]:
             self._rescale()
         shift = self.exp - snap["exp"]
-        incoming: dict[int, float] = {}
-        for k, v in sorted(snap["buckets"].items(), key=lambda kv: int(kv[0])):
-            j = int(k) >> shift
-            incoming[j] = incoming.get(j, 0.0) + v
-        for j, v in incoming.items():
-            self.buckets[j] = self.buckets.get(j, 0.0) + v
+        cells = self.cells
+        if not shift:
+            for k, v in snap["buckets"].items():
+                cells[int(k)] += v
+            return
+        incoming = [0.0] * RESOLUTION
+        for i, v in sorted((int(k), v) for k, v in snap["buckets"].items()):
+            incoming[i >> shift] += v
+        cells[:] = [a + b for a, b in zip(cells, incoming)]
 
 
 class TimelineRecorder(Recorder):

@@ -7,13 +7,15 @@ import pytest
 
 from repro.api import run_figure
 from repro.core.errors import ConfigError
-from repro.exec import SimPoint, SweepExecutor, compute_point, using_executor
+from repro.exec import (ResultCache, SimPoint, SweepExecutor, compute_point,
+                        using_executor)
 from repro.exec.backends import (
     EXEC_BACKENDS,
     ExecBackend,
     ExecBackendError,
     WorkerContext,
     available_exec_backends,
+    compute_inline,
     decode_point,
     decode_record,
     default_exec_backend_name,
@@ -24,7 +26,7 @@ from repro.exec.backends import (
     set_default_exec_backend,
 )
 from repro.harness.report import figure_to_csv
-from repro.obs import MetricsRegistry, current, install
+from repro.obs import RECORDERS, MetricsRegistry, current, install, using
 
 CAP = 8  # tiny sweeps keep this fast
 
@@ -95,6 +97,34 @@ def test_backend_metrics_merge_matches_inline(backend):
 
 
 @pytest.mark.parametrize("backend", ALL_BACKENDS)
+def test_backend_streams_each_miss_to_the_cache_once(backend, tmp_path):
+    """With every recorder on and a fresh cache, each miss is written
+    once, reads back as the inline run's record, and the replayed
+    recorders' fan-in equals the inline run's snapshot for snapshot."""
+    pts = _points()
+
+    def run(backend_name, cache):
+        recs = [cls(enabled=True) for cls in RECORDERS.values()]
+        with using(*recs), SweepExecutor(jobs=2, cache=cache,
+                                         backend=backend_name) as ex:
+            ex.run_points(pts)
+            misses = ex.stats()["cache_misses"]
+        return {rec.name: rec.snapshot() for rec in recs}, misses
+
+    ref_cache = ResultCache(tmp_path / "reference")
+    reference, _ = run("inline", ref_cache)
+    cache = ResultCache(tmp_path / backend)
+    snaps, misses = run(backend, cache)
+    assert cache.stores == misses == len(pts)
+    for pt in pts:
+        got, want = cache.get(pt), ref_cache.get(pt)
+        assert (got.value, got.events, got.obs) == \
+            (want.value, want.events, want.obs)
+    for name in ("timeline", "comm", "energy"):
+        assert snaps[name] == reference[name]
+
+
+@pytest.mark.parametrize("backend", ALL_BACKENDS)
 def test_backend_empty_batch(backend):
     with SweepExecutor(jobs=2, cache=None, backend=backend) as ex:
         assert ex.run_points([]) == []
@@ -133,8 +163,8 @@ def test_register_custom_backend():
         def __init__(self, jobs=1):
             self.jobs = jobs
 
-        def compute(self, points):
-            return [compute_point(pt) for pt in points]
+        def compute(self, points, on_record=lambda i, rec: None):
+            return compute_inline(points, on_record)
 
     register_exec_backend("echo-test", Echo)
     try:
@@ -180,13 +210,13 @@ class _CrashOnceBackend(ExecBackend):
         self.jobs = jobs
         self.calls = 0
 
-    def compute(self, points):
+    def compute(self, points, on_record=lambda i, rec: None):
         self.calls += 1
         if self.calls == 1:
-            raise ExecBackendError(
-                "worker exited mid-batch",
-                done={0: compute_point(points[0])})
-        return [compute_point(pt) for pt in points]
+            rec = compute_point(points[0])
+            on_record(0, rec)
+            raise ExecBackendError("worker exited mid-batch", done={0: rec})
+        return compute_inline(points, on_record)
 
 
 def test_transport_failure_requeues_only_missing_points():

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import io
 import json
-from collections import deque
+import threading
+from collections import Counter, deque
 
 import pytest
 
-from repro.exec import SimPoint, SweepExecutor, compute_point
+from repro.exec import ResultCache, SimPoint, SweepExecutor, compute_point
 from repro.exec.backends import (
     ExecBackendError,
     SubprocessBackend,
@@ -291,3 +292,54 @@ def test_executor_requeues_lost_points_exactly_once(fake_fleet):
     assert st["requeued"] == 1            # only the lost point recomputed
     assert backend.health["crashes"] == 1
     assert backend.health["requests"] == len(pts) - 1
+
+
+def test_landed_records_are_handed_on_before_a_worker_death(fake_fleet,
+                                                             tmp_path):
+    """Every record in ``err.done`` already went through ``on_record``,
+    on the calling thread, so a cache written there holds all of them."""
+    fake_fleet.plan = {1: "die-after-1"}
+    backend = SubprocessBackend(jobs=2)
+    pts = [_point(p) for p in (2, 4, 8, 16)]
+    cache = ResultCache(tmp_path)
+    landed: list[tuple[int, threading.Thread]] = []
+
+    def on_record(i, rec):
+        landed.append((i, threading.current_thread()))
+        cache.put(pts[i], rec)
+
+    with pytest.raises(ExecBackendError) as ei:
+        backend.compute(pts, on_record)
+    done = ei.value.done
+    assert sorted(i for i, _t in landed) == sorted(done)
+    assert {t for _i, t in landed} == {threading.current_thread()}
+    for i, rec in done.items():
+        assert cache.get(pts[i]).value == rec.value
+    assert cache.stores == len(done) == len(pts) - 1
+
+
+def test_executor_writes_each_miss_once_across_a_requeue(fake_fleet,
+                                                         tmp_path):
+    """Landed records are written as they arrive; after the worker death
+    only the requeued point is written, once, all on the calling thread."""
+    fake_fleet.plan = {1: "die-after-1"}
+    pts = [_point(p) for p in (2, 4, 8, 16)]
+    cache = ResultCache(tmp_path)
+    writes: Counter = Counter()
+    threads: set[threading.Thread] = set()
+    put = cache.put
+
+    def counting_put(pt, rec):
+        writes[pt.key()] += 1
+        threads.add(threading.current_thread())
+        put(pt, rec)
+
+    cache.put = counting_put
+    ex = SweepExecutor(jobs=2, cache=cache,
+                       backend=SubprocessBackend(jobs=2))
+    values = ex.run_points(pts)
+    assert ex.stats()["requeued"] == 1
+    assert writes == Counter(pt.key() for pt in pts)  # once each
+    assert cache.stores == len(pts)
+    assert threads == {threading.current_thread()}
+    assert [cache.get(pt).value for pt in pts] == values

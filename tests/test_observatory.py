@@ -137,8 +137,8 @@ def test_timeline_series_rescales_to_power_of_two_width():
     # and end >= span triggers one more doubling
     assert s.width == 2.0 ** s.exp
     assert RESOLUTION * s.width > 0.5
-    assert len(s.buckets) <= RESOLUTION
-    assert sum(s.buckets.values()) == pytest.approx(0.5)
+    assert len(s.series()) <= RESOLUTION
+    assert sum(v for _, v in s.series()) == pytest.approx(0.5)
 
 
 def test_timeline_series_merge_folds_to_coarser_width():
@@ -152,7 +152,7 @@ def test_timeline_series_merge_folds_to_coarser_width():
     merged.merge(coarse.to_dict())
     assert merged.exp == coarse.exp
     assert merged.busy_s == pytest.approx(0.3 + 1e-5)
-    assert sum(merged.buckets.values()) == pytest.approx(0.3 + 1e-5)
+    assert sum(v for _, v in merged.series()) == pytest.approx(0.3 + 1e-5)
 
 
 def test_merge_timeline_snapshots_deterministic():

@@ -1,5 +1,6 @@
 """Property-based tests (hypothesis) on core invariants."""
 
+import json
 import math
 
 import numpy as np
@@ -446,17 +447,19 @@ def test_timeline_halving_preserves_mass(ivals, halvings):
     assert coarse.busy_s == s.busy_s
     assert coarse.bytes == s.bytes
     assert coarse.count == s.count
-    assert sum(coarse.buckets.values()) == pytest.approx(
-        sum(s.buckets.values()), rel=1e-12, abs=1e-12)
+    fine_cells = s.to_dict()["buckets"]
+    coarse_cells = coarse.to_dict()["buckets"]
+    assert sum(coarse_cells.values()) == pytest.approx(
+        sum(fine_cells.values()), rel=1e-12, abs=1e-12)
     # Every coarse index is a fold of fine indices: i >> halvings.
-    want = set(int(k) >> halvings for k in s.buckets)
-    assert set(coarse.buckets) == want
+    want = set(str(int(k) >> halvings) for k in fine_cells)
+    assert set(coarse_cells) == want
 
 
 @given(_intervals)
 def test_timeline_bucket_count_stays_bounded(ivals):
     s = _build_series(ivals)
-    assert len(s.buckets) <= RESOLUTION + 1
+    assert len(s.series()) <= RESOLUTION
     assert s.busy_s == pytest.approx(sum(dur for _, dur, _ in ivals))
 
 
@@ -469,22 +472,68 @@ from repro.obs.metrics import (  # noqa: E402
 )
 
 
-def _reference_add(s, start, end, nbytes):
-    """The one-interval-at-a-time algorithm the batched fold must match."""
-    s.count += 1
-    s.bytes += nbytes
-    dur = end - start
-    if dur <= 0:
-        return
-    s.busy_s += dur
-    while end >= RESOLUTION * 2.0 ** s.exp:
-        s._rescale()
-    w = 2.0 ** s.exp
-    for i in range(int(start / w), int(end / w) + 1):
-        lo = start if start > i * w else i * w
-        hi = end if end < (i + 1) * w else (i + 1) * w
-        if hi > lo:
-            s.buckets[i] = s.buckets.get(i, 0.0) + (hi - lo)
+class _DictSeries:
+    """Reference series: a sparse dict of cells, one interval at a time.
+
+    Written out independently of :class:`TimelineSeries`: its own
+    width exponent, its own dict of cells, its own pairwise rescale and
+    the merge rule (fold to the coarser width; at unequal widths, sum
+    the incoming cells in ascending index order before adding).  Its
+    :meth:`to_dict` has the same layout, so the two compare by ``repr``.
+    """
+
+    def __init__(self, exp=TimelineSeries().exp):
+        self.exp = exp
+        self.cells: dict[int, float] = {}
+        self.count = 0
+        self.busy_s = 0.0
+        self.bytes = 0.0
+
+    def _rescale(self):
+        self.exp += 1
+        folded: dict[int, float] = {}
+        for i, v in self.cells.items():
+            folded[i >> 1] = folded.get(i >> 1, 0.0) + v
+        self.cells = folded
+
+    def add(self, start, end, nbytes):
+        self.count += 1
+        self.bytes += nbytes
+        dur = end - start
+        if dur <= 0:
+            return
+        self.busy_s += dur
+        while end >= RESOLUTION * 2.0 ** self.exp:
+            self._rescale()
+        w = 2.0 ** self.exp
+        for i in range(int(start / w), int(end / w) + 1):
+            lo = start if start > i * w else i * w
+            hi = end if end < (i + 1) * w else (i + 1) * w
+            if hi > lo:
+                self.cells[i] = self.cells.get(i, 0.0) + (hi - lo)
+
+    def merge(self, snap):
+        self.count += snap["count"]
+        self.busy_s += snap["busy_s"]
+        self.bytes += snap["bytes"]
+        while self.exp < snap["exp"]:
+            self._rescale()
+        shift = self.exp - snap["exp"]
+        incoming: dict[int, float] = {}
+        for k, v in sorted(snap["buckets"].items(), key=lambda kv: int(kv[0])):
+            incoming[int(k) >> shift] = incoming.get(int(k) >> shift, 0.0) + v
+        for j, v in incoming.items():
+            self.cells[j] = self.cells.get(j, 0.0) + v
+
+    def to_dict(self):
+        return {
+            "exp": self.exp,
+            "width_s": 2.0 ** self.exp,
+            "count": self.count,
+            "busy_s": self.busy_s,
+            "bytes": self.bytes,
+            "buckets": {str(i): v for i, v in sorted(self.cells.items())},
+        }
 
 
 def _bits(series):
@@ -528,9 +577,9 @@ def _log(ivals):
 def test_timeline_fold_equals_scalar_adds_bit_for_bit(ivals, chunk):
     """Folding a batch (in log-sized chunks, as flushes do) gives exactly
     the series one-by-one adds give, rescales included."""
-    ref = TimelineSeries()
+    ref = _DictSeries()
     for start, dur, nbytes in ivals:
-        _reference_add(ref, start, start + dur, nbytes)
+        ref.add(start, start + dur, nbytes)
     log = _log(ivals)
     batched = TimelineSeries()
     for k in range(0, len(log), chunk):
@@ -538,6 +587,38 @@ def test_timeline_fold_equals_scalar_adds_bit_for_bit(ivals, chunk):
     single = _build_series(ivals)
     assert _bits(batched) == _bits(ref)
     assert _bits(single) == _bits(ref)
+
+
+#: Snapshot cells with mixed magnitudes: folded into a coarser series,
+#: many of them sum into one cell, where the summation order shows.
+#: Cells 0-15 sort differently as strings ("10" before "2").
+_snapshot_cells = st.dictionaries(
+    st.one_of(st.integers(0, 15), st.integers(0, RESOLUTION - 1)),
+    st.floats(1e-12, 1e-3), min_size=1, max_size=64)
+
+
+@given(st.lists(st.tuples(_snapshot_cells, st.integers(0, 8)),
+                min_size=1, max_size=4),
+       st.integers(0, 8))
+def test_timeline_merge_of_json_snapshots_equals_dict_reference(snaps,
+                                                                halvings):
+    """Merging snapshots read back from JSON (keys in string order, so
+    "10" before "2") into a series up to 8 halvings coarser, or finer,
+    than they are gives exactly the reference's bits."""
+    got = TimelineSeries()
+    got.exp += halvings
+    ref = _DictSeries(got.exp)
+    for cells, offset in snaps:
+        exp = TimelineSeries().exp + offset
+        snap = json.loads(json.dumps({
+            "exp": exp, "width_s": 2.0 ** exp, "count": len(cells),
+            "busy_s": sum(cells.values()), "bytes": 0.0,
+            "buckets": {str(i): v for i, v in sorted(cells.items())},
+        }, sort_keys=True))
+        assert list(snap["buckets"]) == sorted(snap["buckets"])
+        got.merge(snap)
+        ref.merge(snap)
+        assert _bits(got) == _bits(ref)
 
 
 @given(_any_intervals,
