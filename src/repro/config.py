@@ -211,18 +211,10 @@ class ReproConfig:
         elif (env := _env_str(fastpath.MACRO_ABOVE_ENV)) is not None:
             r_macro = _rank_threshold(env, fastpath.MACRO_ABOVE_ENV)
 
-        r_exec = arg("exec_backend", exec_backend)
-        if r_exec is None:
-            r_exec = _env_str(EXEC_BACKEND_ENV)
-        if r_exec is None:
-            # The historical behaviour: serial runs compute in-process,
-            # ``--jobs N`` fans out over a process pool.
-            r_exec = "pool" if r_jobs > 1 else "inline"
-        from .exec import backends as _eb  # deferred: avoids import cycle
-        if r_exec not in _eb.EXEC_BACKENDS:
-            raise ConfigError(
-                f"unknown exec backend {r_exec!r} "
-                f"(registered: {', '.join(_eb.available_exec_backends())})")
+        # Deferred import: the backends module imports this one.
+        from .exec.backends import resolve_exec_backend_name
+        r_exec = resolve_exec_backend_name(
+            arg("exec_backend", exec_backend), r_jobs)
 
         r_cache_dir = arg("cache_dir", cache_dir)
         if r_cache_dir is None:

@@ -7,8 +7,11 @@ sweeps into :class:`SimPoint` units, runs them through a
 backend (:mod:`repro.exec.backends`: ``inline`` serial, ``pool`` process
 fan-out, ``subprocess`` worker fleet), and merges results
 deterministically so every backend produces byte-identical output.
-Results are cached in a multi-tenant content-addressed store
-(:mod:`repro.exec.cache`) shared safely between concurrent runs.
+:func:`~repro.exec.backends.resolve_exec_backend_name` is the one rule
+that picks the backend when none is named.  Results are cached in a
+multi-tenant content-addressed store (:mod:`repro.exec.cache`) whose
+entries are written by tempfile + atomic rename, so concurrent runs may
+share it without locks.
 """
 
 from ..config import DEFAULT_CACHE_DIR, default_jobs
@@ -18,11 +21,10 @@ from .backends import (
     ExecBackendError,
     WorkerContext,
     available_exec_backends,
-    default_exec_backend_name,
     init_worker,
     make_exec_backend,
     register_exec_backend,
-    set_default_exec_backend,
+    resolve_exec_backend_name,
 )
 from .cache import ResultCache, source_fingerprint
 from .executor import (
@@ -31,7 +33,6 @@ from .executor import (
     set_executor,
     using_executor,
 )
-from .locks import FileLock, LockTimeout
 from .points import SimPoint
 from .worker import PointRecord, compute_point
 
@@ -40,8 +41,6 @@ __all__ = [
     "EXEC_BACKENDS",
     "ExecBackend",
     "ExecBackendError",
-    "FileLock",
-    "LockTimeout",
     "PointRecord",
     "ResultCache",
     "SimPoint",
@@ -49,13 +48,12 @@ __all__ = [
     "WorkerContext",
     "available_exec_backends",
     "compute_point",
-    "default_exec_backend_name",
     "default_jobs",
     "get_executor",
     "init_worker",
     "make_exec_backend",
     "register_exec_backend",
-    "set_default_exec_backend",
+    "resolve_exec_backend_name",
     "set_executor",
     "source_fingerprint",
     "using_executor",

@@ -28,10 +28,12 @@ it to the cache while the rest of the batch is still computing.  Worker
 executor can requeue only the unfinished points; simulation errors
 raised by a point itself propagate unchanged, as they always did.
 
-Selection: ``SweepExecutor(backend=...)`` takes a name or instance; the
-default comes from :func:`default_exec_backend_name`, wired to the
-``--exec-backend`` CLI flag and the ``REPRO_EXEC_BACKEND`` environment
-variable through :class:`repro.config.ReproConfig`.
+Selection: ``SweepExecutor(backend=...)`` takes a name or instance.
+:func:`resolve_exec_backend_name` is the one rule for a name: the
+explicit one (the ``--exec-backend`` CLI flag), else the
+``REPRO_EXEC_BACKEND`` environment variable, else ``pool`` for
+``jobs > 1`` and ``inline`` otherwise.  :class:`repro.config.ReproConfig`
+and :func:`make_exec_backend` both apply it.
 """
 
 from __future__ import annotations
@@ -62,10 +64,6 @@ from .worker import PointRecord, compute_point
 #: ``on_record(index, record)``: called once per landed record, on the
 #: thread that called :meth:`ExecBackend.compute`.
 OnRecord = Callable[[int, PointRecord], None]
-
-#: Backend name used when nothing is configured anywhere (the serial
-#: library default; CLIs resolve ``--jobs N > 1`` to ``pool``).
-FALLBACK_EXEC_BACKEND = "inline"
 
 
 class ExecBackendError(RuntimeError):
@@ -298,22 +296,14 @@ class _FleetWorker:
         self.proc.wait(timeout=10)
 
 
-def encode_record(record: PointRecord) -> str:
-    """Pickle + base64 a record for transport inside a JSON line."""
+def encode_wire(obj: SimPoint | PointRecord) -> str:
+    """Pickle + base64 a point or record for transport in a JSON line."""
     return base64.b64encode(
-        pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)).decode()
+        pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)).decode()
 
 
-def decode_record(blob: str) -> PointRecord:
-    return pickle.loads(base64.b64decode(blob))
-
-
-def encode_point(point: SimPoint) -> str:
-    return base64.b64encode(
-        pickle.dumps(point, protocol=pickle.HIGHEST_PROTOCOL)).decode()
-
-
-def decode_point(blob: str) -> SimPoint:
+def decode_wire(blob: str) -> SimPoint | PointRecord:
+    """Inverse of :func:`encode_wire`."""
     return pickle.loads(base64.b64decode(blob))
 
 
@@ -404,7 +394,7 @@ class SubprocessBackend(ExecBackend):
         lock = threading.Lock()
 
         def send(worker: _FleetWorker, i: int) -> None:
-            msg = {"op": "job", "id": i, "point": encode_point(points[i])}
+            msg = {"op": "job", "id": i, "point": encode_wire(points[i])}
             if trace_ctx is not None:
                 msg["trace"] = trace_ctx
             worker.send(msg)
@@ -440,7 +430,7 @@ class SubprocessBackend(ExecBackend):
                              f"while job {i} was oldest in flight")
                         return
                     error = reply.get("op") == "error"
-                    record = None if error else decode_record(reply["record"])
+                    record = None if error else decode_wire(reply["record"])
                     inflight.popleft()
                     if not error:
                         landed.put((i, record))
@@ -534,51 +524,30 @@ def available_exec_backends() -> list[str]:
     return sorted(EXEC_BACKENDS)
 
 
-_default_name: str | None = None
+def resolve_exec_backend_name(name: str | None = None, jobs: int = 1) -> str:
+    """The backend to run: ``name``, else ``REPRO_EXEC_BACKEND``, else
+    ``pool`` for ``jobs > 1`` and ``inline`` otherwise.
 
-
-def set_default_exec_backend(name: str | None) -> str | None:
-    """Set (or with ``None`` clear) the process default; returns the old."""
-    global _default_name
-    if name is not None and name not in EXEC_BACKENDS:
-        raise ConfigError(
-            f"unknown exec backend {name!r} "
-            f"(registered: {', '.join(available_exec_backends())})")
-    previous, _default_name = _default_name, name
-    return previous
-
-
-def default_exec_backend_name(jobs: int = 1) -> str:
-    """Backend used when none is passed: explicit default, env, fallback.
-
-    With nothing configured, ``jobs > 1`` resolves to ``pool`` (the
-    historical ``--jobs N`` behaviour) and ``jobs == 1`` to ``inline``.
+    A name missing from :data:`EXEC_BACKENDS` is a :class:`ConfigError`;
+    one read from the environment names the variable.
     """
-    if _default_name is not None:
-        return _default_name
-    env = os.environ.get(EXEC_BACKEND_ENV, "").strip()
-    if env:
-        if env not in EXEC_BACKENDS:
-            raise ConfigError(
-                f"{EXEC_BACKEND_ENV}={env!r} names no registered backend "
-                f"(registered: {', '.join(available_exec_backends())})")
-        return env
-    return "pool" if jobs > 1 else FALLBACK_EXEC_BACKEND
+    where = ""
+    if name is None:
+        name = os.environ.get(EXEC_BACKEND_ENV, "").strip()
+        if not name:
+            return "pool" if jobs > 1 else "inline"
+        where = f" in {EXEC_BACKEND_ENV}"
+    if name not in EXEC_BACKENDS:
+        raise ConfigError(
+            f"unknown exec backend {name!r}{where} "
+            f"(registered: {', '.join(available_exec_backends())})")
+    return name
 
 
 def make_exec_backend(backend: str | ExecBackend | None = None,
                       jobs: int = 1) -> ExecBackend:
     """Resolve ``backend`` (name, instance, or None = default) to a fresh
     instance sized for ``jobs`` workers."""
-    if backend is None:
-        backend = default_exec_backend_name(jobs)
     if isinstance(backend, ExecBackend):
         return backend
-    try:
-        factory = EXEC_BACKENDS[backend]
-    except KeyError:
-        raise ConfigError(
-            f"unknown exec backend {backend!r} "
-            f"(registered: {', '.join(available_exec_backends())})"
-        ) from None
-    return factory(jobs)
+    return EXEC_BACKENDS[resolve_exec_backend_name(backend, jobs)](jobs)

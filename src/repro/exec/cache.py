@@ -16,10 +16,15 @@ generation in one pass without touching the live one, even while other
 tenants (concurrent harness runs, service worker threads, fleet
 subprocesses) keep reading and writing.
 
-Writes are atomic (tempfile + rename) and additionally guarded by a
-per-entry advisory :class:`~repro.exec.locks.FileLock`, so concurrent
-writers of the same entry serialise instead of duplicating work, and
-``gc`` never sweeps a directory out from under a mid-flight write.
+Integrity comes from the write protocol alone: each writer pickles into
+its own ``mkstemp`` file in the entry's shard directory, then moves it
+onto the entry with ``os.replace``.  A reader sees either no entry or
+one complete entry, and concurrent writers of the same entry simply
+replace one complete file with another.  ``gc`` does not coordinate
+with writers: one run from an edited source tree sweeps the generation
+other tenants still write to, possibly between a write's ``mkdir`` and
+its rename, so a write that finds its directory gone remakes it and
+retries once.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ from pathlib import Path
 
 from ..config import DEFAULT_CACHE_DIR
 from ..imb import fastpath
-from .locks import FileLock, LockTimeout
 from .points import SimPoint
 
 #: Bump when the on-disk record layout changes incompatibly.
@@ -112,22 +116,20 @@ class ResultCache:
         return record
 
     def put(self, point: SimPoint, record) -> None:
-        """Store ``record`` for ``point`` (lock-guarded atomic write)."""
+        """Store ``record`` for ``point`` (atomic tempfile + rename)."""
         path = self._path(point)
-        path.parent.mkdir(parents=True, exist_ok=True)
         # Overwrite unconditionally: an existing entry at this address is
         # either identical content (same address => same inputs) or a
         # pre-observability record being upgraded with comm/timeline data.
         try:
-            with FileLock(path.with_suffix(".lock")):
-                self._write(path, record)
-        except LockTimeout:
-            # A wedged/slow peer must not fail the sweep — fall back to
-            # the plain atomic write (rename still guarantees integrity).
+            self._write(path, record)
+        except FileNotFoundError:
+            # A concurrent ``gc`` swept the generation after the mkdir.
             self._write(path, record)
         self.stores += 1
 
     def _write(self, path: Path, record) -> None:
+        path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as fh:

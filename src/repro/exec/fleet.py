@@ -39,8 +39,7 @@ def serve(stdin, stdout) -> int:
     # first line doesn't pay the full model import.
     from ..obs.context import using
     from ..obs.telemetry import TelemetryRecorder
-    from .backends import (WorkerContext, decode_point, encode_record,
-                           init_worker)
+    from .backends import WorkerContext, decode_wire, encode_wire, init_worker
     from .worker import compute_point
 
     for line in stdin:
@@ -72,14 +71,14 @@ def serve(stdin, stdout) -> int:
             recorder = (TelemetryRecorder(enabled=True, context=trace)
                         if trace else None)
             try:
-                point = decode_point(msg["point"])
+                point = decode_wire(msg["point"])
                 if recorder is None:
                     record = compute_point(point)
                 else:
                     with using(recorder):
                         record = compute_point(point)
                 reply = {"op": "result", "id": job_id,
-                         "record": encode_record(record)}
+                         "record": encode_wire(record)}
             except Exception:
                 reply = {"op": "error", "id": job_id,
                          "error": traceback.format_exc(limit=20)}

@@ -3,10 +3,17 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
+import pickle
+import tempfile
+import threading
+import time
+from types import SimpleNamespace
 
 import pytest
 
 from repro.api import run_figure
+from repro.exec import cache as cache_module
 from repro.exec import (
     PointRecord,
     ResultCache,
@@ -147,6 +154,74 @@ def test_cache_counts_unloadable_entry_as_miss(tmp_path, blob):
     path.write_bytes(blob)
     assert cache.get(pt) is None
     assert (cache.hits, cache.misses) == (0, 1)
+
+
+LIVE_FP, EDITED_FP = "a" * 64, "b" * 64
+ENTRY_POINT = SimPoint.make("imb", "xeon", 2, benchmark="Sendrecv",
+                            msg_bytes=1024)
+ENTRY_RECORD = PointRecord(value=1.5, wall_s=0.25, events=7,
+                           obs={"metrics": {"counters": {"x": 1}}})
+
+
+@pytest.mark.parametrize("when", ["before", "after"])
+def test_put_survives_a_concurrent_gc(tmp_path, monkeypatch, when):
+    """A ``gc`` run from an edited tree sweeps the live generation
+    between ``put``'s mkdir and its rename; the write still lands."""
+    sweeper = ResultCache(tmp_path, fingerprint=EDITED_FP)
+    swept = []
+
+    def mkstemp(**kw):
+        if when == "before" and not swept:
+            swept.append(sweeper.gc())
+        made = tempfile.mkstemp(**kw)
+        if when == "after" and not swept:
+            swept.append(sweeper.gc())
+        return made
+
+    monkeypatch.setattr(cache_module, "tempfile",
+                        SimpleNamespace(mkstemp=mkstemp))
+    cache = ResultCache(tmp_path, fingerprint=LIVE_FP)
+    cache.put(ENTRY_POINT, ENTRY_RECORD)
+    assert swept[0]["removed"] == [LIVE_FP[:16]]
+    assert cache.get(ENTRY_POINT) == ENTRY_RECORD
+    assert cache.stores == 1
+
+
+def _put_entry(root: str, times: int) -> None:
+    """Write the one test entry ``times`` times (a thread or a process)."""
+    cache = ResultCache(root, fingerprint=LIVE_FP)
+    for _ in range(times):
+        cache.put(ENTRY_POINT, ENTRY_RECORD)
+
+
+def test_concurrent_writers_of_one_entry(tmp_path):
+    """Tempfile + rename alone keeps one entry whole under 4 writer
+    threads and 2 writer processes: a reader never sees it torn."""
+    _put_entry(tmp_path, 1)
+    spawn = multiprocessing.get_context("spawn")
+    procs = [spawn.Process(target=_put_entry, args=(str(tmp_path), 200))
+             for _ in range(2)]
+    threads = [threading.Thread(target=_put_entry, args=(tmp_path, 200))
+               for _ in range(4)]
+    for worker in procs + threads:
+        worker.start()
+    reader = ResultCache(tmp_path, fingerprint=LIVE_FP)
+    deadline = time.monotonic() + 60
+    while (any(worker.is_alive() for worker in procs + threads)
+           and time.monotonic() < deadline):
+        assert reader.get(ENTRY_POINT) == ENTRY_RECORD
+    for worker in procs + threads:
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+    assert [proc.exitcode for proc in procs] == [0, 0]
+    assert reader.misses == 0 and reader.hits > 0
+    cache = ResultCache(tmp_path, fingerprint=LIVE_FP)
+    assert cache.get(ENTRY_POINT) == ENTRY_RECORD
+    path = cache._path(ENTRY_POINT)
+    assert path.read_bytes() == pickle.dumps(
+        ENTRY_RECORD, protocol=pickle.HIGHEST_PROTOCOL)
+    # No tempfile or lock file is left behind: the entry is all there is.
+    assert [f for f in tmp_path.rglob("*") if f.is_file()] == [path]
 
 
 def test_source_fingerprint_tracks_content(tmp_path):

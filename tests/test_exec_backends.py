@@ -6,6 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro.api import run_figure
+from repro.config import EXEC_BACKEND_ENV, ReproConfig
 from repro.core.errors import ConfigError
 from repro.exec import (ResultCache, SimPoint, SweepExecutor, compute_point,
                         using_executor)
@@ -16,14 +17,10 @@ from repro.exec.backends import (
     WorkerContext,
     available_exec_backends,
     compute_inline,
-    decode_point,
-    decode_record,
-    default_exec_backend_name,
-    encode_point,
-    encode_record,
+    decode_wire,
+    encode_wire,
     make_exec_backend,
     register_exec_backend,
-    set_default_exec_backend,
 )
 from repro.harness.report import figure_to_csv
 from repro.obs import RECORDERS, MetricsRegistry, current, install, using
@@ -175,26 +172,48 @@ def test_register_custom_backend():
         EXEC_BACKENDS.pop("echo-test", None)
 
 
-def test_default_backend_resolution(monkeypatch):
-    monkeypatch.delenv("REPRO_EXEC_BACKEND", raising=False)
-    assert default_exec_backend_name(jobs=1) == "inline"
-    assert default_exec_backend_name(jobs=4) == "pool"
-    monkeypatch.setenv("REPRO_EXEC_BACKEND", "subprocess")
-    assert default_exec_backend_name(jobs=1) == "subprocess"
-    monkeypatch.setenv("REPRO_EXEC_BACKEND", "bogus")
-    with pytest.raises(ConfigError, match="REPRO_EXEC_BACKEND"):
-        default_exec_backend_name()
+#: (explicit name, REPRO_EXEC_BACKEND, jobs) -> resolved backend name.
+RESOLUTION_TABLE = {
+    "serial-default": (None, None, 1, "inline"),
+    "jobs-default": (None, None, 4, "pool"),
+    "blank-env-is-unset": (None, "  ", 4, "pool"),
+    "env-beats-serial": (None, "subprocess", 1, "subprocess"),
+    "env-beats-jobs": (None, "inline", 4, "inline"),
+    "explicit-beats-env": ("inline", "pool", 8, "inline"),
+    "explicit-beats-jobs": ("subprocess", None, 1, "subprocess"),
+}
 
 
-def test_set_default_exec_backend_overrides_env(monkeypatch):
-    monkeypatch.setenv("REPRO_EXEC_BACKEND", "pool")
-    old = set_default_exec_backend("inline")
-    try:
-        assert default_exec_backend_name(jobs=8) == "inline"
-        with pytest.raises(ConfigError):
-            set_default_exec_backend("bogus")
-    finally:
-        set_default_exec_backend(old)
+@pytest.mark.parametrize("explicit, env, jobs, want",
+                         RESOLUTION_TABLE.values(), ids=RESOLUTION_TABLE)
+def test_backend_name_resolution(monkeypatch, explicit, env, jobs, want):
+    """The config and an executor given the same name (or None) agree."""
+    if env is None:
+        monkeypatch.delenv(EXEC_BACKEND_ENV, raising=False)
+    else:
+        monkeypatch.setenv(EXEC_BACKEND_ENV, env)
+    cfg = ReproConfig.from_env_and_args(jobs=jobs, exec_backend=explicit)
+    assert cfg.exec_backend == want
+    with SweepExecutor(jobs=jobs, cache=None, backend=explicit) as ex:
+        assert ex.backend.name == want
+
+
+def test_bad_backend_name_names_its_source(monkeypatch):
+    monkeypatch.setenv(EXEC_BACKEND_ENV, "bogus")
+    env_error = f"unknown exec backend 'bogus' in {EXEC_BACKEND_ENV}"
+    with pytest.raises(ConfigError, match=env_error):
+        ReproConfig.from_env_and_args(jobs=2)
+    with pytest.raises(ConfigError, match=env_error):
+        SweepExecutor(jobs=2, cache=None, backend=None)
+    # An explicit name is blamed on itself, not on the environment.
+    monkeypatch.setenv(EXEC_BACKEND_ENV, "pool")
+    for resolve in (
+            lambda: ReproConfig.from_env_and_args(exec_backend="bogus"),
+            lambda: SweepExecutor(jobs=2, cache=None, backend="bogus")):
+        with pytest.raises(ConfigError,
+                           match="unknown exec backend 'bogus'") as info:
+            resolve()
+        assert EXEC_BACKEND_ENV not in str(info.value)
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +275,9 @@ def test_requeued_results_match_clean_run():
 
 def test_point_and_record_encode_roundtrip():
     (pt,) = _points((4,))
-    assert decode_point(encode_point(pt)) == pt
+    assert decode_wire(encode_wire(pt)) == pt
     rec = compute_point(pt)
-    back = decode_record(encode_record(rec))
+    back = decode_wire(encode_wire(rec))
     assert back.value == rec.value
     assert back.events == rec.events
 

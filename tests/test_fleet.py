@@ -25,10 +25,8 @@ from repro.exec.backends import (
     ExecBackendError,
     SubprocessBackend,
     WorkerContext,
-    decode_point,
-    decode_record,
-    encode_point,
-    encode_record,
+    decode_wire,
+    encode_wire,
 )
 from repro.exec.fleet import serve
 
@@ -91,12 +89,12 @@ def test_serve_job_round_trip_matches_inline():
     pt = _point()
     replies = _serve_lines(
         _INIT,
-        {"op": "job", "id": 3, "point": encode_point(pt)},
+        {"op": "job", "id": 3, "point": encode_wire(pt)},
         {"op": "shutdown"})
     (reply,) = replies
     assert reply["op"] == "result" and reply["id"] == 3
     assert "spans" not in reply  # untraced job: no telemetry payload
-    record = decode_record(reply["record"])
+    record = decode_wire(reply["record"])
     expect = compute_point(pt)
     assert record.value == expect.value
     assert record.events == expect.events
@@ -106,7 +104,7 @@ def test_serve_sim_error_replies_error_with_traceback():
     bad = SimPoint.make("nope", "xeon", 2)
     replies = _serve_lines(
         _INIT,
-        {"op": "job", "id": 7, "point": encode_point(bad)},
+        {"op": "job", "id": 7, "point": encode_wire(bad)},
         {"op": "shutdown"})
     (err,) = replies
     assert err["op"] == "error" and err["id"] == 7
@@ -118,7 +116,7 @@ def test_serve_traced_job_ships_spans_home():
     ctx = {"trace_id": "trace-X", "parent_span_id": "span-Y"}
     replies = _serve_lines(
         _INIT,
-        {"op": "job", "id": 0, "point": encode_point(pt), "trace": ctx},
+        {"op": "job", "id": 0, "point": encode_wire(pt), "trace": ctx},
         {"op": "shutdown"})
     (reply,) = replies
     spans = reply["spans"]
@@ -128,7 +126,7 @@ def test_serve_traced_job_ships_spans_home():
     roots = [s for s in spans if s["parent_id"] == "span-Y"]
     assert [s["name"] for s in roots] == ["point.compute"]
     # Tracing never leaks into the record payload.
-    traced = decode_record(reply["record"])
+    traced = decode_wire(reply["record"])
     plain = compute_point(pt)
     assert traced.value == plain.value
     assert traced.events == plain.events
@@ -140,7 +138,7 @@ def test_serve_traced_failing_job_ships_spans_home():
     ctx = {"trace_id": "T", "parent_span_id": "P"}
     (reply,) = _serve_lines(
         _INIT,
-        {"op": "job", "id": 4, "point": encode_point(bad), "trace": ctx},
+        {"op": "job", "id": 4, "point": encode_wire(bad), "trace": ctx},
         {"op": "shutdown"})
     assert reply["op"] == "error" and reply["id"] == 4
     # The failed attempt is part of the trace, as it is inline.
@@ -185,10 +183,10 @@ class _FakeWorker:
         if self.behavior == "garbage":
             raise json.JSONDecodeError("Expecting value", "<<<garbage>>>", 0)
         self.answered += 1
-        record = compute_point(decode_point(msg["point"]))
+        record = compute_point(decode_wire(msg["point"]))
         reply_id = msg["id"] + 1 if self.behavior == "wrong-id" else msg["id"]
         return {"op": "result", "id": reply_id,
-                "record": encode_record(record)}
+                "record": encode_wire(record)}
 
     def alive(self) -> bool:
         return not self.closed
