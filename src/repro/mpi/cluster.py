@@ -31,7 +31,7 @@ from ..core.rng import DEFAULT_SEED, make_rng
 from ..core.trace import Tracer
 from ..machine.system import MachineSpec
 from ..obs.context import current
-from .comm import Comm
+from .comm import Comm, _iota
 from .pt2pt import Transport
 
 #: Kernel classes whose throughput is shared across a fully packed node.
@@ -141,7 +141,7 @@ class Cluster:
         self.transport = Transport(
             self.engine, self.fabric, self.placement, self.tracer
         )
-        world = tuple(range(self.nprocs))
+        world = _iota(self.nprocs)
         procs = []
         for r in range(self.nprocs):
             comm = Comm(self, r, world)

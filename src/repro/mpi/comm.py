@@ -57,9 +57,12 @@ class Comm:
         self._p2p_channel = (comm_key, "p2p")
         # World ranks are usually the identity mapping (COMM_WORLD and
         # order-preserving duplicates); then _localise is a no-op and
-        # the linear index() scan per received message is skipped.  One
-        # C-level tuple comparison: every rank of a world builds a Comm.
-        self._identity = world_ranks == _iota(len(world_ranks))
+        # the linear index() scan per received message is skipped.
+        # Every rank of a world builds a Comm over the one shared
+        # _iota tuple, so identity answers first; comparing element by
+        # element would cost O(n) per rank and O(n^2) per world.
+        iota = _iota(len(world_ranks))
+        self._identity = world_ranks is iota or world_ranks == iota
 
     # -- identity -----------------------------------------------------------------
 

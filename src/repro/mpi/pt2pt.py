@@ -24,7 +24,8 @@ from typing import Any
 
 from ..core.engine import Engine, Event
 from ..core.trace import MessageRecord, Tracer
-from ..network.netmodel import Fabric, reserve_route
+from ..network.netmodel import Fabric
+from ..network.resources import reserve_route
 from ..obs.context import current
 from .datatypes import ANY_SOURCE, ANY_TAG, RecvResult, copy_payload
 
@@ -87,7 +88,8 @@ class Transport:
         self.placement = placement
         self.tracer = tracer
         self.nprocs = len(placement)
-        self._boxes: dict[tuple[Any, int], _Mailbox] = {}
+        # Mailboxes per channel, indexed by rank, made on first use.
+        self._boxes: dict[Any, list[_Mailbox | None]] = {}
         # Per-rank CPU availability for serialising software overheads.
         self._cpu_free = [0.0] * self.nprocs
         self._params = fabric.params
@@ -133,10 +135,12 @@ class Transport:
         return self._cpu_free[rank]
 
     def _box(self, channel: Any, rank: int) -> _Mailbox:
-        key = (channel, rank)
-        box = self._boxes.get(key)
+        boxes = self._boxes.get(channel)
+        if boxes is None:
+            boxes = self._boxes[channel] = [None] * self.nprocs
+        box = boxes[rank]
         if box is None:
-            box = self._boxes[key] = _Mailbox()
+            box = boxes[rank] = _Mailbox()
         return box
 
     # -- send ------------------------------------------------------------------
@@ -210,7 +214,8 @@ class Transport:
         >= 0 and a send tag >= 0 (the elision rule needs a monotone CPU
         timeline); :meth:`Comm.sendrecv` checks them.
         """
-        box = self._boxes.get((channel, me)) or self._box(channel, me)
+        boxes = self._boxes.get(channel)
+        box = boxes and boxes[me] or self._box(channel, me)
         unexpected = box.unexpected
         if not unexpected and not box.pending_rndv:
             # Nothing queued can match: post the receive inline.
@@ -250,7 +255,8 @@ class Transport:
         t_cpu_done = begin + params.send_overhead
         cpu[src] = t_cpu_done
 
-        box = self._boxes.get((channel, dst)) or self._box(channel, dst)
+        boxes = self._boxes.get(channel)
+        box = boxes and boxes[dst] or self._box(channel, dst)
         seqs = box.seq
         seq = seqs.get(src, 0) + 1
         seqs[src] = seq

@@ -4,7 +4,7 @@ from .crossbar import CrossbarSwitch, MultistageCrossbar
 from .fattree import FatTree
 from .hypercube import Hypercube
 from .netmodel import Fabric, FabricParams, MessageTiming
-from .resources import BandwidthResource, reserve_joint
+from .resources import BandwidthResource, reserve_route
 from .topology import Topology
 from .torus import Torus3D, balanced_dims
 
@@ -20,5 +20,5 @@ __all__ = [
     "FabricParams",
     "MessageTiming",
     "BandwidthResource",
-    "reserve_joint",
+    "reserve_route",
 ]

@@ -18,11 +18,11 @@ queueing from concurrent traffic is reflected in those times.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from ..core.errors import ConfigError
 from ..obs.context import current
-from .resources import BandwidthResource, ResourceMetrics, reserve_joint
+from .resources import (BandwidthResource, ResourceMetrics, Route,
+                        reserve_route)
 from .topology import Topology
 
 
@@ -96,34 +96,6 @@ class MessageTiming:
     inject_start: float  # transfer began leaving the source
     inject_end: float    # source buffer free / NIC released
     arrival: float       # last byte at the destination
-
-
-class Route(NamedTuple):
-    """One node pair's route record (built by :meth:`Fabric.route`)."""
-
-    latency: float  # zero-byte latency
-    resources: tuple[BandwidthResource, ...]  # servers, in reserve order
-    stream_bw: float  # single-stream bandwidth cap
-
-
-def reserve_route(route: Route, nbytes: float,
-                  t_ready: float) -> tuple[float, float, float]:
-    """Reserve one ``nbytes`` transfer over a :meth:`Fabric.route` record.
-
-    Returns ``(inject_start, inject_end, arrival)`` as plain floats: the
-    one copy of the timing arithmetic, shared by the eager send path and
-    :meth:`Fabric.message_timing`.  The route's servers are reserved
-    independently from ``t_ready`` (:func:`~repro.network.resources.
-    reserve_joint`), the transfer ends no earlier than the single-stream
-    cap allows, and the payload lands ``latency`` later.  ``nbytes``
-    must be >= 0.
-    """
-    latency, resources, stream_bw = route
-    start, end = reserve_joint(resources, nbytes, t_ready)
-    capped = start + nbytes / stream_bw
-    if capped > end:  # max(end, capped), without the builtin call
-        end = capped
-    return start, end, end + latency
 
 
 class Fabric:

@@ -13,8 +13,8 @@ tracking individual switch ports.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..core.errors import ConfigError
 from ..obs.context import current
@@ -117,20 +117,8 @@ class BandwidthResource:
 
     def reserve(self, nbytes: float, earliest: float) -> tuple[float, float]:
         """Reserve the resource for ``nbytes``; returns ``(start, end)``."""
-        start = self.next_free
-        if start < earliest:
-            start = earliest
-        # nbytes / inf == 0.0, so an unconstrained resource needs no branch.
-        end = start + nbytes / self.bandwidth
-        self.next_free = end
-        self.busy_time += end - start
-        self.bytes_served += nbytes
-        m = self.metrics
-        if m is not None:
-            log = m.log
-            log.append((start, end, earliest, nbytes))
-            if len(log) >= LOG_CAP:
-                m.flush()
+        start, end, _arrival = reserve_route(
+            Route(0.0, (self,), math.inf), nbytes, earliest)
         return start, end
 
     def reset(self) -> None:
@@ -142,15 +130,31 @@ class BandwidthResource:
         return f"<BandwidthResource {self.name!r} bw={self.bandwidth:.3g} B/s>"
 
 
-def reserve_joint(
-    resources: Iterable[BandwidthResource], nbytes: float, earliest: float
-) -> tuple[float, float]:
-    """Reserve several resources for one cut-through transfer.
+class Route(NamedTuple):
+    """One node pair's route record (built by
+    :meth:`~repro.network.netmodel.Fabric.route`)."""
 
-    Each resource is reserved *independently* (its own FIFO): the message
-    occupies resource ``r`` for ``nbytes / bw_r`` starting when ``r``
-    frees up.  Completion is the latest end across resources.  Returns
-    ``(first_start, completion)``.
+    latency: float  # zero-byte latency
+    resources: tuple[BandwidthResource, ...]  # servers, in reserve order
+    stream_bw: float  # single-stream bandwidth cap
+
+
+def reserve_route(route: Route, nbytes: float,
+                  t_ready: float) -> tuple[float, float, float]:
+    """Reserve one ``nbytes`` transfer over a route record.
+
+    Returns ``(inject_start, inject_end, arrival)`` as plain floats.
+    This is the one copy of the FIFO reservation arithmetic: the eager
+    send path, :meth:`~repro.network.netmodel.Fabric.message_timing` and
+    :meth:`BandwidthResource.reserve` all come here, and the servers'
+    steps are written out in one loop rather than paid as a call each.
+    ``nbytes`` must be >= 0.
+
+    Each server is reserved *independently* (its own FIFO) from
+    ``t_ready``: the message occupies server ``r`` for ``nbytes / bw_r``
+    starting when ``r`` frees up.  The transfer starts at the first
+    server's start, ends at the latest end across servers but no earlier
+    than the single-stream cap allows, and lands ``latency`` later.
 
     Independent reservation keeps every resource work-conserving, which
     makes aggregate throughput match the fluid fair-share ideal under
@@ -159,14 +163,29 @@ def reserve_joint(
     idle the local egress, collapsing random-ring bandwidth far below
     the per-resource capacities.)
     """
-    first_start = None
-    end = earliest
+    latency, resources, stream_bw = route
+    start = None
+    end = t_ready
     for r in resources:
-        s, e = r.reserve(nbytes, earliest)
-        if first_start is None:
-            first_start = s
-        if e > end:
+        s = r.next_free
+        if s < t_ready:
+            s = t_ready
+        # nbytes / inf == 0.0, so an unconstrained resource needs no branch.
+        e = s + nbytes / r.bandwidth
+        r.next_free = e
+        r.busy_time += e - s
+        r.bytes_served += nbytes
+        m = r.metrics
+        if m is not None:
+            log = m.log
+            log.append((s, e, t_ready, nbytes))
+            if len(log) >= LOG_CAP:
+                m.flush()
+        if start is None:
+            start = s
+        if e > end:  # the latest end, without the builtin call
             end = e
-    if first_start is None:
-        return earliest, end
-    return first_start, end
+    capped = start + nbytes / stream_bw
+    if capped > end:
+        end = capped
+    return start, end, end + latency

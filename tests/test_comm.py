@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.errors import MPIError
 from repro.mpi import SUM
-from repro.mpi.comm import Comm
+from repro.mpi.comm import Comm, _iota
 from tests.conftest import make_test_machine, run_ranks
 
 M = make_test_machine(cpus_per_node=2, max_cpus=64)
@@ -35,6 +35,28 @@ def test_split_key_reorders():
 
     out = run_ranks(M, 4, prog)
     assert list(out.results) == [3, 2, 1, 0]
+
+
+@pytest.mark.parametrize("n", [4, 300])
+def test_identity_flag_of_world_dup_and_reordering_split(n):
+    """COMM_WORLD shares one world-rank tuple across its ranks and is the
+    identity mapping, as is a ``dup``; a split that reorders ranks is
+    not, and maps received sources back (``_localise``)."""
+    def prog(comm):
+        dup = yield from comm.dup()
+        rev = yield from comm.split(color=0, key=-comm.rank)
+        peer = rev.size - 1 - rev.rank
+        res = yield from rev.sendrecv(peer, peer, nbytes=8, sendtag=1)
+        return (comm._world_ranks, comm._identity, dup._identity,
+                rev._identity, res.source == peer)
+
+    out = run_ranks(M if n <= 64 else make_test_machine(max_cpus=n), n, prog)
+    world = out.results[0][0]
+    assert world is _iota(n) and world == tuple(range(n))
+    for ranks, world_id, dup_id, rev_id, localised in out.results:
+        assert ranks is world
+        assert (world_id, dup_id, rev_id, localised) == (True, True, False,
+                                                         True)
 
 
 def test_split_isolated_channels():

@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 
 from repro.core.errors import ConfigError
 from repro.network import CrossbarSwitch, Fabric, FabricParams, FatTree
-from repro.network.netmodel import reserve_route
-from repro.network.resources import reserve_joint
+from repro.network.resources import reserve_route
 
 
 def make_params(**kw) -> FabricParams:
@@ -155,8 +154,8 @@ def reference_timing(f: Fabric, src: int, dst: int, nbytes: float,
                      t_ready: float) -> tuple[float, float, float]:
     """The fabric's timing rule written out from its parts: the shm
     server with the per-flow cap within a node; egress, core, ingress
-    (and both NIC buses) reserved jointly, with the burst cap, between
-    nodes."""
+    (and both NIC buses) each reserved on its own FIFO, from the first
+    one's start to the latest end, with the burst cap, between nodes."""
     p = f.params
     if src == dst:
         start, end = f.shm_resource(src).reserve(nbytes, t_ready)
@@ -167,7 +166,9 @@ def reference_timing(f: Fabric, src: int, dst: int, nbytes: float,
                  f.ingress_resource(dst)]
     if f._bus is not None:
         resources += [f._bus[src], f._bus[dst]]
-    start, end = reserve_joint(resources, nbytes, t_ready)
+    spans = [r.reserve(nbytes, t_ready) for r in resources]
+    start = spans[0][0]
+    end = max([t_ready] + [e for _s, e in spans])
     end = max(end, start + nbytes / (p.link_bw * p.bw_efficiency))
     return start, end, end + p.latency(f.topology.hops(src, dst))
 

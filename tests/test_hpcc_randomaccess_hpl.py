@@ -1,5 +1,7 @@
 """G-RandomAccess and G-HPL tests."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from repro.hpcc.hpl import (
 )
 from repro.hpcc.randomaccess import (
     RandomAccessConfig,
+    _rank_updates,
     randomaccess_program,
     reference_table,
     run_randomaccess,
@@ -48,6 +51,71 @@ def test_randomaccess_all_updates_applied():
     out = cl.run(randomaccess_program, cfg)
     applied = sum(r[1] for r in out.results)
     assert applied == 4 * 64 * 4  # every generated update landed somewhere
+
+
+def sendrecv_randomaccess_program(comm, cfg: RandomAccessConfig):
+    """The timing-only path with every exchange through ``comm.sendrecv``:
+    the reference the transport-level fast path must match."""
+    p = comm.size
+    local = cfg.local_table_words
+    my_updates = local * cfg.updates_per_word
+    stream = _rank_updates(comm.cluster.seed, comm.rank, my_updates)
+    mask = np.uint64(local * p - 1)
+    dims = int(math.log2(p))
+    yield from comm.barrier()
+    t0 = comm.now
+    bucket_n = cfg.bucket
+    rounds = -(-my_updates // bucket_n)
+    dest = (stream & mask) >> np.uint64(local.bit_length() - 1)
+    moves = np.zeros((dims, rounds * bucket_n), dtype=bool)
+    for k in range(dims):
+        go = (dest >> np.uint64(k)) & np.uint64(1)
+        moves[k, :my_updates] = go != np.uint64((comm.rank >> k) & 1)
+    counts = moves.reshape(dims, rounds, bucket_n).sum(axis=2).tolist()
+    applied = 0
+    for r in range(rounds):
+        for k in range(dims):
+            partner = comm.rank ^ (1 << k)
+            yield from comm.sendrecv(partner, partner,
+                                     nbytes=counts[k][r] * 8, sendtag=k)
+        count = min(bucket_n, my_updates - r * bucket_n)
+        yield from comm.compute(nbytes=8.0 * count, flops=count,
+                                kernel="random_access")
+        applied += count
+    return comm.now - t0, applied, None
+
+
+def on_split(program, key):
+    """Run ``program`` on a split of COMM_WORLD ordered by ``key(rank,
+    size)``; ``None`` runs it on COMM_WORLD itself."""
+    def run(comm, cfg):
+        if key is not None:
+            comm = yield from comm.split(color=0,
+                                         key=key(comm.rank, comm.size))
+        return (yield from program(comm, cfg))
+    return run
+
+
+@pytest.mark.parametrize("machine", ["test", "sx8"])
+@pytest.mark.parametrize("p,order", [
+    (8, "world"), (16, "world"), (16, "reversed"), (8, "rotated")])
+def test_randomaccess_fast_path_matches_comm_sendrecv(machine, p, order):
+    """Exchanging through the transport gives the bit-identical elapsed
+    time on every rank and the same engine event count as the same loop
+    through ``comm.sendrecv``; on split communicators whose ranks are
+    not the world's, the partners' world-rank translation matters."""
+    key = {"world": None,
+           "reversed": lambda r, n: n - 1 - r,
+           "rotated": lambda r, n: (r + 3) % n}[order]
+    m = M if machine == "test" else get_machine(machine)
+    cfg = RandomAccessConfig(local_table_words=256, updates_per_word=2)
+    runs = []
+    for program in (randomaccess_program, sendrecv_randomaccess_program):
+        cl = Cluster(m, p)
+        out = cl.run(on_split(program, key), cfg)
+        runs.append(([(e.hex(), n) for e, n, _table in out.results],
+                     cl.engine.events_processed, out.elapsed.hex()))
+    assert runs[0] == runs[1]
 
 
 def test_randomaccess_non_pow2_algorithmic_rejected():
