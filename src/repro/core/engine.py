@@ -33,7 +33,10 @@ the queue high-water mark as the batch they would have started, so
 every observable result is what the queued dispatch would produce.
 The transport goes one step further for an exchange's eager send
 completion, which provably fires unobserved: it is never queued at all
-and only counted (:meth:`repro.mpi.pt2pt.Transport.sendrecv`).
+and only counted (:meth:`repro.mpi.pt2pt.Transport.sendrecv`), with
+recorders on or off.  The queue high-water mark (``engine.heap_max``)
+is therefore the peak of events actually queued, an in-place claim
+sampled as the queue plus itself.
 """
 
 from __future__ import annotations
@@ -282,7 +285,8 @@ class Engine:
         #: including those run in place.
         self.events_processed = 0
         #: Largest pending-queue size seen while running (only tracked when
-        #: the ambient metrics registry is enabled at construction).
+        #: the ambient metrics registry is enabled at construction);
+        #: elided send completions never enter the queue.
         #: Sampled once per dispatched batch — at the moment the batch is
         #: taken, matching what a per-event loop would see at its first
         #: pop of that timestamp — and once per event run in place.

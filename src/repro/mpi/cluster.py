@@ -151,6 +151,7 @@ class Cluster:
             elapsed = self.engine.run()
         finally:
             self.fabric.flush_observations()
+            self.transport.flush_observations()
         enrec = current("energy")
         if enrec.enabled and self.machine.power is not None:
             # Price the run's busy intervals: per-rank CPU seconds from

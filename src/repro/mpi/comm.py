@@ -237,6 +237,9 @@ class Comm:
     def compute(self, flops: float = 0.0, nbytes: float = 0.0,
                 kernel: str = "generic"):
         """Charge roofline compute time to this rank (generator)."""
+        if not (flops >= 0 and nbytes >= 0):  # NaN fails too
+            raise MPIError(f"flops and nbytes must be >= 0, got {flops}, "
+                           f"{nbytes}")
         cluster = self.cluster
         t = cluster.compute_time(flops, nbytes, kernel)
         now = cluster.engine._now
@@ -258,6 +261,8 @@ class Comm:
 
     def elapse(self, seconds: float):
         """Charge a fixed delay to this rank (generator)."""
+        if not seconds >= 0:  # NaN fails too
+            raise MPIError(f"seconds must be >= 0, got {seconds}")
         end = self.cluster.transport.charge_cpu(
             self.world_rank, self.cluster.engine.now, seconds
         )

@@ -15,6 +15,12 @@ non-overtaking order, unexpected-message queues — with two protocols:
 Per-rank CPU overheads (``send_overhead``/``recv_overhead``) serialise on
 a per-rank CPU timeline, so bursts of small messages from one rank cost
 linear CPU time even though the calls are non-blocking.
+
+The transport runs the same events whether recorders are on or off.
+Observation is one ``traffic.record`` per message into the run's tally
+(:attr:`Transport.traffic`, kept only while the metrics or comm recorder
+is on), handed to the recorders by :meth:`Transport.flush_observations`
+when the run ends; CPU-busy seconds for energy accrue unconditionally.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from ..core.engine import Engine, Event
 from ..core.trace import MessageRecord, Tracer
 from ..network.netmodel import Fabric
 from ..network.resources import reserve_route
+from ..obs.commviz import PhaseMatrix
 from ..obs.context import current
 from .datatypes import ANY_SOURCE, ANY_TAG, RecvResult, copy_payload
 
@@ -94,31 +101,13 @@ class Transport:
         self._cpu_free = [0.0] * self.nprocs
         self._params = fabric.params
         self._route = fabric.route  # memoised per node pair
-        registry = current("metrics")
-        if registry.enabled:
-            # (intra, inter) instrument pairs, indexed by bool(inter).
-            self._m_msgs = (registry.counter("mpi.messages.intra"),
-                            registry.counter("mpi.messages.inter"))
-            self._m_bytes = (registry.counter("mpi.bytes.intra"),
-                             registry.counter("mpi.bytes.inter"))
-        else:
-            self._m_msgs = None
-            self._m_bytes = None
-        commrec = current("comm")
-        self._commrec = commrec if commrec.enabled else None
-        # Single per-send instrumentation gate: one attribute test on the
-        # hot path instead of three when everything is disabled.
-        self._instrumented = (self._m_msgs is not None
-                              or self._commrec is not None)
-        # Energy accounting: cumulative CPU-busy virtual seconds across
-        # all ranks, fed to the energy recorder at end of run.  Gated by
-        # one flag fetched here (twin-path: zero cost when off).
-        self._energy_on = current("energy").enabled
+        # One traffic tally per run while the metrics or comm recorder
+        # is on, handed to them when the run ends (flush_observations).
+        observed = current("metrics").enabled or current("comm").enabled
+        self.traffic = PhaseMatrix() if observed else None
+        # Cumulative CPU-busy virtual seconds across all ranks, priced by
+        # the energy recorder at the end of the run.
         self.cpu_busy_s = 0.0
-        # An exchange's eager send completion is never queued (see
-        # sendrecv) unless the engine samples its queue high-water mark,
-        # which counts pending events, elidable ones included.
-        self._elide_sends = engine._metrics is None
 
     # -- CPU bookkeeping -----------------------------------------------------
 
@@ -127,12 +116,33 @@ class Transport:
         begin = max(start, self._cpu_free[rank])
         end = begin + duration
         self._cpu_free[rank] = end
-        if self._energy_on:
-            self.cpu_busy_s += duration
+        self.cpu_busy_s += duration
         return end
 
     def cpu_free_at(self, rank: int) -> float:
         return self._cpu_free[rank]
+
+    def flush_observations(self) -> None:
+        """Hand the run's traffic tally to the metrics and comm recorders.
+
+        :meth:`repro.mpi.cluster.Cluster.run` calls this when a run ends,
+        next to :meth:`repro.network.netmodel.Fabric.flush_observations`.
+        The tally's intra/inter totals add to the ``mpi.messages.*`` and
+        ``mpi.bytes.*`` counters and its cells merge into the comm
+        recorder's current phase; a run that sent nothing adds no phase.
+        """
+        traffic = self.traffic
+        if traffic is None:
+            return
+        registry = current("metrics")
+        if registry.enabled:
+            registry.counter("mpi.messages.intra").inc(traffic.intra_msgs)
+            registry.counter("mpi.messages.inter").inc(traffic.inter_msgs)
+            registry.counter("mpi.bytes.intra").inc(traffic.intra_bytes)
+            registry.counter("mpi.bytes.inter").inc(traffic.inter_bytes)
+        comm = current("comm")
+        if comm.enabled and traffic.cells:
+            comm.add(traffic)
 
     def _box(self, channel: Any, rank: int) -> _Mailbox:
         boxes = self._boxes.get(channel)
@@ -206,9 +216,9 @@ class Transport:
         resumes exactly as yielding the fired event would.  The elided
         event is counted as processed but never allocated or queued.
         A receive that matched a queued eager message at once was
-        charged *before* the send, and with the metrics registry on the
-        queue high-water mark counts every pending event: both keep the
-        queued send event.  docs/MODEL.md §3 has the proof.
+        charged *before* the send, so that send event stays queued.
+        Recorders on or off, the rule is the same.  docs/MODEL.md §3 has
+        the proof.
 
         As for :meth:`isend`, the arguments are valid world ranks, a size
         >= 0 and a send tag >= 0 (the elision rule needs a monotone CPU
@@ -222,13 +232,13 @@ class Transport:
             recv = Event(self.engine)
             box.posted.append((source, recvtag, recv))
             return recv, self._post_send(me, dst, nbytes, sendtag, data,
-                                         channel, False, self._elide_sends)
+                                         channel, False, True)
         queued = len(unexpected)
         recv = self._post_recv(box, me, source, recvtag)
         # Only an immediate eager match takes from ``unexpected``.
         return recv, self._post_send(
             me, dst, nbytes, sendtag, data, channel, False,
-            self._elide_sends and len(unexpected) == queued)
+            len(unexpected) == queued)
 
     def _post_send(self, src: int, dst: int, nbytes: int, tag: int,
                    data: Any, channel: Any, force_rendezvous: bool,
@@ -264,13 +274,8 @@ class Transport:
         placement = self.placement
         src_node = placement[src]
         dst_node = placement[dst]
-        if self._instrumented:
-            inter = src_node != dst_node
-            if self._m_msgs is not None:
-                self._m_msgs[inter].inc()
-                self._m_bytes[inter].inc(nbytes)
-            if self._commrec is not None:
-                self._commrec.record(src, dst, nbytes, inter)
+        if self.traffic is not None:
+            self.traffic.record(src, dst, nbytes, src_node != dst_node)
         route = self._route(src_node, dst_node)
 
         if nbytes <= params.eager_threshold and not force_rendezvous:
@@ -280,9 +285,8 @@ class Transport:
             # rendezvous at large sizes).
             t_free = t_cpu_done + nbytes / params.memcpy_bw
             cpu[src] = t_free
-            if self._energy_on:
-                # Overhead + staging copy occupied the sending CPU.
-                self.cpu_busy_s += t_free - begin
+            # Overhead + staging copy occupied the sending CPU.
+            self.cpu_busy_s += t_free - begin
             arrival = reserve_route(route, nbytes, t_free)[2]
             if elide:
                 send_done = None
@@ -302,8 +306,7 @@ class Transport:
                 self._trace(src, dst, nbytes, tag, t_cpu_done, arrival)
         else:
             # Rendezvous: RTS -> (recv posted) -> CTS -> bulk transfer.
-            if self._energy_on:
-                self.cpu_busy_s += params.send_overhead
+            self.cpu_busy_s += params.send_overhead
             send_done = Event(engine)
             pending = _PendingRendezvous(
                 source=src,
@@ -354,8 +357,7 @@ class Transport:
                     t = cpu[dst]
                 recv_overhead = self._params.recv_overhead
                 done = cpu[dst] = t + recv_overhead
-                if self._energy_on:
-                    self.cpu_busy_s += recv_overhead
+                self.cpu_busy_s += recv_overhead
                 engine._push(done, event.fire, (
                     RecvResult(data, source, tag, nbytes),))
                 return

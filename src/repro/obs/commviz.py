@@ -1,19 +1,19 @@
 """Communication matrices: rank×rank traffic, tagged by benchmark phase.
 
-The transport (:mod:`repro.mpi.pt2pt`) records every delivered message
-into the active :class:`CommRecorder` — who sent to whom, how many
-bytes, and whether the pair shared a node.  Matrices are grouped by
-*phase*, a free-form string the harness sets per sweep point or observed
-figure (``"fig12:xeon"``, ``"imb:altix_nl4:Alltoall"``), so each paper
-figure can be explained as a traffic pattern.
+Each cluster run's transport (:mod:`repro.mpi.pt2pt`) tallies every
+message it sends in one :class:`PhaseMatrix` — who sent to whom, how
+many bytes, and whether the pair shared a node — while the metrics or
+comm recorder is on.  When the run ends the tally merges into the
+active :class:`CommRecorder`'s current *phase*, a free-form string the
+harness sets per sweep point or observed figure (``"fig12:xeon"``,
+``"imb:altix_nl4:Alltoall"``), so each paper figure can be explained as
+a traffic pattern.
 
 The recorder is the ``"comm"`` recorder of the observation protocol
-(:mod:`repro.obs.recorder`).  Cost model mirrors :mod:`repro.obs.metrics`:
-instrumented code fetches the recorder **once** at transport construction
-and keeps ``None`` when it is disabled — the metrics-off hot path pays
-nothing.  Snapshots are plain JSON-able dicts with deterministically
-sorted keys; merges add integer cells and are commutative, so serial,
-``--jobs N``, and cache-warm sweeps produce byte-identical matrices.
+(:mod:`repro.obs.recorder`).  Snapshots are plain JSON-able dicts with
+deterministically sorted keys; merges add integer cells and are
+commutative, so serial, ``--jobs N``, and cache-warm sweeps produce
+byte-identical matrices.
 """
 
 from __future__ import annotations
@@ -56,31 +56,6 @@ class PhaseMatrix:
             self.intra_msgs += 1
             self.intra_bytes += nbytes
 
-    # -- views ---------------------------------------------------------------
-
-    @property
-    def total_msgs(self) -> int:
-        return self.intra_msgs + self.inter_msgs
-
-    @property
-    def total_bytes(self) -> int:
-        return self.intra_bytes + self.inter_bytes
-
-    def dense_bytes(self) -> list[list[int]]:
-        """Bytes as a dense ``nprocs × nprocs`` row-major matrix."""
-        n = self.nprocs
-        m = [[0] * n for _ in range(n)]
-        for (src, dst), (_, nbytes) in self.cells.items():
-            m[src][dst] = nbytes
-        return m
-
-    def row_bytes(self) -> list[int]:
-        """Bytes sent per source rank (matrix row sums)."""
-        out = [0] * self.nprocs
-        for (src, _), (_, nbytes) in self.cells.items():
-            out[src] += nbytes
-        return out
-
     def to_dict(self) -> dict:
         return {
             "nprocs": self.nprocs,
@@ -90,24 +65,36 @@ class PhaseMatrix:
                       for (src, dst), v in sorted(self.cells.items())},
         }
 
-    def merge(self, snap: dict) -> None:
-        """Fold one :meth:`to_dict` snapshot into this matrix (additive)."""
-        if snap["nprocs"] > self.nprocs:
-            self.nprocs = snap["nprocs"]
-        self.intra_msgs += snap["intra"]["msgs"]
-        self.intra_bytes += snap["intra"]["bytes"]
-        self.inter_msgs += snap["inter"]["msgs"]
-        self.inter_bytes += snap["inter"]["bytes"]
+    def add(self, other: "PhaseMatrix") -> None:
+        """Fold another matrix into this one (additive)."""
+        if other.nprocs > self.nprocs:
+            self.nprocs = other.nprocs
+        self.intra_msgs += other.intra_msgs
+        self.intra_bytes += other.intra_bytes
+        self.inter_msgs += other.inter_msgs
+        self.inter_bytes += other.inter_bytes
         cells = self.cells
-        for key, (msgs, nbytes) in snap["cells"].items():
-            s, d = key.split(",")
-            pair = (int(s), int(d))
+        for pair, (msgs, nbytes) in other.cells.items():
             cell = cells.get(pair)
             if cell is None:
                 cells[pair] = [msgs, nbytes]  # == [0 + msgs, 0 + nbytes]
             else:
                 cell[0] += msgs
                 cell[1] += nbytes
+
+    def merge(self, snap: dict) -> None:
+        """Fold one :meth:`to_dict` snapshot into this matrix (additive)."""
+        other = PhaseMatrix()
+        other.nprocs = snap["nprocs"]
+        other.intra_msgs = snap["intra"]["msgs"]
+        other.intra_bytes = snap["intra"]["bytes"]
+        other.inter_msgs = snap["inter"]["msgs"]
+        other.inter_bytes = snap["inter"]["bytes"]
+        cells = other.cells
+        for key, cell in snap["cells"].items():
+            s, d = key.split(",")
+            cells[(int(s), int(d))] = cell
+        self.add(other)
 
 
 class CommRecorder(Recorder):
@@ -122,24 +109,16 @@ class CommRecorder(Recorder):
     def __init__(self, enabled: bool = True) -> None:
         super().__init__(enabled)
         self._phases: dict[str, PhaseMatrix] = {}
-        self._phase_matrix: PhaseMatrix | None = None
 
-    def set_phase(self, name: str) -> str:
-        self._phase_matrix = None  # cached for the old phase
-        return super().set_phase(name)
-
-    # -- recording -----------------------------------------------------------
-
-    def record(self, src: int, dst: int, nbytes: int, inter: bool) -> None:
-        if not self.enabled:
-            return
-        pm = self._phase_matrix
+    def _matrix_for(self, name: str) -> PhaseMatrix:
+        pm = self._phases.get(name)
         if pm is None:
-            pm = self._phases.get(self._phase_name)
-            if pm is None:
-                pm = self._phases[self._phase_name] = PhaseMatrix()
-            self._phase_matrix = pm
-        pm.record(src, dst, nbytes, inter)
+            pm = self._phases[name] = PhaseMatrix()
+        return pm
+
+    def add(self, traffic: PhaseMatrix) -> None:
+        """Fold one run's traffic tally into the current phase."""
+        self._matrix_for(self._phase_name).add(traffic)
 
     # -- views ---------------------------------------------------------------
 
@@ -148,9 +127,6 @@ class CommRecorder(Recorder):
 
     def matrix(self, phase: str = DEFAULT_PHASE) -> PhaseMatrix | None:
         return self._phases.get(phase)
-
-    def total_bytes(self) -> int:
-        return sum(p.total_bytes for p in self._phases.values())
 
     def snapshot(self) -> dict:
         """JSON-able state: ``{"phases": {name: matrix_dict}}``."""
@@ -163,7 +139,4 @@ class CommRecorder(Recorder):
         if not self.enabled:
             return
         for name, pdict in snap.get("phases", {}).items():
-            pm = self._phases.get(name)
-            if pm is None:
-                pm = self._phases[name] = PhaseMatrix()
-            pm.merge(pdict)
+            self._matrix_for(name).merge(pdict)

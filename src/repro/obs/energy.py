@@ -20,10 +20,10 @@ over a run's virtual time:
   delta, as the same cores drive the copies.
 
 The recorder is the ``"energy"`` recorder of the observation protocol
-(:mod:`repro.obs.recorder`) and follows the twin-path discipline of
-:mod:`repro.obs.metrics`: a shared *disabled* recorder is ambient by
-default, model code tests one pre-fetched flag on the hot path, and the
-harness swaps in an enabled instance under ``--energy``.  Accounting is
+(:mod:`repro.obs.recorder`): a shared *disabled* recorder is ambient by
+default, and the harness swaps in an enabled instance under
+``--energy``.  The transport accumulates CPU-busy seconds on or off;
+only the pricing at the end of a run depends on the recorder.  Accounting is
 merged exactly like comm matrices and timelines — per-point child
 recorders snapshot, snapshots ride back on the
 :class:`~repro.exec.worker.PointRecord`, and the executor folds them in

@@ -12,8 +12,8 @@ Metric names are hierarchical dotted strings (``engine.events``,
   and byte sizes equally representable without configuration.
 
 Cost model: instrumented code fetches its instruments **once** (at
-engine/fabric/transport construction) via
-``repro.obs.context.current("metrics")``.  When no registry is
+engine/fabric construction, or when a run ends for the transport's
+traffic tally) via ``repro.obs.context.current("metrics")``.  When no registry is
 installed — the default everywhere outside the harness — the shared
 disabled registry hands out no-op instruments, so the steady
 state cost is at most one attribute access per already-infrequent call

@@ -10,9 +10,9 @@ uphold for any physically sensible machine:
 * no negative, zero or non-finite virtual times;
 * causality: every traced message is delivered at or after injection,
   every compute phase ends at or after it starts;
-* conservation: bytes counted by the MPI transport equal bytes seen on
-  the wire by the tracer and by the network resource counters
-  (``obs`` metrics vs transport vs trace — three independent ledgers);
+* conservation: bytes counted by the MPI transport (its ``mpi.*``
+  counters and commviz matrix) equal bytes seen on the wire by the
+  tracer and by the network resource counters;
 * monotonicity: message time does not shrink with size, and degrading a
   node never speeds a synchronising collective up.
 
@@ -36,6 +36,7 @@ from ..machine.processor import ProcessorSpec
 from ..machine.system import MachineSpec, NetworkSpec
 from ..imb.suite import run_benchmark
 from ..mpi.cluster import Cluster
+from ..obs.commviz import CommRecorder, PhaseMatrix
 from ..obs.context import using
 from ..obs.metrics import MetricsRegistry
 
@@ -257,8 +258,8 @@ def default_checks(machine: MachineSpec, case: FuzzCase) -> list[str]:
     p = min(8, machine.max_cpus)
 
     # 1. Traced + metered collective run: times, causality, conservation.
-    registry = MetricsRegistry(enabled=True)
-    with using(registry):
+    registry, comm = MetricsRegistry(), CommRecorder()
+    with using(registry, comm):
         cluster = Cluster(machine, p, trace=True)
         out = cluster.run(_collective_prog, fabric_setup=setup)
     if not (math.isfinite(out.elapsed) and out.elapsed > 0):
@@ -277,12 +278,17 @@ def default_checks(machine: MachineSpec, case: FuzzCase) -> list[str]:
             bad.append(f"causality: compute on rank {c.rank} ends at "
                        f"{c.t_end} before start {c.t_start}")
             break
-    flat = registry.flat()
+    pm = comm.matrix() or PhaseMatrix()
+    flat = {**registry.flat(),
+            "commviz.bytes.intra": pm.intra_bytes,
+            "commviz.bytes.inter": pm.inter_bytes}
     trace_intra = sum(m.nbytes for m in tracer.messages if m.intra_node)
     trace_inter = sum(m.nbytes for m in tracer.messages if not m.intra_node)
     ledgers = [
         ("mpi.bytes.intra", trace_intra),
         ("mpi.bytes.inter", trace_inter),
+        ("commviz.bytes.intra", trace_intra),
+        ("commviz.bytes.inter", trace_inter),
         ("net.egress.bytes", trace_inter),
         ("net.ingress.bytes", trace_inter),
     ]

@@ -31,6 +31,7 @@ from repro.mpi.cluster import Cluster
 from repro.obs import (
     CommRecorder,
     LEDGER_SCHEMA_VERSION,
+    MetricsRegistry,
     PhaseMatrix,
     RunLedger,
     TimelineRecorder,
@@ -55,12 +56,10 @@ def test_phase_matrix_record_and_views():
     pm.record(0, 3, 50, inter=True)
     pm.record(1, 0, 7, inter=False)
     assert pm.nprocs == 4
-    assert pm.total_msgs == 3
-    assert pm.total_bytes == 157
-    assert pm.inter_bytes == 150 and pm.intra_bytes == 7
-    dense = pm.dense_bytes()
-    assert dense[0][3] == 150 and dense[1][0] == 7
-    assert pm.row_bytes() == [150, 7, 0, 0]
+    assert pm.cells == {(0, 3): [2, 150], (1, 0): [1, 7]}
+    assert (pm.inter_msgs, pm.inter_bytes) == (2, 150)
+    assert (pm.intra_msgs, pm.intra_bytes) == (1, 7)
+    assert pm.to_dict()["cells"] == {"0,3": [2, 150], "1,0": [1, 7]}
 
 
 def test_phase_matrix_snapshot_merge_commutative():
@@ -75,37 +74,78 @@ def test_phase_matrix_snapshot_merge_commutative():
     ba.merge(b.to_dict()); ba.merge(a.to_dict())
     assert ab.to_dict() == ba.to_dict()
     assert ab.cells[(0, 1)] == [2, 13]
-    assert ab.total_bytes == 26
+    assert ab.inter_bytes + ab.intra_bytes == 26
+
+
+def _tally(*messages):
+    """One run's traffic tally: a PhaseMatrix of ``(src, dst, nbytes)``."""
+    pm = PhaseMatrix()
+    for src, dst, nbytes in messages:
+        pm.record(src, dst, nbytes, inter=True)
+    return pm
 
 
 def test_comm_recorder_phases_and_cursor():
     rec = CommRecorder()
-    rec.record(0, 1, 10, inter=True)
+    rec.add(_tally((0, 1, 10)))
     with rec.phase("fig12:xeon"):
         assert rec.current_phase == "fig12:xeon"
-        rec.record(0, 1, 99, inter=True)
+        rec.add(_tally((0, 1, 99)))
     assert rec.current_phase == "default"
     assert rec.phases() == ["default", "fig12:xeon"]
-    assert rec.matrix("fig12:xeon").total_bytes == 99
-    assert rec.matrix().total_bytes == 10
-    assert rec.total_bytes() == 109
+    assert rec.matrix("fig12:xeon").cells == {(0, 1): [1, 99]}
+    assert rec.matrix().cells == {(0, 1): [1, 10]}
 
 
 def test_comm_recorder_disabled_and_global_default():
     assert not current("comm").enabled
     rec = CommRecorder(enabled=False)
-    rec.record(0, 1, 10, inter=True)
+    with using(rec):
+        cluster = Cluster(make_test_machine(), 2)
+        cluster.run(_ring_prog)
+    assert cluster.transport.traffic is None
     assert rec.snapshot() == {"phases": {}}
     with using(CommRecorder()) as live:
         assert current("comm") is live
     assert not current("comm").enabled
 
 
+def test_run_tally_reaches_metrics_and_comm_once():
+    """One tally per run: its totals land in the mpi.* counters, its
+    cells in the comm recorder's current phase; a silent run adds no
+    phase."""
+    reg, comm = MetricsRegistry(), CommRecorder()
+    with using(reg, comm):
+        with comm.phase("ring"):
+            cluster = Cluster(make_test_machine(), 4)
+            cluster.run(_ring_prog)
+        with comm.phase("silent"):
+            Cluster(make_test_machine(), 4).run(_silent_prog)
+    pm = comm.matrix("ring")
+    assert comm.phases() == ["ring"]
+    assert pm.to_dict() == cluster.transport.traffic.to_dict()
+    assert pm.cells == {(r, (r + 1) % 4): [1, 64] for r in range(4)}
+    flat = reg.flat()
+    assert flat["mpi.messages.intra"] + flat["mpi.messages.inter"] == 4
+    assert flat["mpi.bytes.intra"] == pm.intra_bytes
+    assert flat["mpi.bytes.inter"] == pm.inter_bytes
+
+
+def _ring_prog(comm):
+    p = comm.size
+    yield from comm.sendrecv((comm.rank + 1) % p, (comm.rank - 1) % p,
+                             nbytes=64)
+
+
+def _silent_prog(comm):
+    yield from comm.elapse(1e-6)
+
+
 def test_merge_comm_snapshots_order_independent():
     def snap(src, dst, nbytes):
         r = CommRecorder()
         with r.phase("p"):
-            r.record(src, dst, nbytes, inter=True)
+            r.add(_tally((src, dst, nbytes)))
         return r.snapshot()
 
     snaps = [snap(0, 1, 10), snap(1, 0, 20), snap(0, 1, 5)]
@@ -247,7 +287,7 @@ def test_transport_records_comm_matrix_and_timeline():
     assert pm.cells[(0, 1)] == [1, 1 << 8]
     assert pm.inter_bytes == 1 << 12 and pm.intra_bytes == 1 << 8
     # matrix totals agree with the tracer's byte counters
-    assert pm.total_bytes == cluster.tracer.total_bytes
+    assert pm.intra_bytes + pm.inter_bytes == cluster.tracer.total_bytes
     # the fabric reserved egress/shm busy intervals into the timeline
     kinds = tl.kinds()
     assert "egress" in kinds and "shm" in kinds
@@ -531,8 +571,9 @@ def test_observed_phase_matrix_matches_traced_traffic(observed_fig12):
     for machine, run in runs.items():
         pm = comm.matrix(f"fig12:{machine}")
         assert pm is not None, machine
-        assert pm.total_bytes == run.traffic["total_bytes"]
-        assert sum(pm.row_bytes()) == run.traffic["total_bytes"]
+        assert (pm.intra_bytes + pm.inter_bytes
+                == sum(nbytes for _, nbytes in pm.cells.values())
+                == run.traffic["total_bytes"])
         assert pm.inter_bytes == run.traffic["inter_node_bytes"]
         assert f"fig12:{machine}" in tl.phases()
 
@@ -568,9 +609,11 @@ def test_report_names_analyser_dominant_verbatim(observed_fig12):
 
 def _tiny_doc():
     comm = CommRecorder()
+    tally = PhaseMatrix()
+    tally.record(0, 1, 1 << 20, inter=True)
+    tally.record(1, 0, 1 << 19, inter=False)
     with comm.phase("fig12:xeon"):
-        comm.record(0, 1, 1 << 20, inter=True)
-        comm.record(1, 0, 1 << 19, inter=False)
+        comm.add(tally)
     tl = TimelineRecorder()
     with tl.phase("fig12:xeon"):
         tl.series("egress").add(0.0, 2e-6, nbytes=64)

@@ -1,5 +1,7 @@
 """Point-to-point MPI semantics: matching, ordering, protocols."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,9 @@ from hypothesis import strategies as st
 from repro.core.errors import DeadlockError, MPIError
 from repro.mpi import ANY_SOURCE, ANY_TAG
 from repro.mpi.cluster import Cluster
-from repro.obs import MetricsRegistry, using
+from repro.mpi.pt2pt import Transport
+from repro.obs import (CommRecorder, EnergyRecorder, MetricsRegistry,
+                       TimelineRecorder, using)
 from tests.conftest import arange_payload, make_test_machine, run_ranks
 
 
@@ -233,6 +237,35 @@ def test_missing_nbytes_rejected(m):
     run_ranks(m, 2, prog)
 
 
+def test_negative_delay_and_work_rejected():
+    """The elision proof (docs/MODEL.md §3) needs CPU clocks that only
+    move forward: a negative (or NaN) delay, flop or byte count is an
+    error and leaves the rank's clock where it was."""
+    from repro.machine import get_machine
+
+    def prog(comm):
+        if comm.rank == 1:
+            for _ in range(100):
+                yield from comm.recv(0)
+            return None
+        reqs = [comm.isend(1, nbytes=8) for _ in range(100)]
+        transport = comm.cluster.transport
+        t_cpu = transport.cpu_free_at(0)
+        with pytest.raises(MPIError, match="seconds must be >= 0"):
+            yield from comm.elapse(-t_cpu / 2)
+        with pytest.raises(MPIError, match="must be >= 0"):
+            yield from comm.compute(flops=-1e4)
+        with pytest.raises(MPIError, match="must be >= 0"):
+            yield from comm.compute(nbytes=-64.0)
+        with pytest.raises(MPIError, match="seconds must be >= 0"):
+            yield from comm.elapse(float("nan"))
+        yield from comm.waitall(reqs)
+        return t_cpu, transport.cpu_free_at(0)
+
+    t_cpu, t_after = run_ranks(get_machine("xeon"), 2, prog).results[0]
+    assert t_cpu > 0 and t_after == t_cpu
+
+
 def test_send_cpu_overheads_serialise(m):
     """N isends from one rank cost at least N * send_overhead of CPU."""
     n = 16
@@ -337,9 +370,10 @@ def test_eager_recv_waits_for_payload_not_just_envelope(m):
 # -- the exchange path: elided send completions against queued ones -----------
 #
 # Transport.sendrecv never queues an exchange's eager send completion when
-# it provably fires before the receive completes; with the metrics
-# registry on (the engine then samples its queue high-water mark) every
-# completion is queued.  The two paths must be indistinguishable.
+# it provably fires before the receive completes.  The queued reference
+# below patches Transport._post_send to refuse every elision; the two
+# paths must be indistinguishable, and so must a run with every recorder
+# on and one with every recorder off.
 
 #: Around the test machine's 8192-byte eager threshold.
 SIZES = (0, 8, 64, 4096, 8192, 8193, 40000)
@@ -393,18 +427,28 @@ def exchange_program(comm, rounds):
     return log
 
 
+_post_send = Transport._post_send
+
+
+def _queued_post_send(self, src, dst, nbytes, tag, data, channel,
+                      force_rendezvous, elide):
+    return _post_send(self, src, dst, nbytes, tag, data, channel,
+                      force_rendezvous, False)
+
+
+def observe_run(machine, nprocs, program, *args):
+    """Per-rank results, end time and the engine's event count."""
+    cluster = Cluster(machine, nprocs)
+    run = cluster.run(program, *args)
+    return run.results, run.elapsed, cluster.engine.events_processed
+
+
 def run_both_paths(machine, nprocs, program, *args):
-    """``(elided, queued)`` observations of one program: per-rank
-    results, end time and the engine's event count."""
-    out = []
-    for queued in (False, True):
-        with using(MetricsRegistry(enabled=queued)):
-            cluster = Cluster(machine, nprocs)
-            run = cluster.run(program, *args)
-        assert cluster.transport._elide_sends is not queued
-        out.append((run.results, run.elapsed,
-                    cluster.engine.events_processed))
-    return out
+    """``(elided, queued)`` observations of one program."""
+    elided = observe_run(machine, nprocs, program, *args)
+    with mock.patch.object(Transport, "_post_send", _queued_post_send):
+        queued = observe_run(machine, nprocs, program, *args)
+    return elided, queued
 
 
 @settings(max_examples=150, deadline=None)
@@ -413,6 +457,18 @@ def test_elided_exchange_matches_queued(program):
     elided, queued = run_both_paths(make_test_machine(), program["nprocs"],
                                     exchange_program, program["rounds"])
     assert elided == queued
+
+
+@settings(max_examples=60, deadline=None)
+@given(program=exchange_programs)
+def test_exchange_runs_the_same_observed_or_not(program):
+    args = (make_test_machine(), program["nprocs"], exchange_program,
+            program["rounds"])
+    off = observe_run(*args)
+    with using(MetricsRegistry(), CommRecorder(), TimelineRecorder(),
+               EnergyRecorder()):
+        on = observe_run(*args)
+    assert on == off
 
 
 def test_exchange_elides_send_event_only_while_recv_outstanding(m):
