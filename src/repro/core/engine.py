@@ -37,10 +37,22 @@ and only counted (:meth:`repro.mpi.pt2pt.Transport.sendrecv`), with
 recorders on or off.  The queue high-water mark (``engine.heap_max``)
 is therefore the peak of events actually queued, an in-place claim
 sampled as the queue plus itself.
+
+:meth:`Engine.run` pauses CPython's cyclic garbage collector while it
+dispatches.  Nothing a run builds — events, processes, messages,
+recorders — forms a reference cycle, so reference counting frees it
+all and the collector's scans only cost time (about a tenth of a
+full-scale IMB run).  ``tests/test_memory.py`` holds every
+registered point kind to that: run with the collector off, each leaves
+``gc.collect() == 0``.  The collector is process-wide; a caller that
+turned it off keeps it off, and overlapping runs in threads restore it
+when the last one ends.
 """
 
 from __future__ import annotations
 
+import gc
+import threading
 from collections.abc import Callable, Generator, Iterable
 from typing import Any
 
@@ -60,6 +72,32 @@ EVENT_STATS = {"processed": 0}
 def events_processed_total() -> int:
     """Total events executed by all engines in this process."""
     return EVENT_STATS["processed"]
+
+
+#: Engine runs in progress in this process, and whether the cyclic
+#: collector was on when the first of them started.  The collector is
+#: process-wide and the service runs engines in threads, so the first
+#: run to start pauses it and the last to end restores it.
+_runs_in_progress = 0
+_collecting = False
+_collector_lock = threading.Lock()
+
+
+def _pause_collector() -> None:
+    global _runs_in_progress, _collecting
+    with _collector_lock:
+        if not _runs_in_progress:
+            _collecting = gc.isenabled()
+            gc.disable()
+        _runs_in_progress += 1
+
+
+def _resume_collector() -> None:
+    global _runs_in_progress
+    with _collector_lock:
+        _runs_in_progress -= 1
+        if not _runs_in_progress and _collecting:
+            gc.enable()
 
 
 #: Shared args tuple for self-reschedules — avoids one allocation per event
@@ -212,7 +250,7 @@ class Process:
                 raise
             cls = item.__class__
             if cls is float or cls is int:
-                if item < 0:
+                if not item >= 0:
                     engine._live_processes.discard(self)
                     raise SimulationError(
                         f"process {self.name!r} yielded negative delay {item!r}"
@@ -243,7 +281,7 @@ class Process:
         elif isinstance(item, Process):
             item.done._add_waiter(self)
         elif isinstance(item, (int, float)):
-            if item < 0:
+            if not item >= 0:
                 engine._live_processes.discard(self)
                 raise SimulationError(
                     f"process {self.name!r} yielded negative delay {item!r}"
@@ -301,7 +339,7 @@ class Engine:
 
     def schedule(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         self._push(self._now + delay, fn, args)
 
@@ -331,9 +369,17 @@ class Engine:
         unexecuted remainder of its batch is pushed back onto the queue
         (in order, at the same time) before the exception propagates, so
         the pending set stays consistent for post-mortem inspection.
+        An ``until`` below the current time (or NaN) is an error.
+
+        The cyclic garbage collector is paused while the loop runs and
+        restored on every exit: a simulation makes no reference cycles,
+        so its full collections would scan the live heap for nothing.
         """
         if self._running:
             raise SimulationError("engine.run() is not reentrant")
+        if until is not None and not until >= self._now:
+            raise SimulationError(
+                f"cannot run until {until!r}: the clock is at {self._now!r}")
         self._running = True
         self._tail = True
         self._logical = 0
@@ -343,6 +389,7 @@ class Engine:
         hw = self.heap_high_water
         track = self._metrics is not None
         peek = sched.peek_time
+        _pause_collector()
         try:
             # One loop for every mode: ``until`` adds a peek per batch
             # and ``track`` a high-water sample per batch; with neither,
@@ -380,6 +427,7 @@ class Engine:
                 )
             return self._now
         finally:
+            _resume_collector()
             self._running = False
             self._tail = False
             n_events += self._logical

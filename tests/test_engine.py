@@ -1,5 +1,6 @@
 """Unit tests for the discrete-event engine."""
 
+import numpy as np
 import pytest
 
 from repro.core.engine import Engine, Event, Process, wait_all
@@ -224,6 +225,55 @@ def test_negative_sleep_raises():
     eng.spawn(prog())
     with pytest.raises(SimulationError, match="negative"):
         eng.run()
+
+
+@pytest.mark.parametrize("delay", [float("nan"), np.float64("nan")],
+                         ids=["float", "numpy"])
+def test_nan_sleep_raises(delay):
+    # NaN fails every comparison, so ``delay < 0`` let it through: the
+    # clock became NaN and later events ran out of time order.
+    eng = Engine()
+    log = []
+
+    def prog(tag, d):
+        yield d
+        log.append((tag, eng.now))
+
+    eng.spawn(prog("nan", delay))
+    eng.spawn(prog("b", 2.0))
+    eng.spawn(prog("a", 1.0))
+    with pytest.raises(SimulationError, match="negative"):
+        eng.run()
+    assert log == []
+
+
+def test_nan_schedule_delay_rejected():
+    eng = Engine()
+    with pytest.raises(SimulationError, match="past"):
+        eng.schedule(float("nan"), lambda: None)
+
+
+def test_run_until_behind_the_clock_raises():
+    eng = Engine()
+    log = []
+
+    def prog():
+        yield 5.0
+        yield 5.0
+
+    eng.spawn(prog())
+    assert eng.run(until=7.0) == 7.0
+    # Running "until 3" would set the clock back to 3, and an event
+    # scheduled 1 s later would run at 4, after the one at 5 had run.
+    with pytest.raises(SimulationError, match="clock is at 7.0"):
+        eng.run(until=3.0)
+    with pytest.raises(SimulationError, match="nan"):
+        eng.run(until=float("nan"))
+    assert eng.now == 7.0
+    eng.schedule(1.0, lambda: log.append(eng.now))
+    assert eng.run(until=7.0) == 7.0
+    assert eng.run() == 10.0
+    assert log == [8.0]
 
 
 def test_exception_in_process_propagates():
