@@ -11,14 +11,14 @@ crossover are asserted too.
 import pytest
 
 from repro.api import run_figure
+from repro.scenarios import run_items
 from benchmarks.conftest import HPCC_MAX_CPUS, y_at_cpus
 
 
 @pytest.fixture(scope="module")
 def figures():
-    f1 = run_figure("fig01", max_cpus=HPCC_MAX_CPUS)
-    f2 = run_figure("fig02", max_cpus=HPCC_MAX_CPUS)
-    return f1, f2
+    # Both views of one ring sweep: its points run once.
+    return tuple(run_items(["fig01", "fig02"], max_cpus=HPCC_MAX_CPUS))
 
 
 def test_fig01_accumulated_bandwidth(benchmark, figures):

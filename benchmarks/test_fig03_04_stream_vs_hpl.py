@@ -8,13 +8,14 @@ with CPU count because HPL efficiency decreases.
 import pytest
 
 from repro.api import run_figure
+from repro.scenarios import run_items
 from benchmarks.conftest import HPCC_MAX_CPUS
 
 
 @pytest.fixture(scope="module")
 def figures():
-    return (run_figure("fig03", max_cpus=HPCC_MAX_CPUS),
-            run_figure("fig04", max_cpus=HPCC_MAX_CPUS))
+    # Both views of one STREAM sweep: its points run once.
+    return tuple(run_items(["fig03", "fig04"], max_cpus=HPCC_MAX_CPUS))
 
 
 def test_fig03_accumulated_stream(benchmark, figures):

@@ -8,9 +8,8 @@ leads ring latency, and each column's normalised winner scores 1.0.
 
 import pytest
 
-from repro.analysis.ratios import best_machine
 from repro.api import run_table
-from repro.scenarios import get_scenario
+from repro.scenarios import run_items
 from benchmarks.conftest import BENCH_MAX_CPUS
 
 # Fig 5 needs the flagship configurations to be meaningful; cap only if
@@ -20,35 +19,54 @@ CAP = None if BENCH_MAX_CPUS >= 64 else BENCH_MAX_CPUS
 
 @pytest.fixture(scope="module")
 def kiviat():
-    return get_scenario("fig05").run_with_data(CAP)
+    # Both views of the flagship runs: their points run once.
+    return tuple(run_items(["fig05", "table3"], max_cpus=CAP))
+
+
+def normalised(fig):
+    """column -> machine -> normalised value, read off the Fig 5 series."""
+    columns = fig.extra["columns"]
+    out = {col: {} for col in columns}
+    for s in fig.series:
+        for x, y in zip(s.x, s.y):
+            out[columns[int(x)]][s.machine] = y
+    return out
+
+
+def best_machine(column):
+    """The machine at the column maximum (the Fig 5 winner)."""
+    return max(column, key=column.get)
 
 
 def test_fig05_normalised_columns(benchmark, kiviat):
-    fig, data = kiviat
+    fig, _table = kiviat
     benchmark.pedantic(lambda: run_table("table3", max_cpus=CAP),
                        rounds=1, iterations=1)
+    cols = normalised(fig)
 
     # every column's best system is exactly 1.0 after normalisation
-    for col in data.columns:
-        vals = [row[col] for row in data.normalised.values()
-                if row[col] is not None]
-        assert max(vals) == pytest.approx(1.0)
-        assert all(0 < v <= 1.0 + 1e-12 for v in vals)
+    for vals in cols.values():
+        assert max(vals.values()) == pytest.approx(1.0)
+        assert all(0 < v <= 1.0 + 1e-12 for v in vals.values())
 
     # column winners, as the paper narrates them
-    assert best_machine(data, "G-HPL") == "sx8"
-    assert best_machine(data, "G-EP DGEMM/G-HPL") == "opteron"
-    assert best_machine(data, "G-StreamCopy/G-HPL") == "sx8"
-    assert best_machine(data, "G-Ptrans/G-HPL") == "sx8"
-    assert best_machine(data, "G-FFTE/G-HPL") == "sx8"
+    assert best_machine(cols["G-HPL"]) == "sx8"
+    assert best_machine(cols["G-EP DGEMM/G-HPL"]) == "opteron"
+    assert best_machine(cols["G-StreamCopy/G-HPL"]) == "sx8"
+    assert best_machine(cols["G-Ptrans/G-HPL"]) == "sx8"
+    assert best_machine(cols["G-FFTE/G-HPL"]) == "sx8"
     # ring latency: an Altix configuration leads (paper: NUMALINK)
-    assert best_machine(data, "1/RandRingLatency").startswith("altix")
+    assert best_machine(cols["1/RandRingLatency"]).startswith("altix")
 
 
 def test_table3_maxima_vs_paper(benchmark, kiviat):
-    _, data = kiviat
-    benchmark.pedantic(lambda: data, rounds=1, iterations=1)
-    m = data.maxima
+    fig, table = kiviat
+    benchmark.pedantic(lambda: table, rounds=1, iterations=1)
+    m = fig.extra["maxima"]
+    # Table 3 prints the maxima behind Fig 5's 1.0s
+    assert [row[0] for row in table.rows] == list(fig.extra["columns"])
+    for col, value in table.rows:
+        assert value.split()[0] == f"{m[col]:.4g}", (col, value)
     paper = {
         "G-HPL": 8.729,
         "G-EP DGEMM/G-HPL": 1.925,
@@ -68,10 +86,8 @@ def test_table3_maxima_vs_paper(benchmark, kiviat):
 
 
 def test_fig05_vector_machines_weak_at_randomaccess(benchmark, kiviat):
-    _, data = kiviat
-    benchmark.pedantic(lambda: data, rounds=1, iterations=1)
-    ra = {m: row["G-RandomAccess/G-HPL"]
-          for m, row in data.normalised.items()
-          if row["G-RandomAccess/G-HPL"] is not None}
+    fig, _table = kiviat
+    benchmark.pedantic(lambda: fig, rounds=1, iterations=1)
+    ra = normalised(fig)["G-RandomAccess/G-HPL"]
     # the SX-8 sits at the bottom of the RandomAccess column (paper 4.1.2)
     assert ra["sx8"] == min(ra.values())

@@ -107,19 +107,23 @@ def table3_maxima(results: Sequence[HPCCResult]) -> dict[str, float]:
     return kiviat_normalise(results).maxima
 
 
-def kiviat_violations(data: KiviatData, tol: float = 1e-12) -> list[str]:
+def kiviat_violations(columns: Sequence[str],
+                      normalised: dict[str, dict[str, float | None]],
+                      tol: float = 1e-12) -> list[str]:
     """Normalisation defects in Fig 5 data (empty list = well-formed).
 
-    Ratio-normalised columns must satisfy, by construction: every value
-    lies in (0, 1 + tol], and exactly one machine sits at the column
-    maximum 1.0 (the system that defines it).  Any violation means the
-    normalisation pipeline — not the calibration — is broken.
+    ``normalised`` maps machine -> column -> value (missing or ``None``:
+    not reported).  Ratio-normalised columns must satisfy, by
+    construction: every value lies in (0, 1 + tol], and exactly one
+    machine sits at the column maximum 1.0 (the system that defines it).
+    Any violation means the normalisation pipeline — not the
+    calibration — is broken.
     """
     bad: list[str] = []
-    for col in data.columns:
+    for col in columns:
         ones = values = 0
-        for m in data.machines:
-            v = data.normalised[m].get(col)
+        for m, row in normalised.items():
+            v = row.get(col)
             if v is None:
                 continue
             values += 1

@@ -27,6 +27,8 @@ it to the cache while the rest of the batch is still computing.  Worker
 :class:`ExecBackendError` carrying any already-completed records so the
 executor can requeue only the unfinished points; simulation errors
 raised by a point itself propagate unchanged, as they always did.
+Backends start points in the order given; the dealing order (largest
+``nprocs`` first) is the executor's, in one place.
 
 Selection: ``SweepExecutor(backend=...)`` takes a name or instance.
 :func:`resolve_exec_backend_name` is the one rule for a name: the
@@ -315,11 +317,11 @@ IN_FLIGHT = 2
 class SubprocessBackend(ExecBackend):
     """Worker-fleet backend: N persistent subprocess workers.
 
-    Points are dealt from one shared queue, largest ``nprocs`` first so
-    the longest points start early and the batch does not end on one
-    worker finishing a big point alone.  Each worker's pipeline is first
-    filled round-robin to :data:`IN_FLIGHT` jobs; after that, a worker
-    pulls the next point from the queue as each reply arrives.  The
+    Points are dealt from one shared queue in the order given (the
+    executor hands them over largest ``nprocs`` first).  Each worker's
+    pipeline is first filled round-robin to :data:`IN_FLIGHT` jobs;
+    after that, a worker pulls the next point from the queue as each
+    reply arrives.  The
     parent writes at most ``IN_FLIGHT`` small job lines ahead of the
     reply it waits for, so the pipes cannot fill up and deadlock.  A
     reply must carry the id of the worker's oldest in-flight job; a
@@ -375,8 +377,7 @@ class SubprocessBackend(ExecBackend):
             # of a serial computation; short-circuit like ``pool`` does.
             return compute_inline(points, on_record)
         fleet = self._ensure_fleet(n_workers)
-        pending = deque(sorted(range(len(points)),
-                               key=lambda i: -points[i].nprocs))
+        pending = deque(range(len(points)))
 
         # Trace context captured on the dispatching thread: the pump
         # threads below have no open spans of their own (the recorder's

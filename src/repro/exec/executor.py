@@ -239,7 +239,14 @@ class SweepExecutor:
 
     def _compute_with_requeue(self, pts: list[SimPoint],
                               on_record: OnRecord) -> list[PointRecord]:
-        """Backend compute with inline requeue of transport casualties.
+        """Backend compute, largest points first, with inline requeue.
+
+        This is the one dealing rule: the backend gets the points sorted
+        by ``nprocs``, largest first (a stable sort, so equal sizes keep
+        their input order).  The longest points then start early, and a
+        batch does not end on one worker finishing a big point alone.
+        ``on_record`` indices, the returned list and
+        :attr:`ExecBackendError.done` are mapped back to input order.
 
         A worker-fleet/pool crash loses some points but not the batch:
         whatever finished is kept, the rest are recomputed inline so the
@@ -250,27 +257,31 @@ class SweepExecutor:
         """
         if not pts:
             return []
+        order = sorted(range(len(pts)), key=lambda i: -pts[i].nprocs)
+        out: list[PointRecord | None] = [None] * len(pts)
         try:
-            return list(self.backend.compute(pts, on_record))
+            records = self.backend.compute(
+                [pts[i] for i in order],
+                lambda k, rec: on_record(order[k], rec))
         except ExecBackendError as exc:
+            done = {order[k]: rec for k, rec in exc.done.items()}
             tel = current("telemetry")
-            out: list[PointRecord] = []
             for i, pt in enumerate(pts):
-                rec = exc.done.get(i)
+                rec = done.get(i)
                 if rec is None:
-                    if tel.enabled:
-                        # The inline recompute traces itself (it runs
-                        # under this thread's ambient recorder); mark
-                        # *why* it ran with a requeue span around it.
-                        with tel.span("point.requeue", "exec",
-                                      point=pt.key(), error=str(exc)[:200]):
-                            rec = compute_point(pt)
-                    else:
+                    # The inline recompute traces itself (it runs under
+                    # this thread's ambient recorder); a traced run marks
+                    # *why* it ran with a requeue span around it.
+                    with tel.span("point.requeue", "exec",
+                                  point=pt.key(), error=str(exc)[:200]):
                         rec = compute_point(pt)
                     self.requeued += 1
                     on_record(i, rec)
-                out.append(rec)
+                out[i] = rec
             return out
+        for i, rec in zip(order, records):
+            out[i] = rec
+        return out
 
     def _observe(self, points: Sequence[SimPoint],
                  records: Sequence[PointRecord],

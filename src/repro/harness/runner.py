@@ -60,7 +60,7 @@ from ..obs import (
     using,
     write_spans_chrome_trace,
 )
-from ..scenarios import get_scenario
+from ..scenarios import get_scenario, run_items
 from ..scenarios.builtin import PAPER_FIGURE_IDS, PAPER_TABLE_IDS
 from .dashboard import build_run_doc, write_report
 from .observe import observe_figures
@@ -79,7 +79,12 @@ from .report import render_result, save_result
 #: v7: ``items[i].spans`` is the item's telemetry span subtree: trace,
 #: span and parent ids, ``pid`` and ``status`` come in; ``clock`` and
 #: ``duration_s`` go.
-BENCH_SCHEMA_VERSION = 7
+#: v8: every item runs in one sweep, so each item is charged the points
+#: it declares, its ``wall_s`` is its points' recorded simulation wall,
+#: and its span holds only ``render``/``save``; the ``sweep`` stage
+#: span holds the executor's batch, and ``totals`` count each distinct
+#: point once.
+BENCH_SCHEMA_VERSION = 8
 
 class _BadId(Exception):
     """Raised for an unknown/invalid --figure/--table/--scenario id."""
@@ -345,57 +350,42 @@ def main(argv: list[str] | None = None) -> int:
               "energy": config.energy, "telemetry": config.telemetry}
     obs = {name: AMBIENT[name]() for name, on in wanted.items() if on}
     # The stage spans go on the run's telemetry recorder, so executor and
-    # fleet spans nest under each item's compute span; without
-    # --telemetry a private recorder holds them and the ambient one stays
-    # disabled.
+    # fleet spans nest under the sweep span; without --telemetry a
+    # private recorder holds them and the ambient one stays disabled.
     stages = obs.get("telemetry") or TelemetryRecorder()
-    # One loop over every item, in BENCH order: tables, figures, scenarios.
+    # Every item, in BENCH order: tables, figures, scenarios.  They run
+    # as one sweep, then each is rendered and saved in this order.
     items = ([(t, "table") for t in tables] + [(f, "figure") for f in figures]
              + [(sid, "scenario") for sid in scenarios])
+    item_ids = [ident for ident, _cat in items]
     bench_items = []
     item_span_ids: list[str] = []
     cp_reports: dict[str, dict] = {}
     observed_doc: dict[str, dict] = {}
     t_run0 = perf_counter()
 
-    def _snapshot():
-        return executor.stats()
-
-    def _record(ident: str, wall: float, before: dict) -> None:
-        after = _snapshot()
-        delta = {k: after[k] - before[k] for k in after}
-        delta["compute_wall_s"] = round(delta["compute_wall_s"], 6)
-        events = delta["events"]
-        bench_items.append({
-            "id": ident,
-            "wall_s": round(wall, 6),
-            "points": delta["points"],
-            "cache_hits": delta["cache_hits"],
-            "cache_misses": delta["cache_misses"],
-            "events": events,
-            "events_per_sec": round(events / wall) if wall > 0 else None,
-            "compute_wall_s": delta["compute_wall_s"],
-        })
-
     try:
         with using(*obs.values()), using_executor(executor), \
                 stages.span("harness.run", "harness",
                             items=len(items)) as run_span:
-            for ident, cat in items:
-                before = _snapshot()
+            log0 = len(executor.point_log)
+            with stages.span("sweep", "sweep"):
+                t0 = perf_counter()
+                results = run_items(item_ids, max_cpus=args.max_cpus)
+                dt = perf_counter() - t0
+            batch = {e["point"]: e for e in executor.point_log[log0:]}
+            print(f"[sweep: {len(batch)} points in {dt:.1f}s]\n")
+            for (ident, cat), result in zip(items, results):
+                charge = _charge(ident, args.max_cpus, batch)
                 with stages.span(ident, cat) as sp:
-                    with stages.span("compute", "sweep"):
-                        t0 = perf_counter()
-                        result = get_scenario(ident).run(
-                            max_cpus=args.max_cpus)
-                        dt = perf_counter() - t0
                     with stages.span("render", "report"):
                         print(render_result(result, plot=args.plot))
-                        print(f"[{ident} in {dt:.1f}s]\n")
+                        print(f"[{ident}: {charge['points']} points, "
+                              f"{charge['wall_s']:.1f}s of point wall]\n")
                     if args.out:
                         with stages.span("save", "report"):
                             save_result(result, args.out)
-                _record(ident, dt, before)
+                bench_items.append(charge)
                 item_span_ids.append(sp.span_id)
 
             if want_obs and figures:
@@ -428,7 +418,8 @@ def main(argv: list[str] | None = None) -> int:
           f"{totals['events']} events]")
 
     run_spans = stages.drain()
-    # The stage tree: one subtree per item (plus observe) under the root.
+    # The stage tree under the root: the sweep, one subtree per item,
+    # and observe.
     (run_root,) = [r for r in assemble_traces(run_spans)[run_span.trace_id]
                    if r.span_id == run_span.span_id]
     stage_spans = [c.to_dict() for c in run_root.children]
@@ -482,7 +473,6 @@ def main(argv: list[str] | None = None) -> int:
               f"{tot['avg_power_w']:.1f} W avg, "
               f"EDP {tot['edp_js']:.3g} J*s]")
 
-    item_ids = [ident for ident, _cat in items]
     sha = git_sha()
     dirty = git_dirty()
     fingerprint = source_fingerprint()
@@ -521,7 +511,9 @@ def main(argv: list[str] | None = None) -> int:
         ledger_path = (Path(args.ledger) if args.ledger
                        else bench_path.with_name("BENCH_ledger.jsonl"))
         ledger = RunLedger(ledger_path)
-        key = run_key(item_ids, args.max_cpus)
+        key = run_key(item_ids, args.max_cpus,
+                      exec_backend=config.exec_backend, jobs=executor.jobs,
+                      recorders=obs)
         row = {
             "when": round(time.time(), 3),
             "git_sha": sha,
@@ -533,6 +525,7 @@ def main(argv: list[str] | None = None) -> int:
             "jobs": executor.jobs,
             "macro_above": config.macro_above,
             "exec_backend": config.exec_backend,
+            "recorders": sorted(obs),
             "wall_s": round(wall_s, 6),
             "points": totals["points"],
             "cache_hits": totals["cache_hits"],
@@ -588,6 +581,33 @@ def main(argv: list[str] | None = None) -> int:
         report_path = write_report(run_doc, args.report)
         print(f"[report -> {report_path}]")
     return 0
+
+
+def _charge(ident: str, max_cpus: int | None,
+            batch: dict[str, dict]) -> dict:
+    """One BENCH ``items`` entry: the item is charged every point it declares.
+
+    ``batch`` maps point key -> the sweep's ``point_log`` entry.  A point
+    that several items declare is charged to each of them; the run's
+    ``totals`` count it once.  ``wall_s`` and ``events`` are the points'
+    recorded simulation wall and engine events (a cached point carries
+    those of its original computation); ``compute_wall_s`` is the part
+    this run computed.
+    """
+    entries = [batch[pt.key()] for pt in get_scenario(ident).plan(max_cpus)]
+    computed = [e for e in entries if e["provenance"] != "cached"]
+    wall = sum(e["wall_s"] for e in entries)
+    events = sum(e["events"] for e in entries)
+    return {
+        "id": ident,
+        "wall_s": round(wall, 6),
+        "points": len(entries),
+        "cache_hits": len(entries) - len(computed),
+        "cache_misses": len(computed),
+        "events": events,
+        "events_per_sec": round(events / wall) if wall > 0 else None,
+        "compute_wall_s": round(sum(e["wall_s"] for e in computed), 6),
+    }
 
 
 def _bench_path(args) -> Path:

@@ -9,8 +9,8 @@ queries stay cheap — read, filter by ``run_key``, plot.
 
 Regression flagging compares a fresh entry against the **trailing
 median** of earlier entries with the same ``run_key`` (same work, same
-cap); the median makes a single noisy CI runner harmless, and nothing
-is flagged until :data:`MIN_HISTORY` comparable runs exist.  Host wall
+cap, same mode); the median makes a single noisy CI runner harmless,
+and nothing is flagged until :data:`MIN_HISTORY` comparable runs exist.  Host wall
 time is inherently noisy, so the default tolerance is generous and the
 validation gate treats a flag as a warning unless strict mode is on.
 
@@ -23,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 import subprocess
+from collections.abc import Iterable
 from pathlib import Path
 
 #: Bump when the entry layout changes incompatibly.
@@ -45,6 +46,8 @@ from pathlib import Path
 #: lenient readers absorb, so no reader needs to tell the layouts apart.
 #: Rows also carry ``dirty`` (tracked files differ from ``git_sha``;
 #: ``null`` outside git), an added field older rows simply lack.
+#: Likewise ``recorders``, the recorders a run had on; with the exec
+#: backend and ``jobs`` they joined ``run_key``, so older keys go unmatched.
 LEDGER_SCHEMA_VERSION = 5
 
 #: Comparable runs required before regression flagging switches on.
@@ -84,14 +87,22 @@ def git_dirty(repo_dir: str | Path | None = None) -> bool | None:
     return None if out is None else bool(out.strip())
 
 
-def run_key(items: list[str], max_cpus: int | None) -> str:
-    """Stable key for "the same work": items + CPU cap + the installed
-    macro fast-path mode (:func:`repro.imb.fastpath.result_tag`), so
-    fast-pathed runs never share a trailing-median window with exact ones.
+def run_key(items: list[str], max_cpus: int | None, *,
+            exec_backend: str | None = None, jobs: int | None = None,
+            recorders: Iterable[str] = ()) -> str:
+    """Stable key for "the same work, run the same way".
+
+    The work is the items, the CPU cap and the installed macro
+    fast-path mode (:func:`repro.imb.fastpath.result_tag`); the mode is
+    the exec backend, ``jobs`` and the names of the recorders that were
+    on.  Walls of a serial run, a parallel one and an observed one never
+    share a trailing-median window.
     """
     from ..imb.fastpath import result_tag  # deferred: imb imports obs
     blob = json.dumps({"items": sorted(items), "max_cpus": max_cpus,
-                       "fastpath": result_tag()},
+                       "fastpath": result_tag(),
+                       "exec_backend": exec_backend, "jobs": jobs,
+                       "recorders": sorted(recorders)},
                       sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 

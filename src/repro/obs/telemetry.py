@@ -1,8 +1,8 @@
 """Span tracing for the harness, the executor, the fleet and the service.
 
 One span type, :class:`Span`, and one recorder, :class:`TelemetryRecorder`,
-time every phase: the harness stage tree (``harness.run`` → item →
-``compute`` / ``render`` / ``save``), the sweep executor's batches and
+time every phase: the harness stage tree (``harness.run`` → ``sweep``,
+then item → ``render`` / ``save``), the sweep executor's batches and
 dispatches, fleet-worker point computes, and sweep-service jobs.  A
 trace must survive three boundaries:
 

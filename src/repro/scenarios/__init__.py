@@ -4,9 +4,11 @@ One :class:`Scenario` object — or one TOML file — declares machines,
 benchmark, rank grid, metric extractors, and per-machine references
 with asymmetric ``(value, lower_tol, upper_tol)`` tolerances.  The
 registry auto-discovers builtins plus ``scenarios/*.toml`` (and
-``REPRO_SCENARIO_PATH``), fans scenarios out through the ambient
-:class:`~repro.exec.SweepExecutor`, and feeds the ``repro.validate``
-gate; ``results/TOLERANCES.json`` is generated from these specs.
+``REPRO_SCENARIO_PATH``); :func:`run_items` runs the distinct points of
+any set of scenarios as one batch of the ambient
+:class:`~repro.exec.SweepExecutor`, and the ``repro.validate`` gate
+runs through it; ``results/TOLERANCES.json`` is generated from these
+specs.
 
 See docs/MODEL.md §14 for the spec schema and discovery rules.
 """
@@ -26,6 +28,7 @@ from .runner import (
     ScenarioSuiteReport,
     check_scenario,
     check_scenarios,
+    run_items,
     run_scenario,
 )
 from .spec import (
@@ -53,6 +56,7 @@ __all__ = [
     "has_scenario",
     "paper_scenarios",
     "reload_scenarios",
+    "run_items",
     "run_scenario",
     "scenario_ids",
 ]

@@ -24,7 +24,7 @@ from ..core.errors import ConfigError
 from ..exec import using_executor
 from .manifest_sync import check_manifest_sync, write_manifest
 from .registry import all_scenarios, get_scenario, scenario_ids
-from .runner import check_scenario, run_scenario
+from .runner import check_scenarios, run_items
 from .spec import ScenarioError
 
 #: Default manifest location: repo results/TOLERANCES.json.
@@ -116,34 +116,32 @@ def _dispatch(args) -> int:
         scenarios = [get_scenario(i) for i in args.ids]  # fail before running
         try:
             with using_executor(executor):
-                for s in scenarios:
-                    result = run_scenario(s, max_cpus=args.max_cpus)
-                    _render(result, args.out)
+                results = run_items(scenarios, max_cpus=args.max_cpus)
         finally:
             executor.close()
+        for result in results:
+            _render(result, args.out)
         return 0
 
     if args.cmd == "check":
         ids = args.ids or list(scenario_ids())
         scenarios = [get_scenario(i) for i in ids]
-        failed = 0
         try:
             with using_executor(executor):
-                for s in scenarios:
-                    verdict = check_scenario(s, max_cpus=args.max_cpus)
-                    mark = {"ok": "OK", "fail": "FAIL",
-                            "uncovered": "UNCOVERED"}[verdict.status]
-                    print(f"{verdict.scenario_id:24} {mark:9} "
-                          f"{verdict.detail}")
-                    for c in verdict.checks:
-                        if c["status"] == "fail":
-                            print(f"    {c['machine']}.{c['metric']}: "
-                                  f"{c.get('detail', 'missing')}",
-                                  file=sys.stderr)
-                    if not verdict.ok:
-                        failed += 1
+                report = check_scenarios(scenarios, max_cpus=args.max_cpus)
         finally:
             executor.close()
+        failed = 0
+        for verdict in report.checks:
+            mark = {"ok": "OK", "fail": "FAIL",
+                    "uncovered": "UNCOVERED"}[verdict.status]
+            print(f"{verdict.scenario_id:24} {mark:9} {verdict.detail}")
+            for c in verdict.checks:
+                if c["status"] == "fail":
+                    print(f"    {c['machine']}.{c['metric']}: "
+                          f"{c.get('detail', 'missing')}", file=sys.stderr)
+            if not verdict.ok:
+                failed += 1
         print(f"[{len(scenarios) - failed}/{len(scenarios)} scenarios ok]")
         return 3 if failed else 0
 

@@ -9,17 +9,16 @@ tolerances, and the item's entry in the golden-diff tolerance manifest
 
 This registry is the only way to name and run a paper item: the
 harness CLI, ``repro.run_figure`` / ``run_table``, the service and the
-golden gate all look items up here.  Scenarios that share a sweep
-(fig01/fig02, fig03/fig04, fig05/table3) go through module-level
-``lru_cache`` memos, so running both computes the sweep once.
+golden gate all look items up here.  Scenarios that are views of one
+sweep (fig01/fig02, fig03/fig04, fig05/table3) plan the same points;
+:func:`repro.scenarios.run_items` runs each distinct point once and
+assembles every requested view from it.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from ..analysis.ratios import TABLE3_UNITS, kiviat_normalise
-from ..exec import SimPoint, get_executor
+from ..exec import SimPoint
 from ..imb import suite as _imb_suite  # noqa: F401 - benchmark registration
 from ..imb.framework import PAPER_MSG_BYTES, get_benchmark
 from ..machine import PAPER_FIVE, get_machine
@@ -68,58 +67,20 @@ ENERGY_KIVIAT_COLUMNS = (
 )
 
 
-# ---------------------------------------------------------------------------
-# Shared sweeps (memoised: sibling scenarios compute each sweep once)
-# ---------------------------------------------------------------------------
-
-def _balance_sweep(kind: str, max_cpus: int | None, **params):
-    """(machine -> [(cpus, hpl_tflops, accumulated_GBs)]) via the executor.
-
-    ``kind`` is a worker point kind ("ring_hpl" / "stream_hpl") whose value
-    is an (hpl, accumulated) pair; the points for all machines are batched
-    into one executor call so a parallel run overlaps everything.
-    """
-    plan = []
-    points = []
-    for name in HPCC_SWEEP_MACHINES:
-        m = get_machine(name)
-        counts = m.cpu_counts(start=4, maximum=cap_cpus(m, max_cpus))
-        plan.append((name, counts))
-        points.extend(SimPoint.make(kind, name, p, **params) for p in counts)
-    values = iter(get_executor().run_points(points))
-    return {
-        name: [(p, *next(values)) for p in counts]
-        for name, counts in plan
-    }
-
-
-@lru_cache(maxsize=8)
-def _ring_hpl_sweep(max_cpus: int | None):
-    """(machine -> [(cpus, hpl_tflops, accumulated_ring_GBs)])."""
-    return _balance_sweep("ring_hpl", max_cpus, n_rings=4)
-
-
-@lru_cache(maxsize=8)
-def _stream_hpl_sweep(max_cpus: int | None):
-    """(machine -> [(cpus, hpl_tflops, accumulated_stream_copy_GBs)])."""
-    return _balance_sweep("stream_hpl", max_cpus)
-
-
-@lru_cache(maxsize=8)
-def flagship_results(max_cpus: int | None = None):
+def flagship_points(max_cpus: int | None = None) -> list[SimPoint]:
     """Full HPCC at each machine's largest measured configuration."""
-    points = []
-    for name, cpus in FLAGSHIP_CPUS.items():
-        p = cpus if max_cpus is None else min(cpus, max_cpus)
-        points.append(SimPoint.make("hpcc", name, p))
-    return tuple(get_executor().run_points(points))
+    return [SimPoint.make("hpcc", name,
+                          cpus if max_cpus is None else min(cpus, max_cpus))
+            for name, cpus in FLAGSHIP_CPUS.items()]
 
 
 def clear_scenario_caches() -> None:
-    """Drop the memoised sweeps (determinism/golden tests re-run them)."""
-    _ring_hpl_sweep.cache_clear()
-    _stream_hpl_sweep.cache_clear()
-    flagship_results.cache_clear()
+    """Does nothing: scenarios keep no memo of their own.
+
+    Results are cached only by the executor's
+    :class:`~repro.exec.ResultCache`.  The name stays importable because
+    ``perfbench/workloads.py`` still calls it before every pass.
+    """
 
 
 # Imported *after* the constants above: when this module is the import
@@ -134,183 +95,163 @@ from ..harness.results import FigureResult, FigureSeries, TableResult  # noqa: E
 # ---------------------------------------------------------------------------
 
 class SweepFigureScenario(Scenario):
-    """Figure built from a shared memoised balance sweep (figs 1-4).
+    """Figure built from one HPCC balance sweep (figs 1-4).
 
-    ``run()`` goes through the sweep memo so sibling figures (absolute +
-    ratio views of the same sweep) compute their points once;
-    :meth:`plan` still reports the underlying fan-out for introspection.
+    Each sweep backs two figures, an absolute and a ratio view; both
+    plan the same points, so running them together computes the sweep
+    once.
     """
 
-    def __init__(self, scenario_id, *, point_kind, point_params, sweep_fn,
-                 build, **kw):
+    def __init__(self, scenario_id, *, point_kind, point_params, build,
+                 **kw):
         kw.setdefault("tags", ("paper", "hpcc"))
         super().__init__(scenario_id, **kw)
         self.point_kind = point_kind
         self.point_params = dict(point_params)
-        self._sweep_fn = sweep_fn
         self._build = build
 
     def machine_names(self):
         return HPCC_SWEEP_MACHINES
 
-    def plan(self, max_cpus=None):
-        points = []
+    def _counts(self, max_cpus):
         for name in HPCC_SWEEP_MACHINES:
             m = get_machine(name)
-            counts = m.cpu_counts(start=4, maximum=cap_cpus(m, max_cpus))
-            points.extend(SimPoint.make(self.point_kind, name, p,
-                                        **self.point_params)
-                          for p in counts)
-        return points
+            yield name, m.cpu_counts(start=4, maximum=cap_cpus(m, max_cpus))
 
-    def run(self, max_cpus=None):
-        return self._build(self._sweep_fn(max_cpus))
+    def plan(self, max_cpus=None):
+        return [SimPoint.make(self.point_kind, name, p, **self.point_params)
+                for name, counts in self._counts(max_cpus) for p in counts]
 
     def assemble(self, values, max_cpus=None):
-        # Equivalent non-memoised path (used when values were computed
-        # directly from plan()); reshapes the flat value list back into
-        # the per-machine sweep dict the builder expects.
+        # Reshape the flat values into the per-machine sweep the builder
+        # takes: machine -> [(cpus, hpl_tflops, accumulated_GBs)].
         it = iter(values)
-        data = {}
-        for name in HPCC_SWEEP_MACHINES:
-            m = get_machine(name)
-            counts = m.cpu_counts(start=4, maximum=cap_cpus(m, max_cpus))
-            data[name] = [(p, *next(it)) for p in counts]
-        return self._build(data)
+        return self._build({name: [(p, *next(it)) for p in counts]
+                            for name, counts in self._counts(max_cpus)})
+
+
+def _balance_series(data, y=lambda hpl, acc: acc):
+    """One series per machine of a balance sweep: ``y(hpl, acc)`` vs HPL."""
+    return tuple(
+        FigureSeries(machine=name, label=get_machine(name).label,
+                     x=tuple(h for (_p, h, _v) in pts),
+                     y=tuple(y(h, v) for (_p, h, v) in pts))
+        for name, pts in data.items())
+
+
+def _cpu_counts(data):
+    return {"cpu_counts": {n: [p for (p, _h, _v) in pts]
+                           for n, pts in data.items()}}
 
 
 def _build_fig01(data):
-    series = tuple(
-        FigureSeries(
-            machine=name,
-            label=get_machine(name).label,
-            x=tuple(h for (_p, h, _v) in pts),
-            y=tuple(v for (_p, _h, v) in pts),
-        )
-        for name, pts in data.items()
-    )
     return FigureResult(
         fig_id="fig01",
         title="Accumulated random ring bandwidth vs HPL performance",
         xlabel="HPL (TFlop/s)",
         ylabel="Accumulated random-ring bandwidth (GB/s)",
-        series=series,
-        extra={"cpu_counts": {n: [p for (p, _h, _v) in pts]
-                              for n, pts in data.items()}},
+        series=_balance_series(data),
+        extra=_cpu_counts(data),
     )
 
 
 def _build_fig02(data):
-    series = []
-    for name, pts in data.items():
-        xs, ys = [], []
-        for p, hpl, acc in pts:
-            xs.append(hpl)
-            # B/KFlop: accumulated bytes/s per kflop/s of HPL.
-            ys.append(acc * 1e9 / (hpl * 1e12 / 1e3))
-        series.append(FigureSeries(machine=name,
-                                   label=get_machine(name).label,
-                                   x=tuple(xs), y=tuple(ys)))
     return FigureResult(
         fig_id="fig02",
         title="Accumulated random ring bandwidth ratio vs HPL performance",
         xlabel="HPL (TFlop/s)",
         ylabel="Ring bandwidth per HPL (B/KFlop)",
-        series=tuple(series),
+        # B/KFlop: accumulated bytes/s per kflop/s of HPL.
+        series=_balance_series(
+            data, lambda hpl, acc: acc * 1e9 / (hpl * 1e12 / 1e3)),
         notes="Paper anchors: SX-8 ~60 flat 128-576 CPUs; Altix NL4 203 in "
               "one box collapsing to 23 at 2024 CPUs; NL3 ~94; Opteron ~24.",
-        extra={"cpu_counts": {n: [p for (p, _h, _v) in pts]
-                              for n, pts in data.items()}},
+        extra=_cpu_counts(data),
     )
 
 
 def _build_fig03(data):
-    series = tuple(
-        FigureSeries(
-            machine=name,
-            label=get_machine(name).label,
-            x=tuple(h for (_p, h, _v) in pts),
-            y=tuple(v for (_p, _h, v) in pts),
-        )
-        for name, pts in data.items()
-    )
     return FigureResult(
         fig_id="fig03",
         title="Accumulated EP-STREAM Copy vs HPL performance",
         xlabel="HPL (TFlop/s)",
         ylabel="Accumulated STREAM Copy (GB/s)",
-        series=series,
+        series=_balance_series(data),
     )
 
 
 def _build_fig04(data):
-    series = []
-    for name, pts in data.items():
-        xs = [h for (_p, h, _v) in pts]
-        ys = [v / (h * 1e3) for (_p, h, v) in pts]  # GB/s over GFlop/s
-        series.append(FigureSeries(machine=name,
-                                   label=get_machine(name).label,
-                                   x=tuple(xs), y=tuple(ys)))
     return FigureResult(
         fig_id="fig04",
         title="Accumulated EP-STREAM Copy ratio vs HPL performance",
         xlabel="HPL (TFlop/s)",
         ylabel="STREAM Copy per HPL (Byte/Flop)",
-        series=tuple(series),
+        # GB/s over GFlop/s.
+        series=_balance_series(data, lambda hpl, acc: acc / (hpl * 1e3)),
         notes="Paper anchors: SX-8 > 2.67 B/F; Altix > 0.36; "
               "Opteron 0.84-1.07.",
     )
 
 
-class KiviatScenario(Scenario):
-    """Fig 5: all HPCC results normalised by HPL then by column max."""
+class FlagshipScenario(Scenario):
+    """A view of the flagship HPCC runs: Fig 5 or Table 3.
 
-    def __init__(self, scenario_id, **kw):
+    Both plan :func:`flagship_points` and build from its
+    :func:`~repro.analysis.ratios.kiviat_normalise` data, so running
+    them together computes the flagship runs once.
+    """
+
+    def __init__(self, scenario_id, *, kind, build, **kw):
         kw.setdefault("tags", ("paper", "hpcc", "kiviat"))
         super().__init__(scenario_id, **kw)
+        self.kind = kind
+        self._build = build
 
     def machine_names(self):
         return tuple(FLAGSHIP_CPUS)
 
     def plan(self, max_cpus=None):
-        points = []
-        for name, cpus in FLAGSHIP_CPUS.items():
-            p = cpus if max_cpus is None else min(cpus, max_cpus)
-            points.append(SimPoint.make("hpcc", name, p))
-        return points
-
-    def run_with_data(self, max_cpus=None):
-        """(FigureResult, KiviatData): the figure plus its kiviat data."""
-        results = flagship_results(max_cpus)
-        return self._assemble_results(results)
-
-    def run(self, max_cpus=None):
-        return self.run_with_data(max_cpus)[0]
+        return flagship_points(max_cpus)
 
     def assemble(self, values, max_cpus=None):
-        return self._assemble_results(tuple(values))[0]
+        return self._build(kiviat_normalise(values))
 
-    def _assemble_results(self, results):
-        data = kiviat_normalise(results)
-        series = []
-        for m in data.machines:
-            row = data.normalised[m]
-            xs, ys = [], []
-            for i, col in enumerate(data.columns):
-                if row[col] is not None:
-                    xs.append(float(i))
-                    ys.append(row[col])
-            series.append(FigureSeries(machine=m, label=get_machine(m).label,
-                                       x=tuple(xs), y=tuple(ys)))
-        fig = FigureResult(
-            fig_id="fig05",
-            title="Comparison of all benchmarks normalised with HPL value",
-            xlabel="benchmark column index (see analysis.KIVIAT_COLUMNS)",
-            ylabel="normalised ratio (best system = 1)",
-            series=tuple(series),
-            extra={"columns": data.columns, "maxima": data.maxima},
-        )
-        return fig, data
+
+def _build_fig05(data):
+    series = []
+    for m in data.machines:
+        row = data.normalised[m]
+        xs, ys = [], []
+        for i, col in enumerate(data.columns):
+            if row[col] is not None:
+                xs.append(float(i))
+                ys.append(row[col])
+        series.append(FigureSeries(machine=m, label=get_machine(m).label,
+                                   x=tuple(xs), y=tuple(ys)))
+    return FigureResult(
+        fig_id="fig05",
+        title="Comparison of all benchmarks normalised with HPL value",
+        xlabel="benchmark column index (see analysis.KIVIAT_COLUMNS)",
+        ylabel="normalised ratio (best system = 1)",
+        series=tuple(series),
+        extra={"columns": data.columns, "maxima": data.maxima},
+    )
+
+
+def _build_table3(data):
+    rows = []
+    for col in data.columns:
+        unit = TABLE3_UNITS[col]
+        rows.append((col, f"{data.maxima[col]:.4g}"
+                     + (f" {unit}" if unit else "")))
+    return TableResult(
+        table_id="table3",
+        title="Ratio values corresponding to 1 in Fig 5",
+        headers=("Ratio", "Maximum value"),
+        rows=tuple(rows),
+        notes="Paper values: 8.729 TF/s; 1.925; 0.020; 0.039 B/F; "
+              "2.893 B/F; 0.094 B/F; 0.197 1/us; 4.9e-5 Update/F.",
+    )
 
 
 class IMBFigureScenario(Scenario):
@@ -428,48 +369,6 @@ class StaticTableScenario(Scenario):
 
     def assemble(self, values, max_cpus=None):
         return self._build()
-
-
-class Table3Scenario(Scenario):
-    """Table 3: ratio maxima behind the Fig 5 kiviat (shares its sweep)."""
-
-    kind = "table"
-
-    def __init__(self, scenario_id, **kw):
-        kw.setdefault("tags", ("paper", "hpcc", "kiviat"))
-        super().__init__(scenario_id, **kw)
-
-    def machine_names(self):
-        return tuple(FLAGSHIP_CPUS)
-
-    def plan(self, max_cpus=None):
-        points = []
-        for name, cpus in FLAGSHIP_CPUS.items():
-            p = cpus if max_cpus is None else min(cpus, max_cpus)
-            points.append(SimPoint.make("hpcc", name, p))
-        return points
-
-    def run(self, max_cpus=None):
-        return self._assemble_results(flagship_results(max_cpus))
-
-    def assemble(self, values, max_cpus=None):
-        return self._assemble_results(tuple(values))
-
-    def _assemble_results(self, results):
-        data = kiviat_normalise(results)
-        rows = []
-        for col in data.columns:
-            unit = TABLE3_UNITS[col]
-            rows.append((col, f"{data.maxima[col]:.4g}"
-                         + (f" {unit}" if unit else "")))
-        return TableResult(
-            table_id="table3",
-            title="Ratio values corresponding to 1 in Fig 5",
-            headers=("Ratio", "Maximum value"),
-            rows=tuple(rows),
-            notes="Paper values: 8.729 TF/s; 1.925; 0.020; 0.039 B/F; "
-                  "2.893 B/F; 0.094 B/F; 0.197 1/us; 4.9e-5 Update/F.",
-        )
 
 
 class Table4Scenario(StaticTableScenario):
@@ -597,12 +496,12 @@ def make_builtin_scenarios() -> tuple[Scenario, ...]:
     scenarios = [
         SweepFigureScenario(
             "fig01", point_kind="ring_hpl", point_params={"n_rings": 4},
-            sweep_fn=_ring_hpl_sweep, build=_build_fig01,
+            build=_build_fig01,
             title="Accumulated random-ring bandwidth vs HPL",
             requires_full_refs=True),
         SweepFigureScenario(
             "fig02", point_kind="ring_hpl", point_params={"n_rings": 4},
-            sweep_fn=_ring_hpl_sweep, build=_build_fig02,
+            build=_build_fig02,
             title="Random-ring bandwidth / HPL ratio (B/KFlop)",
             tolerance=ToleranceSpec(
                 anchors=(("SX-8 ~60 B/KFlop random-ring balance, flat to "
@@ -614,7 +513,7 @@ def make_builtin_scenarios() -> tuple[Scenario, ...]:
             requires_full_refs=True),
         SweepFigureScenario(
             "fig03", point_kind="stream_hpl", point_params={},
-            sweep_fn=_stream_hpl_sweep, build=_build_fig03,
+            build=_build_fig03,
             title="Accumulated EP-STREAM Copy vs HPL",
             tolerance=ToleranceSpec(
                 anchors=(("EP-STREAM per-CPU balance ordering: SX-8 > X1 > "
@@ -623,11 +522,12 @@ def make_builtin_scenarios() -> tuple[Scenario, ...]:
             requires_full_refs=True),
         SweepFigureScenario(
             "fig04", point_kind="stream_hpl", point_params={},
-            sweep_fn=_stream_hpl_sweep, build=_build_fig04,
+            build=_build_fig04,
             title="EP-STREAM Copy / HPL ratio (Byte/Flop)",
             requires_full_refs=True),
-        KiviatScenario(
-            "fig05", title="All benchmarks normalised with HPL (kiviat)",
+        FlagshipScenario(
+            "fig05", kind="figure", build=_build_fig05,
+            title="All benchmarks normalised with HPL (kiviat)",
             tolerance=ToleranceSpec(
                 requires_full=True,
                 notes="Kiviat normalisation runs the flagship "
@@ -665,8 +565,9 @@ def make_builtin_scenarios() -> tuple[Scenario, ...]:
                 mode="exact",
                 notes="Machine/topology description table, straight from "
                       "the specs.")),
-        Table3Scenario(
-            "table3", title="Ratio values corresponding to 1 in Fig 5",
+        FlagshipScenario(
+            "table3", kind="table", build=_build_table3,
+            title="Ratio values corresponding to 1 in Fig 5",
             tolerance=ToleranceSpec(
                 requires_full=True,
                 anchors=(("SX-8 leads bandwidth-normalised ratios at "

@@ -1,23 +1,52 @@
 """Running and checking scenarios.
 
-:func:`run_scenario` regenerates a scenario's figure/table through the
-ambient executor; :func:`check_scenario` additionally evaluates the
-scenario's per-machine references (asymmetric tolerances) and returns a
-structured verdict the ``repro.validate`` gate embeds in its report.
+:func:`run_items` regenerates any number of scenarios' figures/tables
+from one executor batch; :func:`run_scenario` is its one-item case.
+:func:`check_scenario` additionally evaluates a scenario's per-machine
+references (asymmetric tolerances) and returns a structured verdict the
+``repro.validate`` gate embeds in its report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..exec import get_executor
 from .registry import get_scenario
 from .spec import Scenario
 
 
+def _scenario(scenario: str | Scenario) -> Scenario:
+    return scenario if isinstance(scenario, Scenario) else get_scenario(scenario)
+
+
+def run_items(ids: list[str | Scenario],
+              max_cpus: int | None = None) -> list:
+    """Regenerate several scenarios from one sweep; results in ``ids`` order.
+
+    Every item is planned first, and the first occurrence of each point
+    key is kept, so views of one measurement (fig01/fig02, fig03/fig04,
+    fig05/table3) share its points.  The distinct points run as one
+    ``run_points`` batch of the ambient executor, and each item is
+    assembled from its own points' values.  ``ids`` holds scenario ids
+    or :class:`Scenario` objects; unknown ids raise before any point
+    runs.
+    """
+    scenarios = [_scenario(i) for i in ids]
+    plans = [s.plan(max_cpus) for s in scenarios]
+    distinct = {}
+    for plan in plans:
+        for pt in plan:
+            distinct.setdefault(pt.key(), pt)
+    values = dict(zip(distinct, get_executor().run_points(
+        list(distinct.values())))) if distinct else {}
+    return [s.assemble([values[pt.key()] for pt in plan], max_cpus)
+            for s, plan in zip(scenarios, plans)]
+
+
 def run_scenario(scenario: str | Scenario, max_cpus: int | None = None):
     """Regenerate one scenario; returns its FigureResult/TableResult."""
-    s = scenario if isinstance(scenario, Scenario) else get_scenario(scenario)
-    return s.run(max_cpus=max_cpus)
+    return run_items([scenario], max_cpus)[0]
 
 
 @dataclass(frozen=True)
@@ -43,10 +72,8 @@ class ScenarioCheck:
                 "checks": list(self.checks), "detail": self.detail}
 
 
-def check_scenario(scenario: str | Scenario,
-                   max_cpus: int | None = None) -> ScenarioCheck:
-    """Run one scenario and judge its references at this scale."""
-    s = scenario if isinstance(scenario, Scenario) else get_scenario(scenario)
+def _uncovered(s: Scenario, max_cpus: int | None) -> ScenarioCheck | None:
+    """The verdict of a scenario with nothing to check at this scale."""
     if not s.references:
         return ScenarioCheck(s.scenario_id, "uncovered",
                              detail="no references declared")
@@ -55,7 +82,11 @@ def check_scenario(scenario: str | Scenario,
             s.scenario_id, "uncovered",
             detail=f"references require the full-scale sweep "
                    f"(capped at {max_cpus})")
-    result = s.run(max_cpus=max_cpus)
+    return None
+
+
+def _judge(s: Scenario, result) -> ScenarioCheck:
+    """Check a scenario's references against its regenerated result."""
     perf = s.perf_values(result)
     checks = []
     failed = 0
@@ -88,6 +119,13 @@ def check_scenario(scenario: str | Scenario,
     return ScenarioCheck(s.scenario_id, status, tuple(checks), detail)
 
 
+def check_scenario(scenario: str | Scenario,
+                   max_cpus: int | None = None) -> ScenarioCheck:
+    """Run one scenario and judge its references at this scale."""
+    (verdict,) = check_scenarios([scenario], max_cpus=max_cpus).checks
+    return verdict
+
+
 @dataclass(frozen=True)
 class ScenarioSuiteReport:
     """All scenario checks from one gate run."""
@@ -102,6 +140,12 @@ class ScenarioSuiteReport:
         return [c.to_dict() for c in self.checks]
 
 
-def check_scenarios(ids, max_cpus: int | None = None) -> ScenarioSuiteReport:
-    return ScenarioSuiteReport(tuple(check_scenario(i, max_cpus=max_cpus)
-                                     for i in ids))
+def check_scenarios(ids: list[str | Scenario],
+                    max_cpus: int | None = None) -> ScenarioSuiteReport:
+    """Judge several scenarios, running the checkable ones in one sweep."""
+    scenarios = [_scenario(i) for i in ids]
+    skipped = [_uncovered(s, max_cpus) for s in scenarios]
+    results = iter(run_items(
+        [s for s, v in zip(scenarios, skipped) if v is None], max_cpus))
+    return ScenarioSuiteReport(tuple(
+        v or _judge(s, next(results)) for s, v in zip(scenarios, skipped)))

@@ -184,9 +184,9 @@ class Scenario:
 
     Subclasses implement :meth:`plan` (the SimPoint fan-out) and
     :meth:`assemble` (points' values -> FigureResult/TableResult).
-    ``run()`` wires the two through the ambient executor; scenarios
-    whose points are shared with siblings (e.g. fig01/fig02 share one
-    sweep) may override ``run()`` directly with a memoised path.
+    :func:`repro.scenarios.run_items` wires the two through the ambient
+    executor for any number of scenarios; ``run()`` is its one-item
+    case.
     """
 
     #: "figure" or "table" — decides rendering and artifact naming.
@@ -221,10 +221,8 @@ class Scenario:
         raise NotImplementedError
 
     def run(self, max_cpus: int | None = None):
-        from ..exec import get_executor
-        points = self.plan(max_cpus)
-        values = list(get_executor().run_points(points)) if points else []
-        return self.assemble(values, max_cpus)
+        from .runner import run_items
+        return run_items([self], max_cpus)[0]
 
     # -- metrics -----------------------------------------------------------
 

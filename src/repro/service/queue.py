@@ -496,12 +496,18 @@ class JobQueue:
 
         stats = job.stats
         wall = job.wall_s or 0.0
+        # The recorders _run_job scopes around the job.
+        recorders = [name for name, on in (
+            ("energy", self.config.energy),
+            ("telemetry", self.telemetry is not None)) if on]
         row = {
             "when": round(time.time(), 3),
             "git_sha": git_sha(),
             "dirty": git_dirty(),
             "fingerprint": source_fingerprint(),
-            "run_key": run_key(list(job.items), job.max_cpus),
+            "run_key": run_key(list(job.items), job.max_cpus,
+                               exec_backend=self.config.exec_backend,
+                               jobs=self.config.jobs, recorders=recorders),
             "service": job.id,
             "state": state if state is not None else job.state,
             "items": list(job.items),
@@ -509,6 +515,7 @@ class JobQueue:
             "jobs": self.config.jobs,
             "macro_above": self.config.macro_above,
             "exec_backend": self.config.exec_backend,
+            "recorders": recorders,
             "wall_s": wall,
             "points": stats.get("points", 0),
             "cache_hits": stats.get("cache_hits", 0),

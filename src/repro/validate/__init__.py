@@ -18,7 +18,7 @@ invariants, shares the harness's executor flags) and
 """
 
 from .gate import check_ledger, run_validation
-from .golden import clear_figure_caches, compare_figure, compare_table, run_golden
+from .golden import compare_figure, compare_table, run_golden
 from .manifest import (
     Anchor,
     Manifest,
@@ -49,7 +49,6 @@ __all__ = [
     "ToleranceRule",
     "ValidationReport",
     "check_ledger",
-    "clear_figure_caches",
     "compare_figure",
     "compare_table",
     "load_manifest",

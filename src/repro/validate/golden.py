@@ -29,7 +29,7 @@ from pathlib import Path
 from ..core.errors import ConfigError
 from ..harness.report import table_to_csv
 from ..harness.results import FigureResult, TableResult
-from ..scenarios import get_scenario
+from ..scenarios import get_scenario, run_items
 from .manifest import Manifest, ToleranceRule
 from .report import (
     FAIL,
@@ -44,19 +44,6 @@ from .report import (
 _EXACT_EPS = 0.0
 
 _FLOAT_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
-
-
-def clear_figure_caches() -> None:
-    """Drop the scenario layer's memoised sweeps.
-
-    The golden gate must *recompute*, not replay a value memoised before
-    the change under test existed (tests monkeypatch calibration
-    constants; long-lived processes may hold pre-edit sweeps).  The
-    memos live in :mod:`repro.scenarios.builtin`.
-    """
-    from ..scenarios.builtin import clear_scenario_caches
-
-    clear_scenario_caches()
 
 
 # ---------------------------------------------------------------------------
@@ -238,27 +225,23 @@ def run_golden(figures: list[str], tables: list[str], *,
                max_cpus: int | None = None) -> list[ItemReport]:
     """Regenerate the named items and diff each against ``results_dir``.
 
-    Runs through the ambient executor (install one with
-    :func:`repro.exec.using_executor` to parallelise / cache).
+    The covered items run as one sweep of the ambient executor (install
+    one with :func:`repro.exec.using_executor` to parallelise / cache).
     """
     full = max_cpus is None
+    idents = [*tables, *figures]
+    rules = [manifest.rule_for(ident) for ident in idents]
+    results = iter(run_items([ident for ident, rule in zip(idents, rules)
+                              if full or not rule.requires_full], max_cpus))
     reports: list[ItemReport] = []
-    clear_figure_caches()
-    try:
-        for ident in [*tables, *figures]:
-            rule = manifest.rule_for(ident)
-            if rule.requires_full and not full:
-                reports.append(ItemReport(ident, rule.mode, UNCOVERED,
-                                          detail="requires full-range run"))
-                continue
-            scenario = get_scenario(ident)
-            compare, load = ((compare_table, load_golden_table)
-                             if scenario.kind == "table"
-                             else (compare_figure, load_golden_figure))
-            reports.append(compare(scenario.run(max_cpus=max_cpus),
-                                   load(results_dir, ident), rule, full=full))
-    finally:
-        # Leave no memoised sweep behind: a perturbed-run cell must never
-        # leak into a later figure regeneration in the same process.
-        clear_figure_caches()
+    for ident, rule in zip(idents, rules):
+        if rule.requires_full and not full:
+            reports.append(ItemReport(ident, rule.mode, UNCOVERED,
+                                      detail="requires full-range run"))
+            continue
+        compare, load = ((compare_table, load_golden_table)
+                         if get_scenario(ident).kind == "table"
+                         else (compare_figure, load_golden_figure))
+        reports.append(compare(next(results), load(results_dir, ident),
+                               rule, full=full))
     return reports

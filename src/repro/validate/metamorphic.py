@@ -27,40 +27,34 @@ import tempfile
 from ..analysis.ratios import kiviat_violations
 from ..exec import ResultCache, SimPoint, SweepExecutor, get_executor, using_executor
 from ..machine.catalog import ALL_MACHINES
+from ..scenarios import run_items
 from .report import InvariantResult
 
 
 def check_kiviat(max_cpus: int | None = 16) -> InvariantResult:
     """Fig 5 columns are properly normalised at this scale."""
-    from ..scenarios import get_scenario
-    from .golden import clear_figure_caches
-
-    clear_figure_caches()
-    _fig, data = get_scenario("fig05").run_with_data(max_cpus)
-    bad = kiviat_violations(data)
+    (fig,) = run_items(["fig05"], max_cpus)
+    columns = fig.extra["columns"]
+    normalised = {s.machine: {columns[int(x)]: y for x, y in zip(s.x, s.y)}
+                  for s in fig.series}
+    bad = kiviat_violations(columns, normalised)
     return InvariantResult("kiviat_normalisation", not bad, "; ".join(bad))
 
 
 def check_balance_monotone(max_cpus: int | None = 16) -> InvariantResult:
     """HPL monotone rising; accumulated STREAM monotone; ring positive."""
-    from ..scenarios.builtin import _ring_hpl_sweep, _stream_hpl_sweep
-    from .golden import clear_figure_caches
-
-    clear_figure_caches()
+    rings, streams = run_items(["fig01", "fig03"], max_cpus)
     bad: list[str] = []
-    streams = _stream_hpl_sweep(max_cpus)
-    rings = _ring_hpl_sweep(max_cpus)
-    for name, pts in streams.items():
-        hpls = [h for (_p, h, _v) in pts]
-        accs = [v for (_p, _h, v) in pts]
+    for s in streams.series:
+        # Fig 3 plots accumulated EP-STREAM Copy against HPL.
+        hpls, accs = list(s.x), list(s.y)
         if any(b <= a for a, b in zip(hpls, hpls[1:])):
-            bad.append(f"{name}: HPL not strictly increasing {hpls}")
+            bad.append(f"{s.machine}: HPL not strictly increasing {hpls}")
         if any(b < a for a, b in zip(accs, accs[1:])):
-            bad.append(f"{name}: accumulated STREAM decreases {accs}")
-    for name, pts in rings.items():
-        if any(v <= 0 for (_p, _h, v) in pts):
-            bad.append(f"{name}: non-positive accumulated ring bandwidth")
-    clear_figure_caches()
+            bad.append(f"{s.machine}: accumulated STREAM decreases {accs}")
+    for s in rings.series:
+        if any(v <= 0 for v in s.y):
+            bad.append(f"{s.machine}: non-positive accumulated ring bandwidth")
     return InvariantResult("balance_monotone", not bad, "; ".join(bad))
 
 

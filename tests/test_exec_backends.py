@@ -135,6 +135,26 @@ def test_point_error_propagates_not_wrapped():
             ex.run_points([bad])
 
 
+@pytest.mark.parametrize("backend", ["pool", "subprocess"])
+def test_executor_deals_largest_first_and_returns_input_order(backend):
+    pts = _points((4, 16, 2)) + [SimPoint.make(
+        "imb", "xeon", 16, benchmark="Sendrecv", msg_bytes=2048)]
+    inner = make_exec_backend(backend, 2)
+    dealt: list[str] = []
+    compute = inner.compute
+
+    def spy(points, on_record):
+        dealt.extend(pt.key() for pt in points)
+        return compute(points, on_record)
+
+    inner.compute = spy
+    with SweepExecutor(jobs=2, cache=None, backend=inner) as ex:
+        values = ex.run_points(pts)
+    # Largest first; the two 16-rank points keep their input order.
+    assert dealt == [pts[i].key() for i in (1, 3, 0, 2)]
+    assert values == [compute_point(pt).value for pt in pts]
+
+
 # ---------------------------------------------------------------------------
 # Registry mechanics
 # ---------------------------------------------------------------------------

@@ -169,11 +169,13 @@ class _FakeWorker:
         self.answered = 0
         self.closed = False
         self.sent: list[int] = []          # job ids, in send order
+        self.ranks: list[int] = []         # their points' nprocs
         self._queue: deque[dict] = deque()
 
     def send(self, msg: dict) -> None:
         assert msg["op"] == "job"
         self.sent.append(msg["id"])
+        self.ranks.append(decode_wire(msg["point"]).nprocs)
         self._queue.append(msg)
 
     def recv(self) -> dict | None:
@@ -239,17 +241,41 @@ def test_reply_for_wrong_job_is_an_io_failure(fake_fleet):
 
 
 def test_fleet_deals_largest_points_first_to_every_worker(fake_fleet):
+    """The executor deals; the fleet sends in the order it is handed."""
     backend = SubprocessBackend(jobs=2)
+    ex = SweepExecutor(jobs=2, cache=None, backend=backend)
     pts = [_point(p) for p in (2, 16, 4, 8)]
-    records = backend.compute(pts)
-    assert [r.value for r in records] == [compute_point(pt).value
-                                          for pt in pts]
-    first = [w.sent[0] for w in fake_fleet.spawned]
-    assert first == [1, 3]  # the 16- and 8-rank points start first
-    assert sorted(i for w in fake_fleet.spawned for i in w.sent) == \
-        [0, 1, 2, 3]
+    values = ex.run_points(pts)
+    assert values == [compute_point(pt).value for pt in pts]  # input order
+    first = [w.ranks[0] for w in fake_fleet.spawned]
+    assert first == [16, 8]  # the 16- and 8-rank points start first
+    assert [w.sent for w in fake_fleet.spawned] == [[0, 2], [1, 3]]
+    assert sorted(r for w in fake_fleet.spawned for r in w.ranks) == \
+        [2, 4, 8, 16]
     assert backend.health["requests"] == len(pts)
-    backend.close()
+    ex.close()
+
+
+def test_requeue_after_worker_death_maps_back_to_input_order(fake_fleet,
+                                                            tmp_path):
+    """Dealt largest-first, a killed worker's lost point is requeued
+    under its input index, and every landed record is written to the
+    cache under its own point."""
+    fake_fleet.plan = {1: "die-after-1"}
+    pts = [_point(p) for p in (4, 16, 2, 8)]
+    with SweepExecutor(jobs=1, cache=None, backend="inline") as ref:
+        clean = ref.run_points(pts)
+    cache = ResultCache(tmp_path)
+    ex = SweepExecutor(jobs=2, cache=cache,
+                       backend=SubprocessBackend(jobs=2))
+    values = ex.run_points(pts)
+    assert values == clean
+    assert ex.stats()["requeued"] == 1
+    # The dying worker answered its 8-rank point and lost the next one.
+    assert fake_fleet.spawned[1].ranks[:2] == [8, 2]
+    assert [cache.get(pt).value for pt in pts] == clean
+    assert [e["point"] for e in ex.point_log] == [pt.key() for pt in pts]
+    ex.close()
 
 
 def test_garbage_from_worker_counts_as_crash(fake_fleet):

@@ -4,8 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.ratios import KIVIAT_COLUMNS
-from repro.api import run_figure, run_table
+from repro.analysis.ratios import KIVIAT_COLUMNS, kiviat_normalise
+from repro.api import get_executor, run_figure, run_table
 from repro.harness import (
     FigureResult,
     FigureSeries,
@@ -19,7 +19,8 @@ from repro.harness import (
     save_table,
 )
 from repro.harness.runner import main as runner_main
-from repro.scenarios import get_scenario, paper_scenarios
+from repro.scenarios import paper_scenarios
+from repro.scenarios.builtin import flagship_points
 
 CAP = 8  # tiny sweeps keep this fast
 
@@ -58,7 +59,7 @@ def test_imb_paper_figures_generate(fig_id):
 
 
 def test_fig05_kiviat_normalisation():
-    fig, data = get_scenario("fig05").run_with_data(CAP)
+    data = kiviat_normalise(get_executor().run_points(flagship_points(CAP)))
     assert data.columns == KIVIAT_COLUMNS
     # HPL column normalised: best system exactly 1.0
     hpl_vals = [row["G-HPL"] for row in data.normalised.values()]
@@ -159,30 +160,43 @@ def test_runner_bench_items_keep_table_figure_scenario_order(tmp_path):
         "table", "figure", "scenario"]
 
 
-def test_traced_run_nests_executor_spans_under_items(tmp_path):
+def test_traced_run_nests_executor_spans_under_the_sweep(tmp_path):
     import json
 
-    rc = runner_main(["--figure", "6", "--max-cpus", "8", "--jobs", "2",
-                      "--exec-backend", "subprocess", "--telemetry",
-                      "--no-cache", "--no-ledger",
+    rc = runner_main(["--figure", "6", "--table", "2", "--max-cpus", "8",
+                      "--jobs", "2", "--exec-backend", "subprocess",
+                      "--telemetry", "--no-cache", "--no-ledger",
+                      "--out", str(tmp_path / "out"),
                       "--bench-json", str(tmp_path / "bench.json"),
                       "--trace-dir", str(tmp_path / "traces")])
     assert rc == 0
     doc = json.loads((tmp_path / "traces" / "harness_spans.json").read_text())
     spans = {e["args"]["span_id"]: e for e in doc["traceEvents"]}
 
-    def ancestors(e):
-        while e["args"]["parent_id"] in spans:
-            e = spans[e["args"]["parent_id"]]
-            yield e["name"]
+    def parent(e):
+        return spans.get(e["args"]["parent_id"], {"name": None})
 
+    # harness.run -> sweep -> sweep.batch: one batch for the whole run.
     batches = [e for e in spans.values() if e["name"] == "sweep.batch"]
-    assert batches
-    assert all("fig06" in ancestors(e) for e in batches)
+    assert len(batches) == 1
+    assert all(parent(e)["name"] == "sweep"
+               and parent(parent(e))["name"] == "harness.run"
+               for e in batches)
+    # Each item span sits directly under the root and holds only its
+    # render and save stages.
+    items = {e["args"]["span_id"]: e for e in spans.values()
+             if e["name"] in ("fig06", "table2")}
+    assert sorted(e["name"] for e in items.values()) == ["fig06", "table2"]
+    assert all(parent(e)["name"] == "harness.run" for e in items.values())
+    assert sorted(e["name"] for e in spans.values()
+                  if e["args"]["parent_id"] in items) == [
+        "render", "render", "save", "save"]
     # One trace, one root: the whole run is one tree.
-    (trace,) = json.loads((tmp_path / "bench.json").read_text())[
-        "telemetry"]["traces"].values()
+    bench = json.loads((tmp_path / "bench.json").read_text())
+    (trace,) = bench["telemetry"]["traces"].values()
     assert trace["roots"] == 1 and trace["root_name"] == "harness.run"
+    assert [[c["name"] for c in i["spans"]["children"]]
+            for i in bench["items"]] == [["render", "save"]] * 2
 
 
 def test_runner_cli_table(capsys, tmp_path, monkeypatch):

@@ -441,6 +441,36 @@ def test_run_key_stable_and_order_insensitive():
     assert len(run_key([], None)) == 12
 
 
+def test_run_key_separates_run_modes():
+    base = run_key(["fig12"], 16, exec_backend="inline", jobs=1)
+    assert base == run_key(["fig12"], 16, exec_backend="inline", jobs=1,
+                           recorders=())
+    assert len({base,
+                run_key(["fig12"], 16, exec_backend="pool", jobs=2),
+                run_key(["fig12"], 16, exec_backend="inline", jobs=2),
+                run_key(["fig12"], 16, exec_backend="inline", jobs=1,
+                        recorders=("metrics",))}) == 4
+    assert run_key(["fig12"], 16, recorders=["timeline", "comm"]) == \
+        run_key(["fig12"], 16, recorders=["comm", "timeline"])
+
+
+def test_harness_rows_of_different_jobs_do_not_share_a_trend(tmp_path):
+    from repro.harness.runner import main as runner_main
+
+    ledger = tmp_path / "ledger.jsonl"
+    for jobs in ("1", "2", "1"):
+        assert runner_main(["--figure", "6", "--max-cpus", "4", "--no-cache",
+                            "--jobs", jobs, "--ledger", str(ledger),
+                            "--bench-json", str(tmp_path / "b.json")]) == 0
+    serial, parallel, serial_again = RunLedger(ledger).entries()
+    assert serial["run_key"] == serial_again["run_key"]
+    assert parallel["run_key"] != serial["run_key"]
+    led = RunLedger(ledger)
+    assert len(led.trend(serial["run_key"])) == 2
+    assert len(led.trend(parallel["run_key"])) == 1
+    assert serial["recorders"] == parallel["recorders"] == []
+
+
 def test_git_sha_shape():
     sha = git_sha()
     assert sha == "unknown" or (1 <= len(sha) <= 40)

@@ -20,14 +20,11 @@ from repro.scenarios import (
     get_scenario,
     has_scenario,
     reload_scenarios,
+    run_items,
     scenario_ids,
 )
 from repro.scenarios.__main__ import main as scenarios_main
-from repro.scenarios.builtin import (
-    PAPER_FIGURE_IDS,
-    PAPER_TABLE_IDS,
-    clear_scenario_caches,
-)
+from repro.scenarios.builtin import PAPER_FIGURE_IDS, PAPER_TABLE_IDS
 from repro.scenarios.registry import REPO_SCENARIO_DIR, SCENARIO_PATH_ENV
 
 #: Ids of the committed scenarios/*.toml examples.
@@ -41,11 +38,9 @@ def shared_executor(tmp_path_factory):
     several tests is computed once."""
     cache = ResultCache(tmp_path_factory.mktemp("scenario_cache"))
     executor = SweepExecutor(jobs=4, cache=cache)
-    clear_scenario_caches()
     with using_executor(executor):
         yield executor
     executor.close()
-    clear_scenario_caches()
 
 
 @pytest.fixture
@@ -96,6 +91,45 @@ def test_run_item_routes_scenario_names(shared_executor):
     fig = run_item("app_cg", max_cpus=8)
     assert fig.fig_id == "app_cg"
     assert {s.machine for s in fig.series} == {"xeon", "altix_nl3"}
+
+
+# -- one sweep across items --------------------------------------------------
+
+def test_run_items_computes_each_distinct_point_once():
+    """Views of one measurement share its points: fig01/fig02 plan the
+    same ring sweep and fig05/table3 the same flagship runs."""
+    ids = ["fig01", "fig02", "fig05", "table3"]
+    distinct = {pt.key() for sid in ids for pt in get_scenario(sid).plan(8)}
+    planned = sum(len(get_scenario(sid).plan(8)) for sid in ids)
+    assert len(distinct) < planned
+    with SweepExecutor(jobs=1, cache=None, backend="inline") as ex, \
+            using_executor(ex):
+        results = run_items(ids, max_cpus=8)
+    st = ex.stats()
+    assert st["points"] == st["cache_misses"] == len(distinct)
+    assert sorted(e["point"] for e in ex.point_log) == sorted(distinct)
+    # Equal to the items run one at a time, each on a fresh executor
+    # (compared by repr: fig05's uncovered columns hold NaN maxima).
+    for sid, result in zip(ids, results):
+        with SweepExecutor(jobs=1, cache=None, backend="inline") as one, \
+                using_executor(one):
+            assert repr(run_scenario(sid, max_cpus=8)) == repr(result)
+
+
+def test_run_items_keeps_duplicates_and_order():
+    with SweepExecutor(jobs=1, cache=None, backend="inline") as ex, \
+            using_executor(ex):
+        a, b, c = run_items(["table2", "fig06", "fig06"], max_cpus=4)
+    assert (a.table_id, b.fig_id) == ("table2", "fig06") and b == c
+    assert ex.stats()["points"] == len(get_scenario("fig06").plan(4))
+
+
+def test_run_items_unknown_id_raises_before_running():
+    with SweepExecutor(jobs=1, cache=None, backend="inline") as ex, \
+            using_executor(ex):
+        with pytest.raises(ScenarioError, match="unknown scenario"):
+            run_items(["fig06", "fig99"], max_cpus=4)
+    assert ex.stats()["points"] == 0
 
 
 # -- reference checks --------------------------------------------------------
