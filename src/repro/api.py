@@ -11,7 +11,8 @@ The surface:
   regenerate any figure or table by id (``"fig06"``, ``6``, ``"table2"``
   all accepted), and :func:`run_item` any registered scenario as well;
   each is a lookup in the scenario registry (:mod:`repro.scenarios`)
-  run through whatever executor is ambient.
+  run through whatever executor is ambient; :func:`resolve_item` is the
+  lookup alone.
 * **Execution** — :class:`~repro.exec.points.SimPoint`,
   :class:`~repro.exec.executor.SweepExecutor`, :func:`using_executor`,
   :func:`get_executor`, :class:`~repro.exec.cache.ResultCache`.
@@ -46,6 +47,7 @@ __all__ = [
     "normalize_figure_id",
     "normalize_item_id",
     "normalize_table_id",
+    "resolve_item",
     "run_figure",
     "run_item",
     "run_scenario",
@@ -102,15 +104,19 @@ def normalize_item_id(item: int | str) -> str:
 
 # -- running paper items -----------------------------------------------------
 
-def _run_paper_item(raw: int | str, ident: str, kind: str,
-                    max_cpus: int | None):
+def _paper_scenario(raw: int | str, ident: str, kind: str):
     from .scenarios import get_scenario
     from .scenarios.builtin import PAPER_FIGURE_IDS, PAPER_TABLE_IDS
 
     known = PAPER_TABLE_IDS if kind == "table" else PAPER_FIGURE_IDS
     if ident not in known:
         raise KeyError(f"unknown {kind} {raw!r} (known: {', '.join(known)})")
-    return get_scenario(ident).run(max_cpus=max_cpus)
+    return get_scenario(ident)
+
+
+def _run_paper_item(raw: int | str, ident: str, kind: str,
+                    max_cpus: int | None):
+    return _paper_scenario(raw, ident, kind).run(max_cpus=max_cpus)
 
 
 def run_figure(figure: int | str, max_cpus: int | None = None):
@@ -131,6 +137,21 @@ def run_table(table: int | str, max_cpus: int | None = None):
     """
     return _run_paper_item(table, normalize_table_id(table), "table",
                            max_cpus)
+
+
+def resolve_item(item: str):
+    """The registered scenario behind a figure, table or scenario id.
+
+    Runs nothing; an unregistered ``figNN`` / ``tableN`` raises the
+    :class:`KeyError` of :func:`run_figure` / :func:`run_table`.
+    """
+    from .scenarios import get_scenario, has_scenario
+
+    ident = normalize_item_id(item)
+    if has_scenario(ident):
+        return get_scenario(ident)
+    kind = "table" if ident.startswith("table") else "figure"
+    return _paper_scenario(ident, ident, kind)
 
 
 def run_item(item: str, max_cpus: int | None = None):

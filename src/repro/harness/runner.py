@@ -38,7 +38,6 @@ import argparse
 import json
 import os
 import sys
-import time
 from pathlib import Path
 from time import perf_counter
 
@@ -55,12 +54,12 @@ from ..obs import (
     format_critical_path,
     git_dirty,
     git_sha,
-    run_key,
+    ledger_row,
     trace_summary,
     using,
     write_spans_chrome_trace,
 )
-from ..scenarios import get_scenario, run_items
+from ..scenarios import item_charge, run_items
 from ..scenarios.builtin import PAPER_FIGURE_IDS, PAPER_TABLE_IDS
 from .dashboard import build_run_doc, write_report
 from .observe import observe_figures
@@ -368,15 +367,14 @@ def main(argv: list[str] | None = None) -> int:
         with using(*obs.values()), using_executor(executor), \
                 stages.span("harness.run", "harness",
                             items=len(items)) as run_span:
-            log0 = len(executor.point_log)
             with stages.span("sweep", "sweep"):
                 t0 = perf_counter()
                 results = run_items(item_ids, max_cpus=args.max_cpus)
                 dt = perf_counter() - t0
-            batch = {e["point"]: e for e in executor.point_log[log0:]}
+            batch = {e["point"]: e for e in executor.point_log}
             print(f"[sweep: {len(batch)} points in {dt:.1f}s]\n")
             for (ident, cat), result in zip(items, results):
-                charge = _charge(ident, args.max_cpus, batch)
+                charge = item_charge(ident, args.max_cpus, batch)
                 with stages.span(ident, cat) as sp:
                     with stages.span("render", "report"):
                         print(render_result(result, plot=args.plot))
@@ -473,14 +471,11 @@ def main(argv: list[str] | None = None) -> int:
               f"{tot['avg_power_w']:.1f} W avg, "
               f"EDP {tot['edp_js']:.3g} J*s]")
 
-    sha = git_sha()
-    dirty = git_dirty()
-    fingerprint = source_fingerprint()
     harness_doc = {
         "schema_version": BENCH_SCHEMA_VERSION,
-        "git_sha": sha,
-        "dirty": dirty,
-        "fingerprint": fingerprint,
+        "git_sha": git_sha(),
+        "dirty": git_dirty(),
+        "fingerprint": source_fingerprint(),
         "max_cpus": args.max_cpus,
         "jobs": executor.jobs,
         "macro_above": config.macro_above,
@@ -511,47 +506,21 @@ def main(argv: list[str] | None = None) -> int:
         ledger_path = (Path(args.ledger) if args.ledger
                        else bench_path.with_name("BENCH_ledger.jsonl"))
         ledger = RunLedger(ledger_path)
-        key = run_key(item_ids, args.max_cpus,
-                      exec_backend=config.exec_backend, jobs=executor.jobs,
-                      recorders=obs)
-        row = {
-            "when": round(time.time(), 3),
-            "git_sha": sha,
-            "dirty": dirty,
-            "fingerprint": fingerprint,
-            "run_key": key,
-            "items": item_ids,
-            "max_cpus": args.max_cpus,
-            "jobs": executor.jobs,
-            "macro_above": config.macro_above,
-            "exec_backend": config.exec_backend,
-            "recorders": sorted(obs),
-            "wall_s": round(wall_s, 6),
-            "points": totals["points"],
-            "cache_hits": totals["cache_hits"],
-            "cache_misses": totals["cache_misses"],
-            "events": totals["events"],
-            "events_per_s": (round(totals["events"] / wall_s)
-                             if wall_s > 0 else None),
-        }
-        if energy_doc is not None:
-            # Energy fields ride along only when accounting was on —
-            # rows from energy-off runs carry no placeholders.
-            tot = energy_doc["totals"]
-            row["energy_total_j"] = tot["total_j"]
-            row["energy_avg_power_w"] = tot["avg_power_w"]
-            row["energy_edp_js"] = tot["edp_js"]
-        if telemetry_doc is not None and telemetry_doc.get("traces"):
-            # Traced runs link their row to the run's trace; the full
-            # span summary lives in the bench stats document.
-            row["trace_id"] = next(iter(telemetry_doc["traces"]))
-            row["trace_spans"] = telemetry_doc["spans"]
-        entry = ledger.append(row)
+        # Traced runs link their row to the run's trace; the full span
+        # summary lives in the bench stats document.
+        traces = (telemetry_doc or {}).get("traces")
+        entry = ledger.append(ledger_row(
+            item_ids, args.max_cpus, exec_backend=config.exec_backend,
+            jobs=executor.jobs, recorders=obs, wall_s=wall_s,
+            totals=totals,
+            energy=energy_doc["totals"] if energy_doc is not None else None,
+            trace_id=next(iter(traces)) if traces else None,
+            trace_spans=telemetry_doc["spans"] if traces else None))
         verdict = ledger.check_regression(entry)
         ledger_info = {
             "path": str(ledger_path),
             "entries": len(ledger.entries()),
-            "trend": ledger.trend(key, "wall_s", limit=30),
+            "trend": ledger.trend(entry["run_key"], "wall_s", limit=30),
             "regression": verdict,
         }
         status = ("unchecked" if not verdict["checked"]
@@ -581,33 +550,6 @@ def main(argv: list[str] | None = None) -> int:
         report_path = write_report(run_doc, args.report)
         print(f"[report -> {report_path}]")
     return 0
-
-
-def _charge(ident: str, max_cpus: int | None,
-            batch: dict[str, dict]) -> dict:
-    """One BENCH ``items`` entry: the item is charged every point it declares.
-
-    ``batch`` maps point key -> the sweep's ``point_log`` entry.  A point
-    that several items declare is charged to each of them; the run's
-    ``totals`` count it once.  ``wall_s`` and ``events`` are the points'
-    recorded simulation wall and engine events (a cached point carries
-    those of its original computation); ``compute_wall_s`` is the part
-    this run computed.
-    """
-    entries = [batch[pt.key()] for pt in get_scenario(ident).plan(max_cpus)]
-    computed = [e for e in entries if e["provenance"] != "cached"]
-    wall = sum(e["wall_s"] for e in entries)
-    events = sum(e["events"] for e in entries)
-    return {
-        "id": ident,
-        "wall_s": round(wall, 6),
-        "points": len(entries),
-        "cache_hits": len(entries) - len(computed),
-        "cache_misses": len(computed),
-        "events": events,
-        "events_per_sec": round(events / wall) if wall > 0 else None,
-        "compute_wall_s": round(sum(e["wall_s"] for e in computed), 6),
-    }
 
 
 def _bench_path(args) -> Path:

@@ -55,7 +55,7 @@ from .exporters import (
     write_spans_chrome_trace,
 )
 from .ledger import (LEDGER_SCHEMA_VERSION, RunLedger, git_dirty, git_sha,
-                     run_key)
+                     ledger_row, run_key)
 from .telemetry import (
     TRACE_SCHEMA_VERSION,
     Span,
@@ -104,6 +104,7 @@ __all__ = [
     "mint_trace_id",
     "install",
     "integrate_energy",
+    "ledger_row",
     "run_key",
     "straggler_profile",
     "trace_summary",

@@ -1,11 +1,12 @@
 """Append-only JSONL run ledger: performance history across commits.
 
-Every harness run appends one JSON line describing what ran (item
-names, CPU cap), where the code stood (git SHA, source fingerprint from
-the exec cache), and how fast it went (wall seconds, engine events/s,
-cache hits).  The file is append-only and schema-versioned, so the
-bench trajectory of the repository accumulates run over run and trend
-queries stay cheap — read, filter by ``run_key``, plot.
+Every harness run and every finished service job appends one JSON line,
+built by :func:`ledger_row`, describing what ran (item names, CPU cap),
+where the code stood (git SHA, source fingerprint from the exec cache),
+and how fast it went (wall seconds, engine events/s, cache hits).  The
+file is append-only and schema-versioned, so the bench trajectory of
+the repository accumulates run over run and trend queries stay cheap —
+read, filter by ``run_key``, plot.
 
 Regression flagging compares a fresh entry against the **trailing
 median** of earlier entries with the same ``run_key`` (same work, same
@@ -23,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 import subprocess
+import time
 from collections.abc import Iterable
 from pathlib import Path
 
@@ -105,6 +107,53 @@ def run_key(items: list[str], max_cpus: int | None, *,
                        "recorders": sorted(recorders)},
                       sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
+
+
+def ledger_row(items: list[str], max_cpus: int | None, *,
+               exec_backend: str, jobs: int, recorders: Iterable[str],
+               wall_s: float, totals: dict, energy: dict | None,
+               **extras) -> dict:
+    """One run-ledger row: the work, the mode, the code and the speed.
+
+    ``run_key`` is derived from the fields the row records (and
+    ``macro_above`` is the installed fast-path mode it is salted with),
+    so key and row cannot disagree.  ``totals`` is the executor's
+    ``stats()``, ``energy`` the energy totals and ``extras`` the
+    caller's own fields; energy off (None) and None extras are left
+    out, not null-padded.
+    """
+    from ..exec.cache import source_fingerprint  # deferred: exec imports obs
+    from ..imb.fastpath import macro_above
+
+    recorders = sorted(recorders)
+    wall_s = round(wall_s, 6)
+    row = {
+        "when": round(time.time(), 3),
+        "git_sha": git_sha(),
+        "dirty": git_dirty(),
+        "fingerprint": source_fingerprint(),
+        "run_key": run_key(items, max_cpus, exec_backend=exec_backend,
+                           jobs=jobs, recorders=recorders),
+        "items": list(items),
+        "max_cpus": max_cpus,
+        "jobs": jobs,
+        "macro_above": macro_above(),
+        "exec_backend": exec_backend,
+        "recorders": recorders,
+        "wall_s": wall_s,
+        "points": totals["points"],
+        "cache_hits": totals["cache_hits"],
+        "cache_misses": totals["cache_misses"],
+        "events": totals["events"],
+        "events_per_s": (round(totals["events"] / wall_s)
+                         if wall_s > 0 else None),
+    }
+    if energy is not None:
+        row["energy_total_j"] = energy["total_j"]
+        row["energy_avg_power_w"] = energy["avg_power_w"]
+        row["energy_edp_js"] = energy["edp_js"]
+    row.update((k, v) for k, v in extras.items() if v is not None)
+    return row
 
 
 def _median(values: list[float]) -> float:

@@ -28,6 +28,7 @@ from .runner import (
     ScenarioSuiteReport,
     check_scenario,
     check_scenarios,
+    item_charge,
     run_items,
     run_scenario,
 )
@@ -54,6 +55,7 @@ __all__ = [
     "check_scenarios",
     "get_scenario",
     "has_scenario",
+    "item_charge",
     "paper_scenarios",
     "reload_scenarios",
     "run_items",

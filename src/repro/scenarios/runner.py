@@ -1,7 +1,8 @@
 """Running and checking scenarios.
 
 :func:`run_items` regenerates any number of scenarios' figures/tables
-from one executor batch; :func:`run_scenario` is its one-item case.
+from one executor batch; :func:`run_scenario` is its one-item case and
+:func:`item_charge` what one item of the batch cost.
 :func:`check_scenario` additionally evaluates a scenario's per-machine
 references (asymmetric tolerances) and returns a structured verdict the
 ``repro.validate`` gate embeds in its report.
@@ -47,6 +48,34 @@ def run_items(ids: list[str | Scenario],
 def run_scenario(scenario: str | Scenario, max_cpus: int | None = None):
     """Regenerate one scenario; returns its FigureResult/TableResult."""
     return run_items([scenario], max_cpus)[0]
+
+
+def item_charge(scenario: str | Scenario, max_cpus: int | None,
+                batch: dict[str, dict]) -> dict:
+    """What one item of a :func:`run_items` sweep cost: every point it declares.
+
+    ``batch`` maps point key -> the sweep's ``SweepExecutor.point_log``
+    entry.  A point that several items declare is charged to each of
+    them; the executor's totals count it once.  ``wall_s`` and
+    ``events`` are the points' recorded simulation wall and engine
+    events (a cached point carries those of its original computation);
+    ``compute_wall_s`` is the part this sweep computed.
+    """
+    s = _scenario(scenario)
+    entries = [batch[pt.key()] for pt in s.plan(max_cpus)]
+    computed = [e for e in entries if e["provenance"] != "cached"]
+    wall = sum(e["wall_s"] for e in entries)
+    events = sum(e["events"] for e in entries)
+    return {
+        "id": s.scenario_id,
+        "wall_s": round(wall, 6),
+        "points": len(entries),
+        "cache_hits": len(entries) - len(computed),
+        "cache_misses": len(computed),
+        "events": events,
+        "events_per_sec": round(events / wall) if wall > 0 else None,
+        "compute_wall_s": round(sum(e["wall_s"] for e in computed), 6),
+    }
 
 
 @dataclass(frozen=True)

@@ -30,17 +30,20 @@ import itertools
 import queue as _queue
 import threading
 import time
+from contextlib import nullcontext
 from pathlib import Path
 from time import perf_counter
 
 from ..api import normalize_figure_id, normalize_item_id, \
-    normalize_table_id, run_item
+    normalize_table_id, resolve_item
 from ..config import ReproConfig
 from ..exec.executor import SweepExecutor, using_executor
 from ..obs.context import using
 from ..obs.energy import EnergyRecorder
+from ..obs.ledger import RunLedger, ledger_row
 from ..obs.telemetry import (TelemetryRecorder, mint_span_id, mint_trace_id,
                              trace_summary)
+from ..scenarios import item_charge, run_items
 from .coalesce import PointCoalescer
 from .health import ServiceEventLog, ServiceMetrics
 
@@ -370,45 +373,33 @@ class JobQueue:
         self._observe_queue()
         t0 = perf_counter()
         outcome = "failed"
+        scoped = [r for r in (tel, enrec) if r is not None]
         try:
-            scoped = [r for r in (tel, enrec) if r is not None]
             with using(*scoped), using_executor(executor):
-                for ident in job.items:
-                    before = executor.stats()
-                    it0 = perf_counter()
-                    result = run_item(ident, max_cpus=job.max_cpus)
-                    item_wall = perf_counter() - it0
-                    after = executor.stats()
-                    if tel is not None and self.artifacts_dir is not None:
-                        with tel.span("job.artifact_save", "service",
-                                      item=ident):
-                            paths = self._save_artifacts(job, ident, result)
-                    else:
-                        paths = self._save_artifacts(job, ident, result)
+                # One sweep per job, as in the harness: unknown ids fail
+                # here, before any point runs, and each distinct point
+                # runs once however many items declare it.
+                scenarios = [resolve_item(ident) for ident in job.items]
+                results = run_items(scenarios, job.max_cpus)
+                batch = {e["point"]: e for e in executor.point_log}
+                for s, result in zip(scenarios, results):
+                    paths = self._save_artifacts(job, s.scenario_id, result)
                     item_doc = {
-                        "id": ident,
-                        "wall_s": round(item_wall, 6),
-                        **{k: after[k] - before[k]
-                           for k in ("points", "cache_hits", "cache_misses",
-                                     "coalesced", "events")},
+                        **item_charge(s, job.max_cpus, batch),
+                        "coalesced": sum(
+                            batch[pt.key()]["provenance"] == "coalesced"
+                            for pt in s.plan(job.max_cpus)),
                         "artifacts": paths,
                     }
                     with job.cond:
                         job.item_results.append(item_doc)
                         job.artifacts.extend(paths)
                     job.emit("item", **item_doc)
+            outcome = "done"
         except Exception as exc:
             with job.cond:
                 job.error = f"{type(exc).__name__}: {exc}"
-                job.finished_at = time.time()
-                job.wall_s = round(perf_counter() - t0, 6)
-                job.stats = executor.stats()
-                if enrec is not None:
-                    job.energy = enrec.totals()
-            if tel is not None:
-                tel.end(run_span, status="error")
-        else:
-            outcome = "done"
+        finally:
             with job.cond:
                 job.finished_at = time.time()
                 job.wall_s = round(perf_counter() - t0, 6)
@@ -416,8 +407,8 @@ class JobQueue:
                 if enrec is not None:
                     job.energy = enrec.totals()
             if tel is not None:
-                tel.end(run_span)
-        finally:
+                tel.end(run_span, status="ok" if outcome == "done"
+                        else "error")
             # The public state flip and terminal event (which wake
             # result()/stream() waiters and tell pollers the snapshot is
             # final) are deliberately LAST: by the time anyone observes
@@ -426,14 +417,12 @@ class JobQueue:
             try:
                 backend_health = executor.backend_health()
                 executor.close()
+                with (tel.span("job.ledger_append", "service",
+                               parent=root_ctx, job=job.id)
+                      if tel is not None else nullcontext()):
+                    self._append_ledger(job, outcome, scoped)
                 if tel is not None:
-                    with using(tel), \
-                            tel.span("job.ledger_append", "service",
-                                     parent=root_ctx, job=job.id):
-                        self._append_ledger(job, state=outcome)
                     self._finish_telemetry(job, backend_health, outcome)
-                else:
-                    self._append_ledger(job, state=outcome)
             finally:
                 with job.cond:
                     job.state = outcome
@@ -484,59 +473,25 @@ class JobQueue:
         from ..harness.report import save_result
 
         out = self.artifacts_dir / job.id
-        save_result(result, out)
+        with (self.telemetry.span("job.artifact_save", "service", item=ident)
+              if self.telemetry is not None else nullcontext()):
+            save_result(result, out)
         return sorted(str(p) for p in out.glob(f"{ident}.*"))
 
-    def _append_ledger(self, job: Job, *, state: str | None = None) -> None:
-        """One run-ledger row per finished job (same schema as the harness)."""
+    def _append_ledger(self, job: Job, state: str, scoped: list) -> None:
+        """One run-ledger row per finished job, naming the recorders scoped."""
         if self.ledger_path is None:
             return
-        from ..exec.cache import source_fingerprint
-        from ..obs import RunLedger, git_dirty, git_sha, run_key
-
-        stats = job.stats
-        wall = job.wall_s or 0.0
-        # The recorders _run_job scopes around the job.
-        recorders = [name for name, on in (
-            ("energy", self.config.energy),
-            ("telemetry", self.telemetry is not None)) if on]
-        row = {
-            "when": round(time.time(), 3),
-            "git_sha": git_sha(),
-            "dirty": git_dirty(),
-            "fingerprint": source_fingerprint(),
-            "run_key": run_key(list(job.items), job.max_cpus,
-                               exec_backend=self.config.exec_backend,
-                               jobs=self.config.jobs, recorders=recorders),
-            "service": job.id,
-            "state": state if state is not None else job.state,
-            "items": list(job.items),
-            "max_cpus": job.max_cpus,
-            "jobs": self.config.jobs,
-            "macro_above": self.config.macro_above,
-            "exec_backend": self.config.exec_backend,
-            "recorders": recorders,
-            "wall_s": wall,
-            "points": stats.get("points", 0),
-            "cache_hits": stats.get("cache_hits", 0),
-            "cache_misses": stats.get("cache_misses", 0),
-            "coalesced": stats.get("coalesced", 0),
-            "events": stats.get("events", 0),
-            "events_per_s": (round(stats.get("events", 0) / wall)
-                             if wall > 0 else None),
-        }
-        if job.energy is not None:
-            # Present only on energy-accounted jobs — energy-off rows
-            # omit the fields rather than null-padding them.
-            row["energy_total_j"] = job.energy["total_j"]
-            row["energy_avg_power_w"] = job.energy["avg_power_w"]
-            row["energy_edp_js"] = job.energy["edp_js"]
-        if job.trace_id is not None:
-            # Traced jobs link their ledger row to the job trace; the
-            # full span summary lives in the status document (the row is
-            # appended *inside* the trace, before the root is written).
-            row["trace_id"] = job.trace_id
-        RunLedger(self.ledger_path).append(row)
+        RunLedger(self.ledger_path).append(ledger_row(
+            job.items, job.max_cpus,
+            exec_backend=self.config.exec_backend, jobs=self.config.jobs,
+            recorders=[r.name for r in scoped], wall_s=job.wall_s,
+            totals=job.stats, energy=job.energy,
+            service=job.id, state=state, coalesced=job.stats["coalesced"],
+            # Traced jobs link their row to the job trace; the span
+            # summary lives in the status document (the row is appended
+            # inside the trace, before its root is written).
+            trace_id=job.trace_id))
 
     # -- lifecycle ----------------------------------------------------------
 

@@ -471,6 +471,38 @@ def test_harness_rows_of_different_jobs_do_not_share_a_trend(tmp_path):
     assert serial["recorders"] == parallel["recorders"] == []
 
 
+@pytest.mark.parametrize("energy", [False, True])
+def test_harness_and_service_rows_of_one_run_agree(tmp_path, energy):
+    """The same items, cap, backend, jobs and recorders give the same
+    key and common fields from both writers; each keeps its extras."""
+    from repro.config import ReproConfig
+    from repro.harness.runner import main as runner_main
+    from repro.service import JobQueue
+
+    ledger = tmp_path / "ledger.jsonl"
+    assert runner_main(["--figure", "1", "--figure", "2", "--max-cpus", "4",
+                        "--no-cache", "--jobs", "1", "--exec-backend",
+                        "inline", "--telemetry", *(["--energy"] * energy),
+                        "--ledger", str(ledger),
+                        "--bench-json", str(tmp_path / "b.json")]) == 0
+    cfg = ReproConfig.from_env_and_args(jobs=1, exec_backend="inline",
+                                        no_cache=True, telemetry=True,
+                                        energy=energy)
+    with JobQueue(cfg, workers=1, ledger_path=ledger) as q:
+        doc = q.result(q.submit(["fig01", "fig02"], max_cpus=4), timeout=300)
+    harness, service = RunLedger(ledger).entries()
+    assert set(harness) - set(service) == {"trace_spans"}
+    assert set(service) - set(harness) == {"service", "state", "coalesced"}
+    assert (service["service"], service["state"]) == (doc["id"], "done")
+    energy_fields = {"energy_total_j", "energy_avg_power_w", "energy_edp_js"}
+    assert (energy_fields <= set(harness)) is energy
+    volatile = {"when", "wall_s", "events_per_s", "trace_id", *energy_fields}
+    common = set(harness) & set(service) - volatile
+    assert {k: service[k] for k in common} == {k: harness[k] for k in common}
+    assert harness["run_key"] == service["run_key"]
+    assert harness["recorders"] == ["energy", "telemetry"][not energy:]
+
+
 def test_git_sha_shape():
     sha = git_sha()
     assert sha == "unknown" or (1 <= len(sha) <= 40)

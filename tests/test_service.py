@@ -10,7 +10,8 @@ import pytest
 from repro.api import run_figure
 from repro.config import ReproConfig
 from repro.exec import ResultCache, SweepExecutor, using_executor
-from repro.harness.report import figure_to_csv
+from repro.harness.report import figure_to_csv, save_result
+from repro.scenarios import get_scenario, run_items
 from repro.service import JobQueue, PointCoalescer, Spool
 from repro.service.__main__ import main as service_main
 
@@ -129,6 +130,53 @@ def test_job_failure_is_terminal_not_fatal(tmp_path):
     assert bad_doc["state"] == "failed"
     assert "unknown figure" in bad_doc["error"]
     assert good_doc["state"] == "done"  # the worker survived the failure
+
+
+def test_unknown_id_fails_the_job_before_any_point_runs(tmp_path):
+    with JobQueue(_config(tmp_path, no_cache=True), workers=1,
+                  artifacts_dir=tmp_path / "art") as q:
+        doc = q.result(q.submit([FIG, "fig99"], max_cpus=CAP), timeout=120)
+    assert doc["state"] == "failed"
+    assert "unknown figure 'fig99'" in doc["error"]
+    assert doc["stats"]["points"] == 0
+    assert doc["item_results"] == [] and doc["artifacts"] == []
+    assert not (tmp_path / "art").exists()
+
+
+def test_job_runs_each_distinct_point_once(tmp_path):
+    """A job is one sweep: views of one measurement share its points,
+    each item is still charged every point it declares, and the saved
+    artifacts are those of ``run_items`` + ``save_result``."""
+    requests = [["fig01", "fig02", "fig05", "table3"], ["6", "fig06"],
+                ["fig01", "fig02"]]
+    with JobQueue(_config(tmp_path, no_cache=True), workers=1,
+                  artifacts_dir=tmp_path / "art") as q:
+        docs = [q.result(q.submit(items, max_cpus=CAP), timeout=300)
+                for items in requests]
+    for doc in docs:
+        assert doc["state"] == "done", doc["error"]
+        plans = {i: [pt.key() for pt in get_scenario(i).plan(CAP)]
+                 for i in doc["items"]}
+        distinct = {k for keys in plans.values() for k in keys}
+        stats = doc["stats"]
+        assert stats["points"] == stats["cache_misses"] == len(distinct)
+        assert [(r["id"], r["points"]) for r in doc["item_results"]] == \
+            [(i, len(plans[i])) for i in doc["items"]]
+
+        ref = tmp_path / "ref" / doc["id"]
+        with SweepExecutor(jobs=1, cache=None, backend="inline") as ex, \
+                using_executor(ex):
+            for result in run_items(list(doc["items"]), CAP):
+                save_result(result, ref)
+        art = tmp_path / "art" / doc["id"]
+        names = sorted(p.name for p in ref.iterdir())
+        assert sorted(p.name for p in art.iterdir()) == names
+        for name in names:
+            assert (art / name).read_bytes() == (ref / name).read_bytes(), name
+    # fig01/fig02 are two views of one 10-point ring sweep and
+    # fig05/table3 of the 5 flagship runs.
+    assert [d["stats"]["points"] for d in docs] == [15, 18, 10]
+    assert docs[1]["items"] == ["fig06", "fig06"]
 
 
 def test_stream_ends_at_terminal_event(tmp_path):

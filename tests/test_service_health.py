@@ -215,6 +215,27 @@ def test_traced_queue_emits_events_metrics_and_full_traces(tmp_path):
     assert kinds[0] == "submitted"
 
 
+def test_traced_job_nests_its_one_sweep_under_the_run(tmp_path):
+    """service.job -> queue.wait, job.run, job.ledger_append; job.run
+    holds the job's one executor batch, then one save per item."""
+    cfg = _config(tmp_path, telemetry=True, no_cache=True)
+    with JobQueue(cfg, workers=1, artifacts_dir=tmp_path / "art",
+                  ledger_path=tmp_path / "ledger.jsonl") as q:
+        job = q.submit(["fig01", "fig02"], max_cpus=CAP)
+        assert q.result(job, timeout=300)["state"] == "done"
+        (roots,) = assemble_traces(q.job_trace(job)).values()
+    (root,) = roots
+    assert root.name == "service.job"
+    assert [c.name for c in root.children] == [
+        "queue.wait", "job.run", "job.ledger_append"]
+    run = root.children[1]
+    assert [c.name for c in run.children] == [
+        "sweep.batch", "job.artifact_save", "job.artifact_save"]
+    assert [c.attrs["item"] for c in run.children[1:]] == ["fig01", "fig02"]
+    (batch,) = [c for c in run.children if c.name == "sweep.batch"]
+    assert batch.attrs["points"] == 10  # the ring sweep both views share
+
+
 def test_follower_trace_links_to_owner(tmp_path):
     cfg = _config(tmp_path, telemetry=True)
     with JobQueue(cfg, workers=2, events_path=None) as q:
