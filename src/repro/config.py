@@ -147,7 +147,8 @@ class ReproConfig:
         parser.add_argument(
             "--jobs", "-j", type=int, default=None,
             help=f"worker processes for sweep points (default: {JOBS_ENV} "
-                 "env var, else CPU count)")
+                 "env var, else CPU count); N > 1 starts a worker fleet, "
+                 "about 0.4 s once per run")
         parser.add_argument(
             "--macro-above", default=None, metavar="N",
             help="price IMB collectives analytically above N ranks "
@@ -157,7 +158,8 @@ class ReproConfig:
             "--exec-backend", default=None, metavar="NAME",
             help="executor backend for sweep points "
                  f"({', '.join(available_exec_backends())}; default: "
-                 f"{EXEC_BACKEND_ENV} env var, else pool for --jobs > 1)")
+                 f"{EXEC_BACKEND_ENV} env var, else subprocess for "
+                 "--jobs > 1)")
         parser.add_argument(
             "--no-cache", action="store_true", default=None,
             help="disable the on-disk result cache (default: "

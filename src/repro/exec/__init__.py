@@ -4,8 +4,8 @@ The paper's figures and tables are sweeps of independent simulation
 points (machine x rank-count x benchmark).  This package decomposes those
 sweeps into :class:`SimPoint` units, runs them through a
 :class:`SweepExecutor` whose compute path is a pluggable execution
-backend (:mod:`repro.exec.backends`: ``inline`` serial, ``pool`` process
-fan-out, ``subprocess`` worker fleet), and merges results
+backend (:mod:`repro.exec.backends`: ``inline`` serial, ``subprocess``
+worker fleet), and merges results
 deterministically so every backend produces byte-identical output.
 :func:`~repro.exec.backends.resolve_exec_backend_name` is the one rule
 that picks the backend when none is named.  Results are cached in a

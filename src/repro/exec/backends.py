@@ -6,16 +6,13 @@ swapped without touching sweep semantics:
 
 * ``inline`` — compute every point serially in this process.  The
   reference backend and the library default.
-* ``pool`` — fan points out over a lazily created
-  ``concurrent.futures.ProcessPoolExecutor`` (the pre-registry
-  ``--jobs N`` path).  Degrades to inline computation for a single point
-  or ``jobs == 1``, exactly as before.
 * ``subprocess`` — a persistent fleet of worker subprocesses speaking a
   line-delimited JSON job protocol over stdin/stdout
-  (:mod:`repro.exec.fleet`).  Functionally equivalent to ``pool`` but
-  with an explicit wire protocol — the seam where future remote (HTTP)
-  workers plug in: anything that can answer the same JSON lines can be a
-  worker.
+  (:mod:`repro.exec.fleet`); the default for ``jobs > 1``.  Computes a
+  single point, or any batch with ``jobs == 1``, inline.  The explicit
+  wire protocol is the seam where future remote (HTTP) workers plug in:
+  anything that can answer the same JSON lines can be a worker.  A dead
+  worker costs only its lost points: the next batch respawns the fleet.
 
 Every backend honours the same contract: :meth:`ExecBackend.compute`
 takes a sequence of points and returns their records **in input order**
@@ -23,7 +20,7 @@ takes a sequence of points and returns their records **in input order**
 hands each record to an ``on_record(index, record)`` callback as soon
 as the record lands, on the calling thread, so the executor can write
 it to the cache while the rest of the batch is still computing.  Worker
-*transport* failures (a killed worker process, a broken pool) raise
+*transport* failures (a killed worker process, a garbled reply) raise
 :class:`ExecBackendError` carrying any already-completed records so the
 executor can requeue only the unfinished points; simulation errors
 raised by a point itself propagate unchanged, as they always did.
@@ -33,7 +30,7 @@ Backends start points in the order given; the dealing order (largest
 Selection: ``SweepExecutor(backend=...)`` takes a name or instance.
 :func:`resolve_exec_backend_name` is the one rule for a name: the
 explicit one (the ``--exec-backend`` CLI flag), else the
-``REPRO_EXEC_BACKEND`` environment variable, else ``pool`` for
+``REPRO_EXEC_BACKEND`` environment variable, else ``subprocess`` for
 ``jobs > 1`` and ``inline`` otherwise.  :class:`repro.config.ReproConfig`
 and :func:`make_exec_backend` both apply it.
 """
@@ -49,8 +46,6 @@ import subprocess
 import sys
 import threading
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -69,7 +64,7 @@ OnRecord = Callable[[int, PointRecord], None]
 
 
 class ExecBackendError(RuntimeError):
-    """A worker-transport failure (worker death, broken pool).
+    """A worker-transport failure (worker death, garbled reply).
 
     ``done`` maps the indices of points that *did* finish (within the
     failed :meth:`ExecBackend.compute` call) to their records, so the
@@ -88,11 +83,10 @@ class ExecBackendError(RuntimeError):
 class WorkerContext:
     """Everything a worker process must mirror from its parent.
 
-    One picklable/JSON-able object replaces the positional initargs
-    tuple that used to be threaded into the pool initializer: the names
-    of the enabled per-point recorders plus the macro fast-path
-    threshold (with the ``spawn`` start method a child would otherwise
-    start exact whatever its parent runs).
+    One JSON-able object, sent in the fleet's ``init`` message: the
+    names of the enabled per-point recorders plus the macro fast-path
+    threshold (a fresh worker process would otherwise start exact
+    whatever its parent runs).
     """
 
     recorders: tuple[str, ...] = ()
@@ -130,15 +124,15 @@ class WorkerContext:
 def init_worker(ctx: WorkerContext) -> None:
     """Initialise a worker process from its parent's :class:`WorkerContext`.
 
-    Used as the process-pool initializer and by the subprocess fleet's
-    ``init`` message.  Workers start with the shared disabled recorders;
-    each recorder the parent runs with is installed process-globally as
-    a fresh enabled instance, so :func:`compute_point` collects
-    per-point snapshots for the deterministic fan-in merge.  Telemetry
-    is not installed: a process-global recorder in a pool worker would
-    accumulate spans nobody drains, so the fleet worker scopes one per
-    job message instead and ships the spans back in the protocol reply
-    (see :mod:`repro.exec.fleet`).
+    Run by each fleet worker on the ``init`` message.  Workers start
+    with the shared disabled recorders; each recorder the parent runs
+    with is installed process-globally as a fresh enabled instance, so
+    :func:`compute_point` collects per-point snapshots for the
+    deterministic fan-in merge.  Telemetry is not installed: a
+    process-global recorder in a worker would accumulate spans nobody
+    drains, so the fleet worker scopes one per job message instead and
+    ships the spans back in the protocol reply (see
+    :mod:`repro.exec.fleet`).
     """
     fastpath.set_macro_above(ctx.macro_above)
     for name in ctx.recorders:
@@ -199,57 +193,6 @@ class InlineBackend(ExecBackend):
     def compute(self, points: Sequence[SimPoint],
                 on_record: OnRecord = _ignore) -> list[PointRecord]:
         return compute_inline(points, on_record)
-
-
-class PoolBackend(ExecBackend):
-    """Process-pool fan-out via ``concurrent.futures``.
-
-    The pool is created lazily on the first multi-point batch so that
-    executors which only ever see cache hits (or single points) never
-    pay the spawn cost — and captures the parent's
-    :class:`WorkerContext` at that moment.
-    """
-
-    name = "pool"
-
-    def __init__(self, jobs: int = 1) -> None:
-        self.jobs = max(1, int(jobs))
-        self._pool: ProcessPoolExecutor | None = None
-
-    def _get_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.jobs,
-                initializer=init_worker,
-                initargs=(WorkerContext.capture(),),
-            )
-        return self._pool
-
-    def compute(self, points: Sequence[SimPoint],
-                on_record: OnRecord = _ignore) -> list[PointRecord]:
-        if self.jobs <= 1 or len(points) <= 1:
-            return compute_inline(points, on_record)
-        pool = self._get_pool()
-        out: list[PointRecord] = []
-        try:
-            for i, rec in enumerate(pool.map(compute_point, points)):
-                on_record(i, rec)
-                out.append(rec)
-        except BrokenProcessPool as exc:
-            # The pool is unusable from here on; drop it so a retry can
-            # spawn a fresh one.  ``map`` yields in input order, so the
-            # records it yielded before breaking are the salvage.
-            self._pool = None
-            raise ExecBackendError(
-                f"process pool broke while computing "
-                f"{len(points)} points: {exc}",
-                done=dict(enumerate(out))) from exc
-        return out
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
 
 
 class _FleetWorker:
@@ -374,7 +317,7 @@ class SubprocessBackend(ExecBackend):
         n_workers = min(self.jobs, len(points))
         if n_workers <= 1:
             # A single worker fleet would just add IPC overhead on top
-            # of a serial computation; short-circuit like ``pool`` does.
+            # of a serial computation; compute it here instead.
             return compute_inline(points, on_record)
         fleet = self._ensure_fleet(n_workers)
         pending = deque(range(len(points)))
@@ -509,7 +452,6 @@ class SubprocessBackend(ExecBackend):
 #: Execution-backend registry: name -> factory taking ``jobs``.
 EXEC_BACKENDS: dict[str, Callable[[int], ExecBackend]] = {
     "inline": InlineBackend,
-    "pool": PoolBackend,
     "subprocess": SubprocessBackend,
 }
 
@@ -527,7 +469,7 @@ def available_exec_backends() -> list[str]:
 
 def resolve_exec_backend_name(name: str | None = None, jobs: int = 1) -> str:
     """The backend to run: ``name``, else ``REPRO_EXEC_BACKEND``, else
-    ``pool`` for ``jobs > 1`` and ``inline`` otherwise.
+    ``subprocess`` for ``jobs > 1`` and ``inline`` otherwise.
 
     A name missing from :data:`EXEC_BACKENDS` is a :class:`ConfigError`;
     one read from the environment names the variable.
@@ -536,7 +478,7 @@ def resolve_exec_backend_name(name: str | None = None, jobs: int = 1) -> str:
     if name is None:
         name = os.environ.get(EXEC_BACKEND_ENV, "").strip()
         if not name:
-            return "pool" if jobs > 1 else "inline"
+            return "subprocess" if jobs > 1 else "inline"
         where = f" in {EXEC_BACKEND_ENV}"
     if name not in EXEC_BACKENDS:
         raise ConfigError(

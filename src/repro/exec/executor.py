@@ -2,9 +2,9 @@
 
 :class:`SweepExecutor` takes a list of independent simulation points,
 satisfies what it can from the result cache, hands the misses to an
-execution backend (:mod:`repro.exec.backends` — ``inline``, ``pool``, or
+execution backend (:mod:`repro.exec.backends` — ``inline`` or
 ``subprocess``), and returns values **in the order the points were
-given**.  Serial, pooled, and fleet runs therefore produce byte-identical
+given**.  Serial and fleet runs therefore produce byte-identical
 figures, CSVs and tables — the backend changes only the wall clock.
 
 The active executor is ambient per *thread*: library code (the
@@ -248,7 +248,7 @@ class SweepExecutor:
         ``on_record`` indices, the returned list and
         :attr:`ExecBackendError.done` are mapped back to input order.
 
-        A worker-fleet/pool crash loses some points but not the batch:
+        A worker-fleet crash loses some points but not the batch:
         whatever finished is kept, the rest are recomputed inline so the
         sweep still completes (and ``requeued`` counts the casualties).
         ``on_record`` sees every record once: the backend hands on the

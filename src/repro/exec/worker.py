@@ -1,10 +1,10 @@
 """Point computation: the function that runs inside worker processes.
 
 :func:`compute_point` maps a :class:`~repro.exec.points.SimPoint` to its
-result.  It is a pure function of the point plus the source tree, defined
-at module level so :class:`concurrent.futures.ProcessPoolExecutor` can
-pickle it, and it only imports model layers (machine / hpcc / imb) —
-never the harness — to keep the import graph acyclic.
+result.  It is a pure function of the point plus the source tree, run
+inline or in a fleet worker (:mod:`repro.exec.fleet`), and it only
+imports model layers (machine / hpcc / imb) — never the harness — to
+keep the import graph acyclic.
 
 Each computation is timed and annotated with the number of simulation
 events the engine executed, so the executor can report events/sec without

@@ -2,7 +2,7 @@
 
 Examples::
 
-    # one terminal: start the service (2 concurrent jobs, pool backend)
+    # one terminal: start the service (2 concurrent jobs, worker fleet)
     python -m repro.service serve --workers 2 --jobs 4
 
     # another terminal: submit work and wait for it

@@ -382,8 +382,15 @@ class JobQueue:
                 scenarios = [resolve_item(ident) for ident in job.items]
                 results = run_items(scenarios, job.max_cpus)
                 batch = {e["point"]: e for e in executor.point_log}
+                # A repeated id is one item's files: saved once, listed
+                # once in the job's artifacts, named by each item doc.
+                saved: dict[str, list[str]] = {}
                 for s, result in zip(scenarios, results):
-                    paths = self._save_artifacts(job, s.scenario_id, result)
+                    fresh = s.scenario_id not in saved
+                    if fresh:
+                        saved[s.scenario_id] = self._save_artifacts(
+                            job, s.scenario_id, result)
+                    paths = saved[s.scenario_id]
                     item_doc = {
                         **item_charge(s, job.max_cpus, batch),
                         "coalesced": sum(
@@ -393,7 +400,8 @@ class JobQueue:
                     }
                     with job.cond:
                         job.item_results.append(item_doc)
-                        job.artifacts.extend(paths)
+                        if fresh:
+                            job.artifacts.extend(paths)
                     job.emit("item", **item_doc)
             outcome = "done"
         except Exception as exc:
