@@ -41,8 +41,8 @@ def test_defaults():
     assert cfg.cache is True
 
 
-def test_jobs_gt_one_defaults_to_pool():
-    assert ReproConfig.from_env_and_args(jobs=4).exec_backend == "pool"
+def test_jobs_gt_one_defaults_to_the_fleet():
+    assert ReproConfig.from_env_and_args(jobs=4).exec_backend == "subprocess"
 
 
 def test_env_layer(monkeypatch, tmp_path):
@@ -149,8 +149,8 @@ def test_frozen():
 
 def test_with_overrides():
     cfg = ReproConfig.from_env_and_args(jobs=1)
-    other = cfg.with_overrides(jobs=4, exec_backend="pool")
-    assert (other.jobs, other.exec_backend) == (4, "pool")
+    other = cfg.with_overrides(jobs=4, exec_backend="subprocess")
+    assert (other.jobs, other.exec_backend) == (4, "subprocess")
     assert cfg.jobs == 1  # original untouched
 
 
@@ -173,8 +173,8 @@ def test_make_executor_wires_everything(tmp_path):
 
 
 def test_to_dict_roundtrips_fields():
-    cfg = ReproConfig.from_env_and_args(jobs=2, exec_backend="pool")
+    cfg = ReproConfig.from_env_and_args(jobs=2, exec_backend="subprocess")
     doc = cfg.to_dict()
     assert doc == {"jobs": 2, "macro_above": None,
-                   "exec_backend": "pool", "cache_dir": cfg.cache_dir,
+                   "exec_backend": "subprocess", "cache_dir": cfg.cache_dir,
                    "cache": True, "energy": False, "telemetry": False}

@@ -182,7 +182,7 @@ def serial_energy():
     return _sweep_energy(jobs=1, backend="inline")
 
 
-@pytest.mark.parametrize("backend", ("inline", "pool", "subprocess"))
+@pytest.mark.parametrize("backend", ("inline", "subprocess"))
 def test_energy_byte_identical_across_exec_backends(backend, serial_energy):
     assert _sweep_energy(jobs=2, backend=backend) == serial_energy
 

@@ -27,7 +27,7 @@ from repro.obs import RECORDERS, MetricsRegistry, current, install, using
 
 CAP = 8  # tiny sweeps keep this fast
 
-ALL_BACKENDS = ("inline", "pool", "subprocess")
+ALL_BACKENDS = ("inline", "subprocess")
 
 
 def _points(nprocs=(2, 4, 8)):
@@ -135,7 +135,7 @@ def test_point_error_propagates_not_wrapped():
             ex.run_points([bad])
 
 
-@pytest.mark.parametrize("backend", ["pool", "subprocess"])
+@pytest.mark.parametrize("backend", ALL_BACKENDS)
 def test_executor_deals_largest_first_and_returns_input_order(backend):
     pts = _points((4, 16, 2)) + [SimPoint.make(
         "imb", "xeon", 16, benchmark="Sendrecv", msg_bytes=2048)]
@@ -160,7 +160,7 @@ def test_executor_deals_largest_first_and_returns_input_order(backend):
 # ---------------------------------------------------------------------------
 
 def test_registry_lists_builtins():
-    assert set(ALL_BACKENDS) <= set(available_exec_backends())
+    assert available_exec_backends() == sorted(ALL_BACKENDS)
 
 
 def test_make_exec_backend_unknown_name():
@@ -195,11 +195,11 @@ def test_register_custom_backend():
 #: (explicit name, REPRO_EXEC_BACKEND, jobs) -> resolved backend name.
 RESOLUTION_TABLE = {
     "serial-default": (None, None, 1, "inline"),
-    "jobs-default": (None, None, 4, "pool"),
-    "blank-env-is-unset": (None, "  ", 4, "pool"),
+    "jobs-default": (None, None, 4, "subprocess"),
+    "blank-env-is-unset": (None, "  ", 4, "subprocess"),
     "env-beats-serial": (None, "subprocess", 1, "subprocess"),
     "env-beats-jobs": (None, "inline", 4, "inline"),
-    "explicit-beats-env": ("inline", "pool", 8, "inline"),
+    "explicit-beats-env": ("inline", "subprocess", 8, "inline"),
     "explicit-beats-jobs": ("subprocess", None, 1, "subprocess"),
 }
 
@@ -218,22 +218,34 @@ def test_backend_name_resolution(monkeypatch, explicit, env, jobs, want):
         assert ex.backend.name == want
 
 
-def test_bad_backend_name_names_its_source(monkeypatch):
-    monkeypatch.setenv(EXEC_BACKEND_ENV, "bogus")
-    env_error = f"unknown exec backend 'bogus' in {EXEC_BACKEND_ENV}"
-    with pytest.raises(ConfigError, match=env_error):
-        ReproConfig.from_env_and_args(jobs=2)
-    with pytest.raises(ConfigError, match=env_error):
-        SweepExecutor(jobs=2, cache=None, backend=None)
-    # An explicit name is blamed on itself, not on the environment.
-    monkeypatch.setenv(EXEC_BACKEND_ENV, "pool")
-    for resolve in (
-            lambda: ReproConfig.from_env_and_args(exec_backend="bogus"),
-            lambda: SweepExecutor(jobs=2, cache=None, backend="bogus")):
-        with pytest.raises(ConfigError,
-                           match="unknown exec backend 'bogus'") as info:
-            resolve()
-        assert EXEC_BACKEND_ENV not in str(info.value)
+def test_bad_backend_name_names_its_source(monkeypatch, capsys):
+    """An unknown name, ``pool`` included, is a ConfigError that names
+    where it came from; the harness CLI exits 2 on it."""
+    from repro.harness.runner import main as runner_main
+
+    for bad in ("bogus", "pool"):
+        monkeypatch.setenv(EXEC_BACKEND_ENV, bad)
+        env_error = f"unknown exec backend '{bad}' in {EXEC_BACKEND_ENV}"
+        with pytest.raises(ConfigError, match=env_error):
+            ReproConfig.from_env_and_args(jobs=2)
+        with pytest.raises(ConfigError, match=env_error):
+            SweepExecutor(jobs=2, cache=None, backend=None)
+        assert runner_main(["--table", "2", "--no-cache", "--no-ledger"]) == 2
+        assert env_error in capsys.readouterr().err
+        # An explicit name is blamed on itself, not on the environment.
+        monkeypatch.setenv(EXEC_BACKEND_ENV, "subprocess")
+        for resolve in (
+                lambda: ReproConfig.from_env_and_args(exec_backend=bad),
+                lambda: SweepExecutor(jobs=2, cache=None, backend=bad)):
+            with pytest.raises(ConfigError,
+                               match=f"unknown exec backend '{bad}'") as info:
+                resolve()
+            assert EXEC_BACKEND_ENV not in str(info.value)
+        assert runner_main(["--table", "2", "--exec-backend", bad,
+                            "--no-cache", "--no-ledger"]) == 2
+        err = capsys.readouterr().err
+        assert f"unknown exec backend '{bad}'" in err
+        assert EXEC_BACKEND_ENV not in err
 
 
 # ---------------------------------------------------------------------------

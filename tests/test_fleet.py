@@ -8,7 +8,8 @@ side (:class:`repro.exec.backends.SubprocessBackend`) is exercised with
 an in-process stand-in for the worker subprocess, so a worker that dies
 mid-request or emits garbage exercises the real failure bookkeeping —
 partial results surface, lost points requeue exactly once, and the
-fleet-health counters (crashes, restarts, requests) add up.
+fleet-health counters (crashes, restarts, requests) add up.  One test
+kills a real worker process mid-batch.
 """
 
 from __future__ import annotations
@@ -367,3 +368,57 @@ def test_executor_writes_each_miss_once_across_a_requeue(fake_fleet,
     assert cache.stores == len(pts)
     assert threads == {threading.current_thread()}
     assert [cache.get(pt).value for pt in pts] == values
+
+
+# -- a real worker death --------------------------------------------------------
+
+
+def test_killed_worker_loses_only_its_points_and_the_fleet_respawns(tmp_path):
+    """SIGKILL a real fleet worker while points are still pending: the
+    batch completes with the inline values, only the lost points are
+    recomputed, each miss is written once, and the next batch on the
+    same executor respawns the fleet."""
+    import os
+    import signal
+
+    def alltoall(*nprocs):
+        return [SimPoint.make("imb", "xeon", p, benchmark="Alltoall",
+                              msg_bytes=65536) for p in nprocs]
+
+    # Six points for two pipelines of IN_FLIGHT = 2: two start pending.
+    pts, more = alltoall(32, 40, 48, 56, 64, 72), alltoall(24, 28)
+    with SweepExecutor(jobs=1, cache=None, backend="inline") as ref:
+        clean, clean_more = ref.run_points(pts), ref.run_points(more)
+
+    backend = SubprocessBackend(jobs=2)
+    compute = backend.compute
+    killed: list[int] = []
+
+    def kill_on_first_record(points, on_record):
+        def hook(i, rec):
+            if not killed:
+                killed.append(backend._fleet[1].proc.pid)
+                os.kill(killed[0], signal.SIGKILL)
+            on_record(i, rec)
+        return compute(points, hook)
+
+    backend.compute = kill_on_first_record
+    cache = ResultCache(tmp_path)
+    writes: Counter = Counter()
+    put = cache.put
+
+    def counting_put(pt, rec):
+        writes[pt.key()] += 1
+        put(pt, rec)
+
+    cache.put = counting_put
+    with SweepExecutor(jobs=2, cache=cache, backend=backend) as ex:
+        assert ex.run_points(pts) == clean
+        assert len(killed) == 1
+        assert ex.stats()["requeued"] >= 1
+        assert backend.health["crashes"] == 1
+        assert writes == Counter(pt.key() for pt in pts)  # once each
+        assert ex.run_points(more) == clean_more
+        assert backend.health["crashes"] == 1
+        assert backend.health["restarts"] == 2
+        assert backend.health["workers_spawned"] == 4

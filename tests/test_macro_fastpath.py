@@ -159,7 +159,7 @@ def test_fastpath_runs_never_share_coalescer_claims():
     assert fast_key == f"{pt.key()}\nmacro-fastpath>2048"
 
 
-@pytest.mark.parametrize("backend", ["pool", "subprocess"])
+@pytest.mark.parametrize("backend", ["subprocess"])
 def test_workers_inherit_macro_above(backend):
     """The threshold reaches worker processes through their context."""
     pts = [SimPoint.make("imb", "xeon", p, benchmark="Allreduce",

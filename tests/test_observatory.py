@@ -446,7 +446,7 @@ def test_run_key_separates_run_modes():
     assert base == run_key(["fig12"], 16, exec_backend="inline", jobs=1,
                            recorders=())
     assert len({base,
-                run_key(["fig12"], 16, exec_backend="pool", jobs=2),
+                run_key(["fig12"], 16, exec_backend="subprocess", jobs=2),
                 run_key(["fig12"], 16, exec_backend="inline", jobs=2),
                 run_key(["fig12"], 16, exec_backend="inline", jobs=1,
                         recorders=("metrics",))}) == 4

@@ -236,6 +236,22 @@ def test_traced_job_nests_its_one_sweep_under_the_run(tmp_path):
     assert batch.attrs["points"] == 10  # the ring sweep both views share
 
 
+def test_repeated_id_is_saved_and_listed_once(tmp_path):
+    """``6`` and ``fig06`` name one item: its files are saved once and
+    the job lists each path once, while each item doc still names them."""
+    cfg = _config(tmp_path, telemetry=True, no_cache=True)
+    with JobQueue(cfg, workers=1, artifacts_dir=tmp_path / "art") as q:
+        job = q.submit(["6", "fig06"], max_cpus=CAP)
+        doc = q.result(job, timeout=300)
+        spans = q.job_trace(job)
+    assert doc["state"] == "done", doc["error"]
+    assert doc["items"] == ["fig06", "fig06"]
+    paths = doc["artifacts"]
+    assert len(paths) == len(set(paths)) == 3  # csv, json, txt
+    assert [r["artifacts"] for r in doc["item_results"]] == [paths, paths]
+    assert [s["name"] for s in spans].count("job.artifact_save") == 1
+
+
 def test_follower_trace_links_to_owner(tmp_path):
     cfg = _config(tmp_path, telemetry=True)
     with JobQueue(cfg, workers=2, events_path=None) as q:
