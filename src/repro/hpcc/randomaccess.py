@@ -100,7 +100,7 @@ def randomaccess_program(comm, cfg: RandomAccessConfig):
         # Bytes each round sends in each dimension, as [round][dim].
         sizes = (8 * moves.reshape(dims, rounds, bucket_n).sum(axis=2)
                  ).T.tolist()
-        # Exchange through the transport, as the collectives' _sendrecv
+        # Exchange through the transport, as the collectives' _exchange
         # funnel does: the partners are valid by construction and the
         # received result is unused, so Comm.sendrecv's checks, its
         # generator and _localise would do no work.  The engine sees the

@@ -11,9 +11,10 @@ the Reduce/Allreduce figures.
 Selection mirrors MPICH-style size/count tuning; every entry point takes
 an optional ``algorithm`` override so ablation benchmarks can pin one.
 
-All functions are generators; payloads (NumPy arrays) are optional and,
-when present, are actually split/merged/reduced so tests can validate
-results against serial references.
+Algorithms are generators, and every entry point returns one.  Payloads
+(NumPy arrays) are optional and, when present, are actually
+split/merged/reduced so tests can validate results against serial
+references.
 """
 
 from __future__ import annotations
@@ -61,25 +62,29 @@ def _irecv(comm, source: int, tag: int):
     )
 
 
-def _sendrecv(comm, dest: int, source: int, nbytes: int, tag: int,
+def _exchange(comm, dest: int, source: int, nbytes: int, tag: int,
               data: Any = None):
-    """Concurrent exchange; returns the received :class:`RecvResult`."""
+    """Post one exchange; the caller yields the returned ``(rreq, sreq)``
+    in order (``sreq`` is None when elided: the same resume)."""
     ranks = comm._world_ranks
-    rreq, sreq = comm.cluster.transport.sendrecv(
+    return comm.cluster.transport.sendrecv(
         ranks[comm._rank], ranks[dest], ranks[source], int(nbytes), tag, tag,
         data, comm._coll_channel,
     )
-    res = yield rreq
-    yield sreq  # None when elided: the same resume as the fired event
-    return res
 
 
 def _reduce_compute(comm, nbytes: float):
-    """Charge the local arithmetic of combining two nbytes-long buffers."""
+    """The local arithmetic of combining two nbytes-long buffers."""
     if nbytes > 0:
-        yield from comm.compute(
-            flops=nbytes / 8.0, nbytes=3.0 * nbytes, kernel="reduction"
-        )
+        return comm.compute(flops=nbytes / 8.0, nbytes=3.0 * nbytes,
+                            kernel="reduction")
+    return ()
+
+
+def _done(value: Any):
+    """A collective that completes at once with ``value`` (one rank)."""
+    return value
+    yield  # pragma: no cover - generator marker
 
 
 def _combine(op: Op, acc: Any, incoming: Any) -> Any:
@@ -206,7 +211,9 @@ def _barrier_dissemination(comm, base_tag: int):
     while step < size:
         dst = (rank + step) % size
         src = (rank - step) % size
-        yield from _sendrecv(comm, dst, src, 0, base_tag + rnd)
+        rreq, sreq = _exchange(comm, dst, src, 0, base_tag + rnd)
+        yield rreq
+        yield sreq
         step <<= 1
         rnd += 1
 
@@ -225,10 +232,9 @@ BARRIER_ALGORITHMS = {
 
 def barrier(comm, seq: int, algorithm: str | None = None):
     if comm.size == 1:
-        return None
-        yield  # pragma: no cover - generator marker
+        return _done(None)
     fn = _pick(algorithm, BARRIER_ALGORITHMS, "dissemination")
-    yield from fn(comm, seq * _TAGSPAN)
+    return fn(comm, seq * _TAGSPAN)
 
 
 # ---------------------------------------------------------------------------
@@ -299,14 +305,11 @@ def _bcast_scatter_ring(comm, base_tag: int, data: Any, nbytes: int, root: int):
     left = (vr - 1) % size
     for i in range(size - 1):
         send_block = (vr - i) % size
-        yield from _sendrecv(
-            comm,
-            (right + root) % size,
-            (left + root) % size,
-            sizes[send_block],
-            base_tag + 2048 + i,
-            data,
-        )
+        rreq, sreq = _exchange(comm, (right + root) % size,
+                               (left + root) % size, sizes[send_block],
+                               base_tag + 2048 + i, data)
+        yield rreq
+        yield sreq
     return data
 
 
@@ -320,15 +323,13 @@ def bcast(comm, seq: int, data: Any, nbytes: int | None, root: int,
           algorithm: str | None = None):
     n = resolve_nbytes(data, nbytes)
     if comm.size == 1:
-        return data
-        yield  # pragma: no cover
+        return _done(data)
     if algorithm is None:
         algorithm = (
             "binomial" if (n < BCAST_SHORT or comm.size < 8) else "scatter_ring"
         )
     fn = _pick(algorithm, BCAST_ALGORITHMS, "binomial")
-    out = yield from fn(comm, seq * _TAGSPAN, data, n, root)
-    return out
+    return fn(comm, seq * _TAGSPAN, data, n, root)
 
 
 # ---------------------------------------------------------------------------
@@ -430,9 +431,11 @@ def _reduce_scatter_halving(sub, base_tag: int, blocks: _Blocks, op: Op):
             give_lo, give_hi = lo, mid
         send_nb = blocks.nbytes(give_lo, give_hi)
         recv_nb = blocks.nbytes(keep_lo, keep_hi)
-        res = yield from _sendrecv(sub, partner, partner, send_nb,
-                                   base_tag + step,
-                                   _window(acc, give_lo, give_hi))
+        rreq, sreq = _exchange(sub, partner, partner, send_nb,
+                               base_tag + step,
+                               _window(acc, give_lo, give_hi))
+        res = yield rreq
+        yield sreq
         yield from _reduce_compute(sub, recv_nb)
         if res.data is not None:
             acc = acc or [None] * p2
@@ -516,13 +519,11 @@ def reduce(comm, seq: int, data: Any, nbytes: int | None, op: Op, root: int,
            algorithm: str | None = None):
     n = resolve_nbytes(data, nbytes)
     if comm.size == 1:
-        return data
-        yield  # pragma: no cover
+        return _done(data)
     if algorithm is None:
         algorithm = "binomial" if n < REDUCE_SHORT else "rabenseifner"
     fn = _pick(algorithm, REDUCE_ALGORITHMS, "binomial")
-    out = yield from fn(comm, seq * _TAGSPAN, data, n, op, root)
-    return out
+    return fn(comm, seq * _TAGSPAN, data, n, op, root)
 
 
 # ---------------------------------------------------------------------------
@@ -538,8 +539,10 @@ def _allreduce_recursive_doubling(comm, base_tag: int, data: Any, nbytes: int,
         mask, step = 1, 0
         while mask < p2:
             partner = gidx ^ mask
-            res = yield from _sendrecv(sub, partner, partner, nbytes,
-                                       base_tag + 16 + step, acc)
+            rreq, sreq = _exchange(sub, partner, partner, nbytes,
+                                   base_tag + 16 + step, acc)
+            res = yield rreq
+            yield sreq
             yield from _reduce_compute(comm, nbytes)
             acc = _combine(op, acc, res.data)
             mask <<= 1
@@ -570,9 +573,11 @@ def _allreduce_rabenseifner(comm, base_tag: int, data: Any, nbytes: int,
             lo = (gidx // mask) * mask
             other_lo = (partner // mask) * mask
             send_nb = blocks.nbytes(lo, lo + mask)
-            res = yield from _sendrecv(sub, partner, partner, send_nb,
-                                       base_tag + 1024 + step,
-                                       _window(accb, lo, lo + mask))
+            rreq, sreq = _exchange(sub, partner, partner, send_nb,
+                                   base_tag + 1024 + step,
+                                   _window(accb, lo, lo + mask))
+            res = yield rreq
+            yield sreq
             if res.data is not None:
                 accb = accb or [None] * p2
                 for j, i in enumerate(range(other_lo, other_lo + mask)):
@@ -597,13 +602,11 @@ def allreduce(comm, seq: int, data: Any, nbytes: int | None, op: Op,
               algorithm: str | None = None):
     n = resolve_nbytes(data, nbytes)
     if comm.size == 1:
-        return data
-        yield  # pragma: no cover
+        return _done(data)
     if algorithm is None:
         algorithm = "recursive_doubling" if n < ALLREDUCE_SHORT else "rabenseifner"
     fn = _pick(algorithm, ALLREDUCE_ALGORITHMS, "recursive_doubling")
-    out = yield from fn(comm, seq * _TAGSPAN, data, n, op)
-    return out
+    return fn(comm, seq * _TAGSPAN, data, n, op)
 
 
 # ---------------------------------------------------------------------------
@@ -695,8 +698,10 @@ def _allgather_ring(comm, base_tag: int, items: list, sizes: list[int]):
     for i in range(size - 1):
         send_block = (rank - i) % size
         recv_block = (rank - i - 1) % size
-        res = yield from _sendrecv(comm, right, left, sizes[send_block],
-                                   base_tag + i, items[send_block])
+        rreq, sreq = _exchange(comm, right, left, sizes[send_block],
+                               base_tag + i, items[send_block])
+        res = yield rreq
+        yield sreq
         items[recv_block] = res.data
     return items
 
@@ -714,8 +719,10 @@ def _allgather_recursive_doubling(comm, base_tag: int, items: list,
         send_nb = sum(sizes[lo:lo + mask])
         payload = {i: items[i] for i in range(lo, lo + mask)
                    if items[i] is not None} or None
-        res = yield from _sendrecv(comm, partner, partner, send_nb,
-                                   base_tag + step, payload)
+        rreq, sreq = _exchange(comm, partner, partner, send_nb,
+                               base_tag + step, payload)
+        res = yield rreq
+        yield sreq
         if res.data is not None:
             for i, v in res.data.items():
                 items[i] = v
@@ -735,8 +742,10 @@ def _allgather_bruck(comm, base_tag: int, items: list, sizes: list[int]):
         count = min(pof2, size - pof2)
         chunk = held[:count]
         send_nb = sum(sizes[b] for (b, _v) in chunk)
-        res = yield from _sendrecv(comm, send_to, recv_from, send_nb,
-                                   base_tag + step, chunk)
+        rreq, sreq = _exchange(comm, send_to, recv_from, send_nb,
+                               base_tag + step, chunk)
+        res = yield rreq
+        yield sreq
         held.extend(res.data or [])
         pof2 <<= 1
         step += 1
@@ -757,8 +766,7 @@ def allgather(comm, seq: int, data: Any, nbytes: int | None,
     n = resolve_nbytes(data, nbytes)
     size = comm.size
     if size == 1:
-        return [data]
-        yield  # pragma: no cover
+        return _done([data])
     if algorithm is None:
         if n * size <= ALLGATHER_TOTAL_SHORT:
             algorithm = "recursive_doubling" if _is_pow2(size) else "bruck"
@@ -768,8 +776,7 @@ def allgather(comm, seq: int, data: Any, nbytes: int | None,
     items[comm.rank] = data
     sizes = [n] * size
     fn = _pick(algorithm, ALLGATHER_ALGORITHMS, "ring")
-    out = yield from fn(comm, seq * _TAGSPAN, items, sizes)
-    return out
+    return fn(comm, seq * _TAGSPAN, items, sizes)
 
 
 def allgatherv(comm, seq: int, data: Any, counts: Sequence[int] | None,
@@ -780,8 +787,7 @@ def allgatherv(comm, seq: int, data: Any, counts: Sequence[int] | None,
     if len(counts) != size:
         raise MPIError(f"counts has {len(counts)} entries for size {size}")
     if size == 1:
-        return [data]
-        yield  # pragma: no cover
+        return _done([data])
     items: list[Any] = [None] * size
     items[comm.rank] = data
     sizes = [int(c) for c in counts]
@@ -792,8 +798,7 @@ def allgatherv(comm, seq: int, data: Any, counts: Sequence[int] | None,
         else:
             algorithm = "ring"
     fn = _pick(algorithm, ALLGATHER_ALGORITHMS, "ring")
-    out = yield from fn(comm, seq * _TAGSPAN, items, sizes)
-    return out
+    return fn(comm, seq * _TAGSPAN, items, sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -807,8 +812,10 @@ def _alltoall_pairwise(comm, base_tag: int, out_items: list, out_sizes: list):
     for i in range(1, size):
         dst = (rank + i) % size
         src = (rank - i) % size
-        res = yield from _sendrecv(comm, dst, src, out_sizes[dst],
-                                   base_tag + i, out_items[dst])
+        rreq, sreq = _exchange(comm, dst, src, out_sizes[dst],
+                               base_tag + i, out_items[dst])
+        res = yield rreq
+        yield sreq
         in_items[src] = res.data
     return in_items
 
@@ -831,8 +838,10 @@ def _alltoall_bruck(comm, base_tag: int, out_items: list, out_sizes: list):
         moving = [t for t in held if ((t[0] - rank) % size) & pof2]
         held = [t for t in held if not ((t[0] - rank) % size) & pof2]
         send_nb = sum(out_sizes[t[0]] for t in moving)
-        res = yield from _sendrecv(comm, send_to, recv_from, send_nb,
-                                   base_tag + step, moving)
+        rreq, sreq = _exchange(comm, send_to, recv_from, send_nb,
+                               base_tag + step, moving)
+        res = yield rreq
+        yield sreq
         for d, origin, v in res.data or []:
             if d == rank:
                 result[origin] = v
@@ -859,15 +868,13 @@ def alltoall(comm, seq: int, datas: Sequence[Any] | None, nbytes: int | None,
             raise MPIError("alltoall needs datas or nbytes")
         nbytes = max((payload_nbytes(d) for d in datas), default=0)
     if size == 1:
-        return [datas[0] if datas else None]
-        yield  # pragma: no cover
+        return _done([datas[0] if datas else None])
     out_items = list(datas) if datas is not None else [None] * size
     out_sizes = [int(nbytes)] * size
     if algorithm is None:
         algorithm = "bruck" if nbytes <= ALLTOALL_SHORT else "pairwise"
     fn = _pick(algorithm, ALLTOALL_ALGORITHMS, "pairwise")
-    out = yield from fn(comm, seq * _TAGSPAN, out_items, out_sizes)
-    return out
+    return fn(comm, seq * _TAGSPAN, out_items, out_sizes)
 
 
 def alltoallv(comm, seq: int, datas: Sequence[Any] | None,
@@ -880,13 +887,10 @@ def alltoallv(comm, seq: int, datas: Sequence[Any] | None,
     if len(counts) != size:
         raise MPIError(f"counts has {len(counts)} entries for size {size}")
     if size == 1:
-        return [datas[0] if datas else None]
-        yield  # pragma: no cover
+        return _done([datas[0] if datas else None])
     out_items = list(datas) if datas is not None else [None] * size
     out_sizes = [int(c) for c in counts]
-    out = yield from _alltoall_pairwise(comm, seq * _TAGSPAN, out_items,
-                                        out_sizes)
-    return out
+    return _alltoall_pairwise(comm, seq * _TAGSPAN, out_items, out_sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -924,9 +928,10 @@ def _reduce_scatter_pairwise(comm, base_tag: int, data: Any, nbytes: int,
     for i in range(1, size):
         dst = (rank + i) % size
         src = (rank - i) % size
-        res = yield from _sendrecv(comm, dst, src,
-                                   blocks.nbytes(dst, dst + 1),
-                                   base_tag + i, blocks.arr(dst))
+        rreq, sreq = _exchange(comm, dst, src, blocks.nbytes(dst, dst + 1),
+                               base_tag + i, blocks.arr(dst))
+        res = yield rreq
+        yield sreq
         yield from _reduce_compute(comm, blocks.nbytes(rank, rank + 1))
         acc = _combine(op, acc, res.data)
     return acc
@@ -944,13 +949,11 @@ def reduce_scatter(comm, seq: int, data: Any, nbytes: int | None, op: Op,
     n = resolve_nbytes(data, nbytes)
     size = comm.size
     if size == 1:
-        return data
-        yield  # pragma: no cover
+        return _done(data)
     if algorithm is None:
         algorithm = "recursive_halving" if _is_pow2(size) else "reduce_scatterv"
     fn = _pick(algorithm, REDUCE_SCATTER_ALGORITHMS, "recursive_halving")
-    out = yield from fn(comm, seq * _TAGSPAN, data, n, op)
-    return out
+    return fn(comm, seq * _TAGSPAN, data, n, op)
 
 
 # ---------------------------------------------------------------------------
@@ -967,23 +970,19 @@ def _scan_recursive_doubling(comm, base_tag: int, data: Any, nbytes: int,
     rank, size = comm.rank, comm.size
     acc = data            # running op over a contiguous rank range
     prefix = data if inclusive else None  # op over ranks [0, r] or [0, r)
-    if not inclusive:
-        prefix = None
     mask, step = 1, 0
     while mask < size:
         partner = rank ^ mask
         if partner < size:
-            res = yield from _sendrecv(comm, partner, partner, nbytes,
-                                       base_tag + step, acc)
+            rreq, sreq = _exchange(comm, partner, partner, nbytes,
+                                   base_tag + step, acc)
+            res = yield rreq
+            yield sreq
             yield from _reduce_compute(comm, nbytes)
             incoming = res.data
             if partner < rank:
                 # partner's range lies entirely below mine
-                if inclusive:
-                    prefix = _combine(op, incoming, prefix)
-                else:
-                    prefix = incoming if prefix is None else _combine(
-                        op, incoming, prefix)
+                prefix = _combine(op, incoming, prefix)
             acc = _combine(op, acc, incoming)
         mask <<= 1
         step += 1
@@ -997,22 +996,18 @@ def scan(comm, seq: int, data: Any, nbytes: int | None, op: Op,
          algorithm: str | None = None):
     n = resolve_nbytes(data, nbytes)
     if comm.size == 1:
-        return data
-        yield  # pragma: no cover
+        return _done(data)
     fn = _pick(algorithm, SCAN_ALGORITHMS, "recursive_doubling")
-    out = yield from fn(comm, seq * _TAGSPAN, data, n, op, True)
-    return out
+    return fn(comm, seq * _TAGSPAN, data, n, op, True)
 
 
 def exscan(comm, seq: int, data: Any, nbytes: int | None, op: Op,
            algorithm: str | None = None):
     n = resolve_nbytes(data, nbytes)
     if comm.size == 1:
-        return None
-        yield  # pragma: no cover
+        return _done(None)
     fn = _pick(algorithm, SCAN_ALGORITHMS, "recursive_doubling")
-    out = yield from fn(comm, seq * _TAGSPAN, data, n, op, False)
-    return out
+    return fn(comm, seq * _TAGSPAN, data, n, op, False)
 
 
 # ---------------------------------------------------------------------------

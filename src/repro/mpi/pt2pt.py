@@ -31,7 +31,7 @@ from typing import Any
 from ..core.engine import Engine, Event
 from ..core.trace import MessageRecord, Tracer
 from ..network.netmodel import Fabric
-from ..network.resources import reserve_route
+from ..network.resources import Route, reserve_route
 from ..obs.commviz import PhaseMatrix
 from ..obs.context import current
 from .datatypes import ANY_SOURCE, ANY_TAG, RecvResult, copy_payload
@@ -49,7 +49,8 @@ class _PendingRendezvous:
     nbytes: int
     data: Any
     send_done: Event
-    seq: int = 0            # per-(src, dst, channel) send order
+    seq: int                # per-(src, dst, channel) send order
+    route: Route            # the pair's record, reserved by the bulk
 
 
 class _Mailbox:
@@ -250,11 +251,11 @@ class Transport:
         """
         # Hot path: one call per simulated message.  Everything below
         # sticks to pre-bound locals, absolute-time pushes (provably not
-        # in the past), the pair's cached route record and plain
-        # additions for the latency-only control lane — the generic
-        # helpers (`engine.schedule`, `control_timing`, `charge_cpu`)
-        # cost a call + allocation each that this path pays millions of
-        # times per sweep.
+        # in the past) and the pair's cached route record, whose latency
+        # prices the control lane and which the eager payload, or later
+        # the rendezvous bulk, reserves directly: the generic helpers
+        # (`engine.schedule`, `charge_cpu`, `Fabric.message_timing`) cost
+        # a call + allocation each, millions of times per sweep.
         engine = self.engine
         params = self._params
         now = engine._now
@@ -308,14 +309,8 @@ class Transport:
             # Rendezvous: RTS -> (recv posted) -> CTS -> bulk transfer.
             self.cpu_busy_s += params.send_overhead
             send_done = Event(engine)
-            pending = _PendingRendezvous(
-                source=src,
-                tag=tag,
-                nbytes=nbytes,
-                data=data,
-                send_done=send_done,
-                seq=seq,
-            )
+            pending = _PendingRendezvous(src, tag, nbytes, data, send_done,
+                                         seq, route)
             engine._push(t_cpu_done + route.latency, self._rts_arrive,
                          (box, dst, pending))
         return send_done
@@ -366,10 +361,13 @@ class Transport:
     def _rts_arrive(self, box: _Mailbox, dst: int,
                     pending: _PendingRendezvous) -> None:
         posted = box.posted
+        source, tag = pending.source, pending.tag
         for i, (want_source, want_tag, event) in enumerate(posted):
-            if _match(want_source, want_tag, pending.source, pending.tag):
-                if self._earlier_queued(box, pending.source, pending.seq,
-                                        want_source, want_tag):
+            if ((want_source == source or want_source == ANY_SOURCE)
+                    and (want_tag == tag or want_tag == ANY_TAG)):
+                if ((box.unexpected or box.pending_rndv)
+                        and self._earlier_queued(box, source, pending.seq,
+                                                 want_source, want_tag)):
                     break
                 del posted[i]
                 self._start_bulk(dst, pending, event)
@@ -379,36 +377,39 @@ class Transport:
     def _start_bulk(self, dst: int, pending: _PendingRendezvous, recv_event: Event) -> None:
         """Matching recv is posted and RTS arrived: CTS + bulk transfer."""
         engine = self.engine
-        fabric = self.fabric
-        now = engine._now
         src = pending.source
-        src_node = self.placement[src]
-        dst_node = self.placement[dst]
+        placement = self.placement
         # CTS travels back on the latency-only control lane; bulk leaves
-        # after it lands at the sender.
-        cts_arrival = now + fabric.latency(dst_node, src_node)
-        bulk = fabric.message_timing(
-            src_node, dst_node, pending.nbytes, cts_arrival
-        )
+        # after it lands at the sender, over the send's route record.
+        cts_arrival = engine._now + self._route(placement[dst],
+                                                placement[src]).latency
+        inject_start, inject_end, arrival = reserve_route(
+            pending.route, pending.nbytes, cts_arrival)
         # Sender's buffer is free once the bulk data has left the NIC.
-        engine._push(bulk.inject_end, pending.send_done.fire, (None,))
+        engine._push(inject_end, pending.send_done.fire, (None,))
         data = pending.data
         payload = None if data is None else copy_payload(data)
-        engine._push(bulk.arrival, self._finish_bulk,
+        engine._push(arrival, self._finish_bulk,
                      (dst, pending, recv_event, payload))
         if self.tracer._enabled:
             self._trace(src, dst, pending.nbytes, pending.tag,
-                        bulk.inject_start, bulk.arrival)
+                        inject_start, arrival)
 
     def _finish_bulk(self, dst: int, pending: _PendingRendezvous,
                      recv_event: Event, payload: Any) -> None:
-        """Bulk payload landed: charge recv overhead, complete the recv."""
-        t = self.engine._now
-        done = self.charge_cpu(dst, t, self._params.recv_overhead)
-        self._complete_recv(
-            recv_event, payload, pending.source, pending.tag,
-            pending.nbytes, done
-        )
+        """Bulk payload landed: charge recv overhead, complete the recv
+        (charge_cpu inlined; its end is never in the past)."""
+        engine = self.engine
+        t = engine._now
+        cpu = self._cpu_free
+        if cpu[dst] > t:
+            t = cpu[dst]
+        recv_overhead = self._params.recv_overhead
+        done = cpu[dst] = t + recv_overhead
+        self.cpu_busy_s += recv_overhead
+        engine._push(done, recv_event.fire, (
+            RecvResult(payload, pending.source, pending.tag,
+                       pending.nbytes),))
 
     def _complete_recv(
         self, event: Event, payload: Any, src: int, tag: int, nbytes: int,
@@ -451,7 +452,8 @@ class Transport:
                 if best is None or key < best[0]:
                     best = (key, "eager", i)
         for i, pending in enumerate(box.pending_rndv):
-            if _match(source, tag, pending.source, pending.tag):
+            if ((source == pending.source or source == ANY_SOURCE)
+                    and (tag == pending.tag or tag == ANY_TAG)):
                 key = (pending.seq, pending.source)
                 if best is None or key < best[0]:
                     best = (key, "rndv", i)

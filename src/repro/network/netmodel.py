@@ -10,9 +10,9 @@ This is the heart of the simulated interconnect.  It combines
   per-node NIC injection/ejection, per-level network core capacity, and
   per-node shared-memory (intra-node) transfers.
 
-The MPI layer asks for :meth:`Fabric.message_timing` and gets back when the
-sender's buffer is free and when the payload lands at the receiver; all
-queueing from concurrent traffic is reflected in those times.
+The MPI layer reserves a node pair's :meth:`Fabric.route` record with
+:func:`reserve_route` and gets back when the sender's buffer is free and
+when the payload lands; all queueing from concurrent traffic is in those.
 """
 
 from __future__ import annotations
@@ -273,7 +273,9 @@ class Fabric:
         return self.route(src_node, dst_node).latency
 
     def invalidate_route_cache(self) -> None:
-        """Drop memoised route records after a parameter mutation."""
+        """Drop memoised route records after a parameter mutation; call
+        it before the first message, as every fault injector does (a
+        rendezvous send in flight keeps the record it captured)."""
         self._routes.clear()
 
     def message_timing(
@@ -284,6 +286,7 @@ class Fabric:
         Intra-node messages go through the node's shared-memory resource;
         inter-node messages jointly reserve source egress, the core level
         the path crosses, and destination ingress (:func:`reserve_route`).
+        For one-sided operations and tests; pt2pt reserves routes itself.
         """
         return MessageTiming(*reserve_route(self.route(src_node, dst_node),
                                             nbytes, t_ready))

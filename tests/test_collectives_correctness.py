@@ -305,10 +305,16 @@ def test_collectives_on_single_rank():
         a = yield from comm.allreduce(data=3.5, nbytes=8)
         g = yield from comm.allgather(data=4.5, nbytes=8)
         t = yield from comm.alltoall(datas=[5.5])
-        return b, r, a, g, t
+        gv = yield from comm.allgatherv(data=6.5, counts=[8])
+        tv = yield from comm.alltoallv(datas=[7.5], counts=[8])
+        rs = yield from comm.reduce_scatter(data=8.5, nbytes=8)
+        sc = yield from comm.scan(data=9.5, nbytes=8)
+        ex = yield from comm.exscan(data=10.5, nbytes=8)
+        return b, r, a, g, t, gv, tv, rs, sc, ex
 
     out = run_ranks(M, 1, prog)
-    assert out.results[0] == (1.5, 2.5, 3.5, [4.5], [5.5])
+    assert out.results[0] == (1.5, 2.5, 3.5, [4.5], [5.5], [6.5], [7.5],
+                              8.5, 9.5, None)
 
 
 def test_unknown_algorithm_rejected():
@@ -319,3 +325,66 @@ def test_unknown_algorithm_rejected():
             yield from comm.bcast(nbytes=8, algorithm="telepathy")
 
     run_ranks(M, 2, prog)
+
+
+#: One bad call per dispatching collective; each raises MPIError.
+BAD_CALLS = {
+    "barrier": lambda comm: comm.barrier(algorithm="telepathy"),
+    "bcast": lambda comm: comm.bcast(),
+    "reduce": lambda comm: comm.reduce(nbytes=-1),
+    "allreduce": lambda comm: comm.allreduce(nbytes=8, algorithm="telepathy"),
+    "allgather": lambda comm: comm.allgather(nbytes=8, algorithm="telepathy"),
+    "allgatherv": lambda comm: comm.allgatherv(data=1.0),
+    "alltoall": lambda comm: comm.alltoall(datas=[1.0]),
+    "alltoallv": lambda comm: comm.alltoallv(),
+    "reduce_scatter": lambda comm: comm.reduce_scatter(
+        nbytes=8, algorithm="telepathy"),
+    "scan": lambda comm: comm.scan(nbytes=8, algorithm="telepathy"),
+    "exscan": lambda comm: comm.exscan(nbytes=8, algorithm="telepathy"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_CALLS))
+def test_bad_collective_argument_raises_out_of_run(name):
+    from repro.core.errors import MPIError
+
+    def prog(comm):
+        yield from BAD_CALLS[name](comm)
+
+    with pytest.raises(MPIError):
+        run_ranks(M, 2, prog)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_every_collective_returns_a_generator(p):
+    import inspect
+
+    calls = {
+        "barrier": lambda c: c.barrier(),
+        "bcast": lambda c: c.bcast(nbytes=8),
+        "reduce": lambda c: c.reduce(nbytes=8),
+        "allreduce": lambda c: c.allreduce(nbytes=8),
+        "gather": lambda c: c.gather(nbytes=8),
+        "scatter": lambda c: c.scatter(nbytes=8),
+        "allgather": lambda c: c.allgather(nbytes=8),
+        "allgatherv": lambda c: c.allgatherv(counts=[8] * p),
+        "alltoall": lambda c: c.alltoall(nbytes=8),
+        "alltoallv": lambda c: c.alltoallv(counts=[8] * p),
+        "reduce_scatter": lambda c: c.reduce_scatter(nbytes=8),
+        "scan": lambda c: c.scan(nbytes=8),
+        "exscan": lambda c: c.exscan(nbytes=8),
+        "gatherv": lambda c: c.gatherv(counts=[8] * p),
+        "scatterv": lambda c: c.scatterv(counts=[8] * p),
+    }
+
+    def prog(comm):
+        kinds = {}
+        for name, call in calls.items():
+            gen = call(comm)
+            kinds[name] = inspect.isgenerator(gen)
+            gen.close()  # never started: no message was posted
+        return kinds
+        yield  # pragma: no cover - generator marker
+
+    for kinds in run_ranks(M, p, prog).results:
+        assert kinds == dict.fromkeys(calls, True)

@@ -506,3 +506,76 @@ def test_exchange_elides_send_event_only_while_recv_outstanding(m):
     assert all(ev is not None for ev in seen[2:])   # the queued run
     t_recv, t_done = elided[0][0]
     assert t_done > t_recv
+
+
+# -- rendezvous timing, exactly --------------------------------------------
+#
+# One rendezvous message on an idle fabric: RTS after the send overhead
+# plus the pair's latency, CTS back over the reverse pair's latency, the
+# bulk reserved over the pair's route record from the CTS arrival, the
+# receive charged its overhead once the payload lands.
+
+RNDV_BYTES = 1 << 20   # far above the test machine's eager threshold
+LATE_POST_S = 1e-3     # long after the RTS has parked
+
+
+def _rndv_program(comm, dst, late):
+    if comm.rank == 0:
+        yield from comm.send(dst, nbytes=RNDV_BYTES, tag=3)
+        return comm.now
+    if comm.rank == dst:
+        if late:
+            yield LATE_POST_S
+        yield from comm.recv(0, tag=3)
+        return comm.now
+    return None
+
+
+def _rndv_closed_form(fabric, src_node, dst_node, late):
+    """``(send done, recv done, t_inject, t_deliver)`` from the
+    fabric's parameters and the pair's route records."""
+    params = fabric.params
+    route = fabric.route(src_node, dst_node)
+    back = fabric.route(dst_node, src_node)
+    rts = params.send_overhead + route.latency
+    cts = (LATE_POST_S if late else rts) + back.latency
+    end = cts
+    for r in route.resources:
+        end = max(end, cts + RNDV_BYTES / r.bandwidth)
+    end = max(end, cts + RNDV_BYTES / route.stream_bw)
+    arrival = end + route.latency
+    return end, arrival + params.recv_overhead, cts, arrival
+
+
+@pytest.mark.parametrize("late", [False, True],
+                         ids=["recv_before_rts", "recv_after_rts"])
+@pytest.mark.parametrize("dst", [1, 2], ids=["intra", "inter"])
+@pytest.mark.parametrize("extra_latency", [0.0, 7e-6],
+                         ids=["clean", "add_latency"])
+def test_rendezvous_timing_matches_closed_form(m, late, dst, extra_latency):
+    from repro.machine.faults import add_latency
+
+    setup = (None if not extra_latency
+             else lambda fabric: add_latency(fabric, extra_latency))
+    cluster = Cluster(m, 4, trace=True)
+    out = cluster.run(_rndv_program, dst, late, fabric_setup=setup)
+    fabric = cluster.fabric
+    src_node, dst_node = cluster.placement[0], cluster.placement[dst]
+    assert (src_node == dst_node) == (dst == 1)
+    if late:
+        assert fabric.params.send_overhead + fabric.route(
+            src_node, dst_node).latency < LATE_POST_S
+    send_done, recv_done, t_inject, t_deliver = _rndv_closed_form(
+        fabric, src_node, dst_node, late)
+    assert out.results[0] == send_done
+    assert out.results[dst] == recv_done
+    (rec,) = out.tracer.messages
+    assert (rec.src, rec.dst, rec.nbytes, rec.tag) == (0, dst, RNDV_BYTES, 3)
+    assert rec.t_inject == t_inject
+    assert rec.t_deliver == t_deliver
+    if extra_latency and dst == 2:
+        # The faulted latency reached the records the run used.
+        clean = m.build_fabric(4).route(src_node, dst_node).latency
+        assert fabric.route(src_node, dst_node).latency > clean
+        assert recv_done > _rndv_closed_form(
+            m.build_fabric(4), src_node, dst_node, late)[1]
